@@ -1267,7 +1267,9 @@ mod tests {
         let base = pf_workloads::generate(&profile);
 
         let mut classic_nw = base.clone();
-        let classic = lshaped_extract(&mut classic_nw, &seq_cfg(2));
+        let mut classic_cfg = seq_cfg(2);
+        classic_cfg.extract.search = SearchConfig::classic();
+        let classic = lshaped_extract(&mut classic_nw, &classic_cfg);
         assert!(classic.extractions >= 1);
 
         for topk in [4usize, 16] {

@@ -341,27 +341,43 @@ mod tests {
         // top-K (every global member survives its own stripe's list),
         // so the drained batch sequence — and the final network — are
         // identical for any stripe count, and identical to the batched
-        // sequential engine.
-        let profile = pf_workloads::CircuitProfile::small("rbatch", 11);
-        let mut seq_cfg = crate::seq::ExtractConfig::default();
-        seq_cfg.search.topk = 8;
-        let mut seq_nw = pf_workloads::generate(&profile);
-        let seq_report = extract_kernels(&mut seq_nw, &[], &seq_cfg);
-        assert!(seq_report.extractions > 1);
-        for procs in [1usize, 2, 4] {
-            let mut cfg = ReplicatedConfig {
-                procs,
-                ..ReplicatedConfig::default()
-            };
-            cfg.extract.search.topk = 8;
-            let mut nw = pf_workloads::generate(&profile);
-            let report = replicated_extract(&mut nw, &cfg);
-            assert_eq!(report.lc_after, seq_report.lc_after, "procs={procs}");
-            assert_eq!(report.total_value, seq_report.total_value);
-            assert_eq!(report.extractions, seq_report.extractions);
-            assert_eq!(report.passes, seq_report.passes);
-            assert_eq!(report.batch_accepted, report.extractions);
-            assert!(nw.validate().is_ok());
+        // sequential engine. The second circuit is large enough for the
+        // replicas to compact their matrices mid-cover: each decides
+        // that from its own (replicated) matrix alone, so the row
+        // indices of a broadcast rectangle keep naming the same rows on
+        // every replica.
+        let dalu = pf_workloads::profile_by_name("dalu").expect("dalu profile exists");
+        for (profile, topk, compacts) in [
+            (pf_workloads::CircuitProfile::small("rbatch", 11), 8, false),
+            (pf_workloads::scale_profile(&dalu, 0.3), 16, true),
+        ] {
+            let base = pf_workloads::generate(&profile);
+            let mut seq_cfg = crate::seq::ExtractConfig::default();
+            seq_cfg.search.topk = topk;
+            let mut seq_nw = base.clone();
+            let seq_report = extract_kernels(&mut seq_nw, &[], &seq_cfg);
+            assert!(seq_report.extractions > 1);
+            if compacts {
+                let targets: Vec<SignalId> = base.node_ids().collect();
+                let mut engine = Engine::new(&base, &targets, seq_cfg);
+                let (_, compactions) = crate::seq::stepwise_cover(&mut engine, &mut base.clone());
+                assert!(compactions > 0, "{} must compact mid-cover", profile.name);
+            }
+            for procs in [1usize, 2, 3, 4] {
+                let mut cfg = ReplicatedConfig {
+                    procs,
+                    ..ReplicatedConfig::default()
+                };
+                cfg.extract.search.topk = topk;
+                let mut nw = base.clone();
+                let report = replicated_extract(&mut nw, &cfg);
+                assert_eq!(report.lc_after, seq_report.lc_after, "procs={procs}");
+                assert_eq!(report.total_value, seq_report.total_value);
+                assert_eq!(report.extractions, seq_report.extractions);
+                assert_eq!(report.passes, seq_report.passes);
+                assert_eq!(report.batch_accepted, report.extractions);
+                assert!(nw.validate().is_ok());
+            }
         }
     }
 

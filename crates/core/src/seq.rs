@@ -14,11 +14,10 @@ use crate::trace::{Lane, Tracer};
 use pf_cache::WarmStart;
 use pf_kcmatrix::rectangle::CostModel;
 use pf_kcmatrix::{
-    best_rectangle_pooled, best_rectangle_pooled_with, best_rectangle_seeded,
-    best_rectangle_with_seed, best_rectangles_pooled, best_rectangles_pooled_with,
-    best_rectangles_seeded, best_rectangles_with_seed, revalidate_rectangle,
-    select_prefix_nonconflicting, CeilingSnapshot, CeilingUpdate, ColIdx, CubeRegistry, KcMatrix,
-    LabelGen, Rectangle, SearchConfig, SearchPool, SearchStats,
+    best_rectangles_pooled, best_rectangles_pooled_with, best_rectangles_seeded,
+    best_rectangles_with_seed, revalidate_rectangle, select_prefix_nonconflicting, CeilingSnapshot,
+    CeilingUpdate, ColIdx, CubeRegistry, KcMatrix, LabelGen, Rectangle, SearchConfig, SearchPool,
+    SearchStats,
 };
 use pf_network::{Network, SignalId};
 use pf_sop::fx::{FxHashMap, FxHashSet};
@@ -97,6 +96,11 @@ pub struct Engine {
     /// Whether the pool has yet to see this engine's matrix (first
     /// search resets the ceilings instead of patching them).
     pool_fresh: bool,
+    /// Rows are compacted at a search head once the tombstones exceed
+    /// this many times the alive rows. Result-invariant, so not a
+    /// config field; tests set `0` (compact whenever a tombstone
+    /// exists) or `usize::MAX` (never) to prove that.
+    pub(crate) compact_dead_per_alive: usize,
 }
 
 /// Starts the fresh-name counter past every `{prefix}{N}` already in the
@@ -149,6 +153,7 @@ impl Engine {
             pool,
             dirty_cols: Vec::new(),
             pool_fresh: true,
+            compact_dead_per_alive: 1,
         };
         engine.refresh_wvals();
         engine
@@ -237,6 +242,7 @@ impl Engine {
             pool,
             dirty_cols: Vec::new(),
             pool_fresh: true,
+            compact_dead_per_alive: 1,
         };
         engine.refresh_wvals();
         engine
@@ -294,11 +300,25 @@ impl Engine {
         &self.matrix
     }
 
-    /// Searches for the best rectangle; `stripe` optionally restricts
+    /// Searches for the best rectangle — the head of
+    /// [`Engine::search_batch`]'s list; `stripe` optionally restricts
     /// the leftmost column as in Algorithm R. Returns the full
     /// [`SearchStats`] (visited / pruned / bound-update counters) so
     /// callers can trace per-pass search behaviour.
     pub fn search(&mut self, stripe: Option<(u32, u32)>) -> (Option<Rectangle>, SearchStats) {
+        let (rects, stats) = self.search_batch(stripe);
+        (rects.into_iter().next(), stats)
+    }
+
+    /// Collects the canonical top `search.topk` rectangles of this
+    /// pass, best-first; with `topk ≤ 1` the classic first-maximum
+    /// winner alone.
+    ///
+    /// No rectangle of an earlier pass is outstanding at a search head
+    /// (every driver applies or drops its wave before searching again),
+    /// so this is also where tombstoned rows are compacted away.
+    pub fn search_batch(&mut self, stripe: Option<(u32, u32)>) -> (Vec<Rectangle>, SearchStats) {
+        self.compact_sparse_rows();
         let cfg = SearchConfig {
             stripe,
             ..self.cfg.search.clone()
@@ -309,65 +329,6 @@ impl Engine {
             // ceilings; later ones only invalidate the columns `apply`
             // dirtied, so unchanged leftmost-column subtrees prune from
             // their surviving ceilings immediately.
-            let update = if self.pool_fresh {
-                CeilingUpdate::Reset
-            } else {
-                CeilingUpdate::Dirty(&self.dirty_cols)
-            };
-            let out = match &self.cfg.objective {
-                None => {
-                    let w = &self.weights;
-                    best_rectangle_pooled(
-                        &self.matrix,
-                        &|id| w[id as usize],
-                        &cfg,
-                        seed,
-                        pool,
-                        update,
-                    )
-                }
-                Some(obj) => {
-                    let wv = &self.wvals;
-                    let model = CostModel {
-                        cube_value: &|id| wv[id as usize],
-                        row_cost: &|cok| obj.row_cost(cok),
-                        col_cost: &|cube| obj.col_cost(cube),
-                    };
-                    best_rectangle_pooled_with(&self.matrix, &model, &cfg, seed, pool, update)
-                }
-            };
-            self.pool_fresh = false;
-            self.dirty_cols.clear();
-            return out;
-        }
-        match &self.cfg.objective {
-            None => {
-                let w = &self.weights;
-                best_rectangle_seeded(&self.matrix, &|id| w[id as usize], &cfg, seed)
-            }
-            Some(obj) => {
-                let wv = &self.wvals;
-                let model = CostModel {
-                    cube_value: &|id| wv[id as usize],
-                    row_cost: &|cok| obj.row_cost(cok),
-                    col_cost: &|cube| obj.col_cost(cube),
-                };
-                best_rectangle_with_seed(&self.matrix, &model, &cfg, seed)
-            }
-        }
-    }
-
-    /// Plural [`Engine::search`]: collects the canonical top
-    /// `search.topk` rectangles of this pass, best-first. Same pooled /
-    /// pool-less dispatch and ceiling bookkeeping as the singular
-    /// search; with `topk ≤ 1` the result is the singular winner alone.
-    pub fn search_batch(&mut self, stripe: Option<(u32, u32)>) -> (Vec<Rectangle>, SearchStats) {
-        let cfg = SearchConfig {
-            stripe,
-            ..self.cfg.search.clone()
-        };
-        let seed = self.prev_best.as_ref();
-        if let Some(pool) = self.pool.as_mut() {
             let update = if self.pool_fresh {
                 CeilingUpdate::Reset
             } else {
@@ -413,6 +374,23 @@ impl Engine {
                 };
                 best_rectangles_with_seed(&self.matrix, &model, &cfg, seed)
             }
+        }
+    }
+
+    /// Drops the tombstoned rows once they outnumber the alive ones, so
+    /// a pass costs what is alive, not everything the run ever created.
+    /// Order-preserving, hence result-invariant (see
+    /// [`KcMatrix::compact_rows`]); `prev_best` survives because a seed
+    /// is re-validated from its columns alone. The pool's panel and
+    /// ceilings are row-indexed state of the old numbering and restart,
+    /// as after a truncated pass.
+    fn compact_sparse_rows(&mut self) {
+        let alive = self.matrix.num_alive_rows();
+        let dead = self.matrix.rows().len() - alive;
+        if dead > alive.saturating_mul(self.compact_dead_per_alive) {
+            self.matrix.compact_rows();
+            self.pool_fresh = true;
+            self.dirty_cols.clear();
         }
     }
 
@@ -522,12 +500,10 @@ impl Engine {
         // and values are all untouched — so their ceilings stay sound.
         let rows_before = self.matrix.rows().len();
         if self.pool.is_some() {
-            let nodes: FxHashSet<SignalId> = affected.iter().copied().collect();
-            for row in self.matrix.rows() {
-                if row.alive && nodes.contains(&row.node) {
-                    for &(c, _) in &row.entries {
-                        self.dirty_cols.push(c);
-                    }
+            for &n in &affected {
+                for &r in self.matrix.node_rows(n) {
+                    let entries = &self.matrix.rows()[r].entries;
+                    self.dirty_cols.extend(entries.iter().map(|&(c, _)| c));
                 }
             }
         }
@@ -886,11 +862,46 @@ pub(crate) fn extract_kernels_warm(
     report
 }
 
+/// The cover loop of [`extract_kernels`] over a caller-built engine, so
+/// a test can set [`Engine::compact_dead_per_alive`] first. Returns the
+/// extractions applied and the search heads that compacted the matrix.
+#[cfg(test)]
+pub(crate) fn stepwise_cover(engine: &mut Engine, nw: &mut Network) -> (usize, usize) {
+    let mut compactions = 0;
+    loop {
+        let rows_before = engine.matrix().rows().len();
+        let (mut wave, _) = engine.search_batch(None);
+        compactions += usize::from(engine.matrix().rows().len() < rows_before);
+        if wave.is_empty() {
+            return (engine.extractions(), compactions);
+        }
+        while !wave.is_empty() {
+            let selected = engine.select_batch(&wave, usize::MAX);
+            for rect in &selected {
+                engine.apply(nw, rect);
+            }
+            wave = wave
+                .into_iter()
+                .filter(|c| !selected.contains(c))
+                .filter_map(|c| engine.revalidate(&c))
+                .collect();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use pf_network::example::example_1_1;
     use pf_network::sim::{equivalent_random, EquivConfig};
+
+    /// The one-rectangle-per-pass engine: the quality oracle.
+    fn classic_config() -> ExtractConfig {
+        ExtractConfig {
+            search: SearchConfig::classic(),
+            ..ExtractConfig::default()
+        }
+    }
 
     #[test]
     fn example_1_1_reaches_21_literals() {
@@ -1006,9 +1017,9 @@ mod tests {
         // winner coincides with the classic one at every pass.
         let (classic_nw, _) = example_1_1();
         let mut classic = classic_nw.clone();
-        let classic_report = extract_kernels(&mut classic, &[], &ExtractConfig::default());
+        let classic_report = extract_kernels(&mut classic, &[], &classic_config());
         for threads in [1usize, 2, 4] {
-            let mut cfg = ExtractConfig::default();
+            let mut cfg = classic_config();
             cfg.search.par_threads = threads;
             let (mut nw, _) = example_1_1();
             let report = extract_kernels(&mut nw, &[], &cfg);
@@ -1127,7 +1138,7 @@ mod tests {
     #[test]
     fn batched_cover_keeps_quality_and_counts_passes() {
         let (mut nw0, _) = example_1_1();
-        let oracle = extract_kernels(&mut nw0, &[], &ExtractConfig::default());
+        let oracle = extract_kernels(&mut nw0, &[], &classic_config());
         assert_eq!(oracle.passes, oracle.extractions + 1);
         assert_eq!(oracle.batch_candidates, 0);
         for topk in [2usize, 4, 16] {
@@ -1156,7 +1167,7 @@ mod tests {
         // extractions per pass; the drain loop re-validates rejected
         // candidates so a pass keeps applying until the pool is dry.
         let profile = pf_workloads::CircuitProfile::small("batchtest", 7);
-        let mut cfg = ExtractConfig::default();
+        let mut cfg = classic_config();
         let mut nw = pf_workloads::generate(&profile);
         let oracle = extract_kernels(&mut nw, &[], &cfg);
         assert!(oracle.extractions >= 4, "workload must have extractions");
@@ -1199,7 +1210,7 @@ mod tests {
             );
             profile.seed = seed;
             let mut nw1 = pf_workloads::generate(&profile);
-            let oracle = extract_kernels(&mut nw1, &[], &ExtractConfig::default());
+            let oracle = extract_kernels(&mut nw1, &[], &classic_config());
             for topk in [4usize, 16] {
                 let mut cfg = ExtractConfig::default();
                 cfg.search.topk = topk;
@@ -1300,6 +1311,108 @@ mod tests {
             .map(|r| r.label / pf_kcmatrix::LabelGen::DEFAULT_OFFSET)
             .collect();
         assert!(blocks.len() >= 2, "both generator blocks used: {blocks:?}");
+    }
+
+    /// The six paper profiles at unit-test scale.
+    const PROFILES: [(&str, f64); 6] = [
+        ("misex3", 0.3),
+        ("dalu", 0.3),
+        ("des", 0.1),
+        ("seq", 0.1),
+        ("spla", 0.05),
+        ("ex1010", 0.1),
+    ];
+
+    /// `base` with its primary inputs declared in a seeded random order
+    /// (seed 0 keeps it): same functions, other signal ids — and with
+    /// them another kernel enumeration order, column order and set of
+    /// tie-breaks.
+    fn relabel(base: &Network, seed: u64) -> Network {
+        let slots: Vec<SignalId> = base.input_ids().collect();
+        let mut shuffled = slots.clone();
+        let mut state = seed;
+        for i in (1..shuffled.len()).rev() {
+            if seed == 0 {
+                break;
+            }
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            shuffled.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        let mut new_id: Vec<SignalId> = base.signal_ids().collect();
+        for (&slot, &old) in slots.iter().zip(&shuffled) {
+            new_id[old as usize] = slot;
+        }
+        let mut old_at = new_id.clone();
+        for (old, &new) in new_id.iter().enumerate() {
+            old_at[new as usize] = old as SignalId;
+        }
+        let mut nw = Network::new();
+        for &old in &old_at {
+            let name = base.name(old).to_string();
+            if base.input_ids().any(|i| i == old) {
+                nw.add_input(name).unwrap();
+                continue;
+            }
+            let cubes = base.func(old).iter().map(|cube| {
+                Cube::from_lits(cube.iter().map(|l| {
+                    let var = pf_sop::Var::new(new_id[l.var().index() as usize]);
+                    pf_sop::Lit::new(var, l.is_negated())
+                }))
+            });
+            nw.add_node(name, Sop::from_cubes(cubes)).unwrap();
+        }
+        for &out in base.outputs() {
+            nw.mark_output(new_id[out as usize]).unwrap();
+        }
+        nw.validate().unwrap();
+        nw
+    }
+
+    #[test]
+    fn forced_row_compaction_is_byte_identical_to_none() {
+        for (name, scale) in PROFILES {
+            let profile = pf_workloads::profile_by_name(name).unwrap();
+            let base = pf_workloads::generate(&pf_workloads::scale_profile(&profile, scale));
+            for labelling in 0..3u64 {
+                let input = relabel(&base, labelling);
+                // K × tile on the pool-less engine, plus the pooled one,
+                // whose resident panel and ceilings must restart.
+                for (topk, tile_width, par_threads) in [
+                    (1, 0, 0),
+                    (1, 4, 0),
+                    (16, 0, 0),
+                    (16, 4, 0),
+                    (1, 0, 1),
+                    (16, 4, 2),
+                ] {
+                    let mut cfg = ExtractConfig::default();
+                    cfg.search.topk = topk;
+                    cfg.search.tile_width = tile_width;
+                    cfg.search.par_threads = par_threads;
+                    let cover = |compact_dead_per_alive: usize| {
+                        let mut nw = input.clone();
+                        let targets: Vec<SignalId> = nw.node_ids().collect();
+                        let mut engine = Engine::new(&nw, &targets, cfg.clone());
+                        engine.compact_dead_per_alive = compact_dead_per_alive;
+                        let (extractions, compactions) = stepwise_cover(&mut engine, &mut nw);
+                        (pf_kcmatrix::network_digest(&nw), extractions, compactions)
+                    };
+                    let which = format!(
+                        "{name} labelling {labelling} K {topk} tile {tile_width} threads {par_threads}"
+                    );
+                    let never = cover(usize::MAX);
+                    let always = cover(0);
+                    assert_eq!(never.2, 0, "{which}");
+                    assert!(always.2 > 0, "{which}: every apply leaves tombstones");
+                    assert_eq!((always.0, always.1), (never.0, never.1), "{which}");
+                    // The shipped threshold, through the shipped loop.
+                    let mut nw = input.clone();
+                    let report = extract_kernels(&mut nw, &[], &cfg);
+                    let shipped = (pf_kcmatrix::network_digest(&nw), report.extractions);
+                    assert_eq!(shipped, (never.0, never.1), "{which}");
+                }
+            }
+        }
     }
 
     use pf_network::Network;

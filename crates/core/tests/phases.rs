@@ -13,6 +13,7 @@ use pf_core::{
     CubeExtractConfig, ExtractConfig, ExtractReport, IndependentConfig, IterativeConfig,
     LShapedConfig, LShapedCxConfig, ReplicatedConfig, RunCtl, Tracer,
 };
+use pf_kcmatrix::SearchConfig;
 use pf_network::example::example_1_1;
 use pf_partition::PartitionConfig;
 use std::time::Duration;
@@ -121,8 +122,11 @@ fn iterative_phases_cover_elapsed() {
 #[test]
 fn armed_trace_spans_cover_report_elapsed() {
     let (mut nw, _) = example_1_1();
+    // The one-per-pass engine: exactly one search span per extraction
+    // plus the final empty one.
     let cfg = ExtractConfig {
         trace: Tracer::armed(),
+        search: SearchConfig::classic(),
         ..ExtractConfig::default()
     };
     let report = extract_kernels(&mut nw, &[], &cfg);

@@ -107,6 +107,12 @@ pub struct KcMatrix {
     rows: Vec<KcRow>,
     cols: Vec<KcCol>,
     col_by_cube: FxHashMap<Cube, ColIdx>,
+    /// Alive rows of each node, ascending — what lets a node's rewrite
+    /// touch only its own rows instead of scanning the whole matrix.
+    /// Kept by [`KcMatrix::push_row`] / [`KcMatrix::tombstone_row`].
+    rows_by_node: FxHashMap<u32, Vec<RowIdx>>,
+    /// Number of alive rows (`rows.len()` minus the tombstones).
+    alive_rows: usize,
 }
 
 impl KcMatrix {
@@ -127,7 +133,12 @@ impl KcMatrix {
 
     /// Number of alive rows.
     pub fn num_alive_rows(&self) -> usize {
-        self.rows.iter().filter(|r| r.alive).count()
+        self.alive_rows
+    }
+
+    /// The alive rows of `node`, ascending.
+    pub fn node_rows(&self, node: u32) -> &[RowIdx] {
+        self.rows_by_node.get(&node).map_or(&[], Vec::as_slice)
     }
 
     /// Total number of `1` entries in alive rows.
@@ -222,13 +233,13 @@ impl KcMatrix {
             "row entries must be strictly sorted by column index"
         );
         let idx = self.rows.len();
+        // `idx` exceeds every existing row index, so a plain push keeps
+        // the column and node lists ascending.
         for &(c, _) in &row.entries {
-            let rows = &mut self.cols[c].rows;
-            match rows.binary_search(&idx) {
-                Ok(_) => {}
-                Err(pos) => rows.insert(pos, idx),
-            }
+            self.cols[c].rows.push(idx);
         }
+        self.rows_by_node.entry(row.node).or_default().push(idx);
+        self.alive_rows += 1;
         self.rows.push(row);
         idx
     }
@@ -267,6 +278,7 @@ impl KcMatrix {
             return;
         }
         self.rows[idx].alive = false;
+        self.alive_rows -= 1;
         for e in 0..self.rows[idx].entries.len() {
             let c = self.rows[idx].entries[e].0;
             let rows = &mut self.cols[c].rows;
@@ -274,16 +286,47 @@ impl KcMatrix {
                 rows.remove(pos);
             }
         }
+        // Absent when `remove_node_rows` already took the node's list.
+        let node = self.rows[idx].node;
+        if let Some(of_node) = self.rows_by_node.get_mut(&node) {
+            if let Ok(pos) = of_node.binary_search(&idx) {
+                of_node.remove(pos);
+            }
+        }
     }
 
     /// Tombstones every row belonging to `node` (after the node's
-    /// function changed) and scrubs the column row-lists.
+    /// function changed) and scrubs the column row-lists. Touches only
+    /// the node's own rows.
     pub fn remove_node_rows(&mut self, node: u32) {
-        let removed: Vec<RowIdx> = (0..self.rows.len())
-            .filter(|&i| self.rows[i].alive && self.rows[i].node == node)
-            .collect();
-        for i in removed {
+        for i in self.rows_by_node.remove(&node).unwrap_or_default() {
             self.tombstone_row(i);
+        }
+    }
+
+    /// Drops every tombstoned row and renumbers the survivors in order.
+    ///
+    /// Row *order* is all the search depends on — the greedy sweep and
+    /// the leftmost-column enumeration walk rows ascending, and the
+    /// canonical `(value, cols, rows)` order compares row lists
+    /// lexicographically — so an order-preserving renumbering keeps
+    /// every comparison, and with it every search result. Row indices
+    /// held outside the matrix (a [`crate::Rectangle`]'s rows, tile
+    /// panels) are invalid afterwards; columns, labels and cube ids are
+    /// untouched.
+    pub fn compact_rows(&mut self) {
+        if self.alive_rows == self.rows.len() {
+            return;
+        }
+        for col in &mut self.cols {
+            col.rows.clear();
+        }
+        self.rows_by_node.clear();
+        self.alive_rows = 0;
+        for row in std::mem::take(&mut self.rows) {
+            if row.alive {
+                self.push_row(row);
+            }
         }
     }
 

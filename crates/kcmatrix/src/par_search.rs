@@ -276,13 +276,9 @@ pub(crate) struct WorkerResult {
 }
 
 /// The admissible leftmost-column task list for one pass.
-pub(crate) fn admissible_tasks(
-    m: &KcMatrix,
-    cfg: &SearchConfig,
-    col_sets: &[RowSet],
-) -> Vec<ColIdx> {
+pub(crate) fn admissible_tasks(m: &KcMatrix, cfg: &SearchConfig) -> Vec<ColIdx> {
     (0..m.cols().len())
-        .filter(|&c| stripe_admits(cfg, c) && !col_sets[c].is_empty())
+        .filter(|&c| stripe_admits(cfg, c) && !m.cols()[c].rows.is_empty())
         .collect()
 }
 
@@ -300,7 +296,7 @@ pub(crate) fn search(
     init_best: Option<Rectangle>,
     panel: Option<&TilePanels>,
 ) -> (Vec<Rectangle>, SearchStats) {
-    let tasks = admissible_tasks(m, cfg, col_sets);
+    let tasks = admissible_tasks(m, cfg);
     if tasks.is_empty() {
         // No admissible leftmost column ⇒ the greedy sweep (whose rows
         // need an admissible leftmost column too) finds nothing either.

@@ -66,7 +66,8 @@ use crate::par_search::{
     SoloSync, WorkerScratch,
 };
 use crate::rectangle::{
-    revalidate_seed, row_full_values, CostModel, Rectangle, SearchConfig, SearchStats,
+    revalidate_seed, row_full_values, scalar_col_sets, CostModel, Rectangle, SearchConfig,
+    SearchStats,
 };
 use crate::tiles::TilePanels;
 use parking_lot::{Condvar, Mutex};
@@ -443,14 +444,14 @@ pub(crate) fn pool_search(
     if cfg.tile_width == 0 {
         pool.panel = None;
     } else if let (Some(panel), CeilingUpdate::Dirty(dirty)) = (&mut pool.panel, &update) {
-        let appended = col_sets.len().saturating_sub(panel.ncols());
-        if panel.sync(m.rows().len(), col_sets, cfg.tile_width, dirty) {
+        let appended = ncols.saturating_sub(panel.ncols());
+        if panel.sync(m.rows().len(), m.cols(), cfg.tile_width, dirty) {
             pool.tile_rebuilds += 1;
         } else {
             pool.tile_synced_cols += (appended + dirty.len()) as u64;
         }
     } else {
-        pool.panel = Some(TilePanels::build(m.rows().len(), col_sets, cfg.tile_width));
+        pool.panel = Some(TilePanels::build(m.rows().len(), m.cols(), cfg.tile_width));
         pool.tile_rebuilds += 1;
     }
 
@@ -485,7 +486,7 @@ pub(crate) fn pool_search(
         }
     };
 
-    let tasks = admissible_tasks(m, cfg, col_sets);
+    let tasks = admissible_tasks(m, cfg);
     if tasks.is_empty() {
         return (init_best.into_iter().collect(), SearchStats::default());
     }
@@ -590,7 +591,7 @@ pub(crate) fn pool_search_seeded(
     update: CeilingUpdate<'_>,
 ) -> (Vec<Rectangle>, SearchStats) {
     let row_full_value = row_full_values(m, model);
-    let col_sets = m.col_row_sets();
+    let col_sets = scalar_col_sets(m, cfg);
     let best = seed.and_then(|s| revalidate_seed(m, model, cfg, s));
     pool_search(
         pool,

@@ -242,32 +242,50 @@ pub struct SearchConfig {
     /// Run the seeding greedy sweep before branch and bound. Disable
     /// only in tests that target the exact search.
     pub greedy_seed: bool,
-    /// Intra-matrix search threads. `0` (the default) runs the classic
-    /// sequential engine, which keeps the *first* maximum-value
-    /// rectangle in enumeration order. `>= 1` runs the parallel engine:
+    /// Intra-matrix search threads. `0` (the default) runs the
+    /// sequential engine, which at `topk = 1` keeps the *first*
+    /// maximum-value rectangle in enumeration order. `>= 1` runs the
+    /// parallel engine:
     /// leftmost-column tasks on a chunked work queue, a shared atomic
     /// pruning bound, and a canonical (value, cols, rows) tie-break so
     /// the result is identical for any thread count (including 1).
     pub par_threads: usize,
-    /// How many rectangles one pass collects. `1` (the default) keeps
-    /// the classic best-only semantics byte-for-byte. `> 1` collects the
-    /// canonical top-K (under the (value, cols, rows) order) with the
-    /// pruning bound keyed to the K-th best value — identical for any
-    /// thread count, including the sequential engine. Top-K batches feed
-    /// [`crate::conflict`] selection in the extraction drivers.
+    /// How many rectangles one pass collects (default 16). `> 1`
+    /// collects the canonical top-K (under the (value, cols, rows)
+    /// order) with the pruning bound keyed to the K-th best value —
+    /// identical for any thread count, including the sequential engine.
+    /// Top-K batches feed [`crate::conflict`] selection in the
+    /// extraction drivers. `1` keeps the classic best-only semantics
+    /// byte-for-byte ([`SearchConfig::classic`]).
     pub topk: usize,
     /// Words per tile of the cache-blocked search kernel
-    /// ([`crate::tiles`]). `0` (the default) keeps the scalar
-    /// [`RowSet`] intersection path; `>= 1` mirrors the matrix into
+    /// ([`crate::tiles`], default 4). `>= 1` mirrors the matrix into
     /// column-major panels of `tile_width`-word tiles and runs the hot
-    /// intersection/bound loop over them. Results are byte-identical
-    /// for every width — only the memory access pattern changes — so
-    /// this knob is result-invariant (it never joins cache keys).
+    /// intersection/bound loop over them; `0` keeps the scalar
+    /// [`RowSet`] intersection path. Results are byte-identical for
+    /// every width — only the memory access pattern changes — so this
+    /// knob is result-invariant (it never joins cache keys).
     pub tile_width: usize,
 }
 
 impl Default for SearchConfig {
+    /// The tuned engine: top-16 waves over 4-word tiles. Every place
+    /// that spells a search default (service, wire, CLI) reads these
+    /// two values from here.
     fn default() -> Self {
+        SearchConfig {
+            topk: 16,
+            tile_width: 4,
+            ..SearchConfig::classic()
+        }
+    }
+}
+
+impl SearchConfig {
+    /// The classic one-rectangle-per-pass engine over the scalar word
+    /// loop — SIS `gkx`'s shape, and the quality oracle the batched
+    /// default is tested against.
+    pub fn classic() -> Self {
         SearchConfig {
             budget: 2_000_000,
             stripe: None,
@@ -428,11 +446,11 @@ pub fn best_rectangles_with_seed(
     seed: Option<&Rectangle>,
 ) -> (Vec<Rectangle>, SearchStats) {
     let row_full_value = row_full_values(m, model);
-    let col_sets = m.col_row_sets();
+    let col_sets = scalar_col_sets(m, cfg);
     // Per-call panel mirror for the tiled kernel; the resident pool
     // keeps its panel across passes instead (see [`crate::pool`]).
     let panel =
-        (cfg.tile_width > 0).then(|| TilePanels::build(m.rows().len(), &col_sets, cfg.tile_width));
+        (cfg.tile_width > 0).then(|| TilePanels::build(m.rows().len(), m.cols(), cfg.tile_width));
 
     let seed_rect = seed.and_then(|s| revalidate_seed(m, model, cfg, s));
 
@@ -481,6 +499,18 @@ pub fn best_rectangles_with_seed(
     }
 }
 
+/// The per-column [`RowSet`]s — the *scalar* kernel's dense mirror of
+/// the column supports, empty for a tiled search: that one reads a
+/// tile panel encoded straight from the sparse column row lists, and
+/// two mirrors of `cols × rows / 8` bytes each are one too many.
+pub(crate) fn scalar_col_sets(m: &KcMatrix, cfg: &SearchConfig) -> Vec<RowSet> {
+    if cfg.tile_width == 0 {
+        m.col_row_sets()
+    } else {
+        Vec::new()
+    }
+}
+
 /// Classic sequential branch and bound over column sets ordered by
 /// leftmost column, generic over the collector (monomorphized, so the
 /// best-only path compiles to exactly the pre-top-K engine). With a
@@ -521,8 +551,8 @@ fn sequential_search<C: Collect>(
         root: RowSet::new(),
         troot: TiledSupport::default(),
     };
-    for (c0, cset) in col_sets.iter().enumerate() {
-        if !stripe_admits(cfg, c0) || cset.is_empty() {
+    for (c0, col) in m.cols().iter().enumerate() {
+        if !stripe_admits(cfg, c0) || col.rows.is_empty() {
             continue;
         }
         if state.truncated {
@@ -536,7 +566,7 @@ fn sequential_search<C: Collect>(
             state.troot = state.explore_tiled(0, troot);
         } else {
             let mut root = std::mem::take(&mut state.root);
-            root.copy_from(cset);
+            root.copy_from(&col_sets[c0]);
             state.root = state.explore(0, root);
         }
     }
@@ -1483,7 +1513,7 @@ mod tests {
         for threads in [0usize, 1, 4] {
             let cfg = SearchConfig {
                 par_threads: threads,
-                ..SearchConfig::default()
+                ..SearchConfig::classic()
             };
             let (single, _) = best_rectangle_seeded(&m, &value_of, &cfg, None);
             let (plural, _) = best_rectangles_seeded(&m, &value_of, &cfg, None);

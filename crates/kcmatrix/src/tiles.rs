@@ -29,8 +29,10 @@
 //!
 //! # Sync invariants
 //!
-//! A panel is a *mirror*: it must stay byte-equal to the per-column
-//! row-sets it was built from. The holders keep it in sync as follows:
+//! A panel is a *mirror*: it must stay byte-equal to the dense bitset
+//! of every column's row list ([`KcCol::rows`]), from which it is
+//! encoded directly — the tiled path never materialises per-column
+//! [`crate::rowset::RowSet`]s. The holders keep it in sync as follows:
 //!
 //! 1. The spawn/sequential executors build a fresh panel per search
 //!    call ([`TilePanels::build`]) — trivially in sync.
@@ -40,15 +42,15 @@
 //!    caller's dirty-column list must cover every column that gained or
 //!    lost a row (tombstoned rows' entry columns and appended rows'
 //!    columns — exactly the `Engine::apply` contract). Appended columns
-//!    are encoded fresh; a width change or a row-universe change that
-//!    no longer fits the padded stride triggers a full rebuild.
+//!    are encoded fresh; a width change, a row-universe change that
+//!    no longer fits the padded stride, or a shrunk universe (row
+//!    compaction renumbered the rows) triggers a full rebuild.
 //! 3. Results are byte-identical to the scalar path by construction:
 //!    the candidate enumeration order is unchanged and the fused bound
 //!    is an order-independent integer sum, so every prune/admit
 //!    decision matches word-for-word.
 
-use crate::matrix::ColIdx;
-use crate::rowset::RowSet;
+use crate::matrix::{ColIdx, KcCol, RowIdx};
 
 /// Column-major mirror of the per-column row bitsets, padded to whole
 /// tiles of `width` u64 words.
@@ -68,9 +70,9 @@ pub struct TilePanels {
 }
 
 impl TilePanels {
-    /// Builds a fresh panel mirror of `col_sets` (the per-column row
-    /// bitsets over a universe of `nrows` rows).
-    pub fn build(nrows: usize, col_sets: &[RowSet], width: usize) -> Self {
+    /// Builds a fresh panel mirror of `cols` (the matrix columns, whose
+    /// row lists range over a universe of `nrows` rows).
+    pub fn build(nrows: usize, cols: &[KcCol], width: usize) -> Self {
         let width = width.max(1);
         let nwords = nrows.div_ceil(64);
         let stride = nwords.div_ceil(width).max(1) * width;
@@ -78,11 +80,11 @@ impl TilePanels {
             width,
             stride,
             nrows,
-            ncols: col_sets.len(),
-            data: vec![0; col_sets.len() * stride],
+            ncols: cols.len(),
+            data: vec![0; cols.len() * stride],
         };
-        for (c, set) in col_sets.iter().enumerate() {
-            p.encode_col(c, set);
+        for (c, col) in cols.iter().enumerate() {
+            p.set_rows(c, &col.rows);
         }
         p
     }
@@ -92,45 +94,41 @@ impl TilePanels {
     /// everything else kept. Falls back to a full rebuild (returning
     /// `true`) when the width changed or the row universe no longer
     /// fits the padded stride.
-    pub fn sync(
-        &mut self,
-        nrows: usize,
-        col_sets: &[RowSet],
-        width: usize,
-        dirty: &[ColIdx],
-    ) -> bool {
+    pub fn sync(&mut self, nrows: usize, cols: &[KcCol], width: usize, dirty: &[ColIdx]) -> bool {
         let width = width.max(1);
         let nwords = nrows.div_ceil(64);
         if width != self.width
             || nwords > self.stride
             || nrows < self.nrows
-            || col_sets.len() < self.ncols
+            || cols.len() < self.ncols
         {
-            *self = TilePanels::build(nrows, col_sets, width);
+            *self = TilePanels::build(nrows, cols, width);
             return true;
         }
         self.nrows = nrows;
         let old_ncols = self.ncols;
-        self.ncols = col_sets.len();
+        self.ncols = cols.len();
+        // Appended columns arrive zeroed: only their bits need setting.
         self.data.resize(self.ncols * self.stride, 0);
-        for (c, cols) in col_sets.iter().enumerate().skip(old_ncols) {
-            self.encode_col(c, cols);
+        for (c, col) in cols.iter().enumerate().skip(old_ncols) {
+            self.set_rows(c, &col.rows);
         }
         for &c in dirty {
             if c < old_ncols {
-                self.encode_col(c, &col_sets[c]);
+                let base = c * self.stride;
+                self.data[base..base + self.stride].fill(0);
+                self.set_rows(c, &cols[c].rows);
             }
         }
         false
     }
 
-    /// Zeroes and re-encodes one column from its row bitset.
-    fn encode_col(&mut self, c: ColIdx, set: &RowSet) {
-        let base = c * self.stride;
-        let col = &mut self.data[base..base + self.stride];
-        col.fill(0);
-        let words = set.as_words();
-        col[..words.len()].copy_from_slice(words);
+    /// Sets the bits of `rows` in column `c`, whose words must be zero.
+    fn set_rows(&mut self, c: ColIdx, rows: &[RowIdx]) {
+        let col = &mut self.data[c * self.stride..(c + 1) * self.stride];
+        for &r in rows {
+            col[r / 64] |= 1u64 << (r % 64);
+        }
     }
 
     /// Words per tile.
@@ -149,7 +147,7 @@ impl TilePanels {
         &self.data[c * self.stride..(c + 1) * self.stride]
     }
 
-    /// The column's row bitset as a plain [`RowSet`]-equivalent word
+    /// The column's row bitset as a plain [`crate::rowset::RowSet`]-equivalent word
     /// vector (unpadded) — for consistency checks in tests.
     pub fn col_words(&self, c: ColIdx) -> Vec<u64> {
         self.col(c)[..self.nrows.div_ceil(64)].to_vec()
@@ -363,40 +361,58 @@ impl Iterator for TiledBits<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rowset::RowSet;
+    use pf_sop::Cube;
 
-    fn sets(universe: usize, cols: &[&[usize]]) -> Vec<RowSet> {
-        cols.iter()
-            .map(|rows| RowSet::from_indices(rows.iter().copied(), universe))
-            .collect()
+    /// Matrix columns with the given (ascending) row lists.
+    fn cols_of(rows: &[&[usize]]) -> Vec<KcCol> {
+        rows.iter().map(|r| col_of(r)).collect()
+    }
+
+    fn col_of(rows: &[usize]) -> KcCol {
+        KcCol {
+            label: 0,
+            cube: Cube::one(),
+            rows: rows.to_vec(),
+        }
+    }
+
+    /// The dense bitset the panel must mirror word for word.
+    fn dense(col: &KcCol, universe: usize) -> RowSet {
+        RowSet::from_indices(col.rows.iter().copied(), universe)
     }
 
     #[test]
     fn build_mirrors_columns_for_every_width() {
-        let cs = sets(200, &[&[0, 63, 64, 130, 199], &[], &[5, 6, 7], &[199]]);
+        let cs = cols_of(&[&[0, 63, 64, 130, 199], &[], &[5, 6, 7], &[199]]);
         for width in [1usize, 2, 3, 4, 8] {
             let p = TilePanels::build(200, &cs, width);
             assert_eq!(p.width(), width);
             assert_eq!(p.ncols(), 4);
-            for (c, set) in cs.iter().enumerate() {
-                assert_eq!(p.col_words(c), set.as_words(), "width={width} col={c}");
+            for (c, col) in cs.iter().enumerate() {
+                assert_eq!(
+                    p.col_words(c),
+                    dense(col, 200).as_words(),
+                    "width={width} col={c}"
+                );
             }
         }
     }
 
     #[test]
     fn load_col_and_iter_match_rowset() {
-        let cs = sets(300, &[&[1, 64, 65, 128, 256, 299], &[70, 71]]);
+        let cs = cols_of(&[&[1, 64, 65, 128, 256, 299], &[70, 71]]);
         for width in [1usize, 4] {
             let p = TilePanels::build(300, &cs, width);
             let mut s = TiledSupport::default();
-            for (c, set) in cs.iter().enumerate() {
+            for (c, col) in cs.iter().enumerate() {
                 s.load_col(&p, c);
                 assert_eq!(
                     s.iter().collect::<Vec<_>>(),
-                    set.iter().collect::<Vec<_>>(),
+                    col.rows,
                     "width={width} col={c}"
                 );
-                assert_eq!(s.len(), set.len());
+                assert_eq!(s.len(), col.rows.len());
                 assert!(!s.is_empty());
             }
         }
@@ -406,7 +422,7 @@ mod tests {
     fn and_ub_matches_scalar_intersection() {
         let a: Vec<usize> = vec![1, 3, 64, 130, 131, 250];
         let b: Vec<usize> = vec![3, 64, 131, 200, 251];
-        let cs = sets(260, &[&a, &b]);
+        let cs = cols_of(&[&a, &b]);
         let rfv: Vec<i64> = (0..260).map(|r| (r as i64 % 7) - 3).collect();
         for width in [1usize, 2, 4, 8] {
             let p = TilePanels::build(260, &cs, width);
@@ -423,7 +439,7 @@ mod tests {
 
     #[test]
     fn empty_intersection_is_empty_and_zero() {
-        let cs = sets(128, &[&[0, 1, 2], &[100, 101]]);
+        let cs = cols_of(&[&[0, 1, 2], &[100, 101]]);
         let p = TilePanels::build(128, &cs, 4);
         let rfv = vec![1i64; 128];
         let mut root = TiledSupport::default();
@@ -440,7 +456,7 @@ mod tests {
         // Derive a child, then reuse the same buffer against a column
         // whose live tiles differ: survivors of the old intersection
         // must not leak through.
-        let cs = sets(256, &[&[0, 200], &[0], &[200]]);
+        let cs = cols_of(&[&[0, 200], &[0], &[200]]);
         let p = TilePanels::build(256, &cs, 2);
         let rfv = vec![1i64; 256];
         let mut root = TiledSupport::default();
@@ -454,28 +470,29 @@ mod tests {
 
     #[test]
     fn sync_reencodes_dirty_and_appends_columns() {
-        let mut cs = sets(100, &[&[1, 2], &[50]]);
+        let mut cs = cols_of(&[&[1, 2], &[50]]);
         let mut p = TilePanels::build(100, &cs, 4);
         // Column 0 loses a row, a new column arrives.
-        cs[0] = RowSet::from_indices([2], 100);
-        cs.push(RowSet::from_indices([99], 100));
+        cs[0] = col_of(&[2]);
+        cs.push(col_of(&[99]));
         let rebuilt = p.sync(100, &cs, 4, &[0]);
         assert!(!rebuilt, "in-place sync expected");
-        for (c, set) in cs.iter().enumerate() {
-            assert_eq!(p.col_words(c), set.as_words(), "col={c}");
+        for (c, col) in cs.iter().enumerate() {
+            assert_eq!(p.col_words(c), dense(col, 100).as_words(), "col={c}");
         }
     }
 
     #[test]
     fn sync_rebuilds_on_width_change_or_universe_overflow() {
-        let cs = sets(64, &[&[0]]);
+        let cs = cols_of(&[&[0]]);
         let mut p = TilePanels::build(64, &cs, 1);
-        // Same sets, new width: full rebuild.
+        // Same columns, new width: full rebuild.
         assert!(p.sync(64, &cs, 4, &[]));
         assert_eq!(p.width(), 4);
         // Universe grows past the padded stride: full rebuild.
-        let grown = sets(64 * 4 * 64 + 1, &[&[0, 64 * 4 * 64]]);
-        assert!(p.sync(64 * 4 * 64 + 1, &grown, 4, &[]));
-        assert_eq!(p.col_words(0), grown[0].as_words());
+        let universe = 64 * 4 * 64 + 1;
+        let grown = cols_of(&[&[0, 64 * 4 * 64]]);
+        assert!(p.sync(universe, &grown, 4, &[]));
+        assert_eq!(p.col_words(0), dense(&grown[0], universe).as_words());
     }
 }

@@ -175,7 +175,7 @@ proptest! {
             min_cols,
             budget: if tight_budget { budget } else { SearchConfig::default().budget },
             tile_width,
-            ..SearchConfig::default()
+            ..SearchConfig::classic()
         };
         let value_of = |id: pf_kcmatrix::CubeId| w[id as usize];
         let (bit, bit_stats) = best_rectangle(&m, &value_of, &cfg);
@@ -313,7 +313,7 @@ proptest! {
         if m.rows().is_empty() {
             return Ok(());
         }
-        let mut panel = TilePanels::build(m.rows().len(), &m.col_row_sets(), width);
+        let mut panel = TilePanels::build(m.rows().len(), m.cols(), width);
         // Round 1: tombstone some rows, sync with their columns dirty.
         let mut dirty: Vec<usize> = Vec::new();
         for k in &kills {
@@ -326,7 +326,7 @@ proptest! {
         }
         dirty.sort_unstable();
         dirty.dedup();
-        let rebuilt = panel.sync(m.rows().len(), &m.col_row_sets(), width, &dirty);
+        let rebuilt = panel.sync(m.rows().len(), m.cols(), width, &dirty);
         prop_assert!(!rebuilt, "tombstones never force a rebuild");
         for (c, set) in m.col_row_sets().iter().enumerate() {
             prop_assert_eq!(panel.col_words(c), set.as_words(), "col {} after tombstones", c);
@@ -342,7 +342,7 @@ proptest! {
             .collect();
         dirty.sort_unstable();
         dirty.dedup();
-        panel.sync(m.rows().len(), &m.col_row_sets(), width, &dirty);
+        panel.sync(m.rows().len(), m.cols(), width, &dirty);
         for (c, set) in m.col_row_sets().iter().enumerate() {
             prop_assert_eq!(panel.col_words(c), set.as_words(), "col {} after append", c);
         }
@@ -545,6 +545,112 @@ proptest! {
         if let Some(first) = cands.first() {
             prop_assert_eq!(selected.first(), Some(first));
         }
+    }
+
+    /// The node → live-rows index is the full row scan it replaced:
+    /// across random add / tombstone / remove-node sequences
+    /// `node_rows` lists exactly the alive rows of each node, ascending,
+    /// `remove_node_rows` tombstones exactly those and nothing else, and
+    /// a tile panel encoded from the sparse column row lists equals the
+    /// dense `col_row_sets()` mirror word for word.
+    #[test]
+    fn node_index_and_sparse_panels_match_full_scans(
+        funcs in prop::collection::vec(arb_sop(8, 3, 7), 2..5),
+        ops in prop::collection::vec((0u8..3, 0usize..4096), 1..12),
+        width in 1usize..6,
+    ) {
+        let reg = CubeRegistry::new();
+        let mut m = KcMatrix::new();
+        let mut rl = LabelGen::new(0, LabelGen::DEFAULT_OFFSET);
+        let mut cl = LabelGen::new(0, LabelGen::DEFAULT_OFFSET);
+        let kc = KernelConfig::default();
+        for (i, f) in funcs.iter().enumerate() {
+            m.add_node_kernels(i as u32, f, &kc, &reg, &mut rl, &mut cl);
+        }
+        let scan = |m: &KcMatrix, node: u32| -> Vec<usize> {
+            (0..m.rows().len())
+                .filter(|&i| m.rows()[i].alive && m.rows()[i].node == node)
+                .collect()
+        };
+        for (kind, k) in ops {
+            let node = (k % funcs.len()) as u32;
+            match kind {
+                0 if !m.rows().is_empty() => m.tombstone_row(k % m.rows().len()),
+                1 => {
+                    let doomed = scan(&m, node);
+                    let alive_before: Vec<bool> = m.rows().iter().map(|r| r.alive).collect();
+                    m.remove_node_rows(node);
+                    for (i, row) in m.rows().iter().enumerate() {
+                        let expect = alive_before[i] && !doomed.contains(&i);
+                        prop_assert_eq!(row.alive, expect, "row {} after removing node {}", i, node);
+                    }
+                }
+                _ => {
+                    m.add_node_kernels(node, &funcs[node as usize], &kc, &reg, &mut rl, &mut cl);
+                }
+            }
+            for n in 0..funcs.len() as u32 {
+                prop_assert_eq!(m.node_rows(n), scan(&m, n).as_slice(), "node {}", n);
+            }
+            let alive = m.rows().iter().filter(|r| r.alive).count();
+            prop_assert_eq!(m.num_alive_rows(), alive);
+        }
+        let panel = TilePanels::build(m.rows().len(), m.cols(), width);
+        for (c, set) in m.col_row_sets().iter().enumerate() {
+            prop_assert_eq!(panel.col_words(c), set.as_words(), "col {}", c);
+        }
+    }
+
+    /// Row compaction renumbers the surviving rows in order and changes
+    /// nothing else: the top-K search over the compacted matrix returns
+    /// the same rectangles (values, columns, and rows through the
+    /// order-preserving renumbering) in the same order, classic and
+    /// batched, scalar and tiled.
+    #[test]
+    fn compaction_preserves_search_results(
+        funcs in prop::collection::vec(arb_sop(8, 4, 8), 2..4),
+        kills in prop::collection::vec(0usize..4096, 1..8),
+        topk in 1usize..6,
+        tile_width in 0usize..5,
+    ) {
+        let (mut m, w) = build_matrix(&funcs);
+        if m.rows().is_empty() {
+            return Ok(());
+        }
+        for k in kills {
+            m.tombstone_row(k % m.rows().len());
+        }
+        let value_of = |id: pf_kcmatrix::CubeId| w[id as usize];
+        let cfg = SearchConfig { topk, tile_width, ..SearchConfig::default() };
+        let (before, _) = best_rectangles_seeded(&m, &value_of, &cfg, None);
+        // Old index → new index of every surviving row.
+        let mut renumber = vec![usize::MAX; m.rows().len()];
+        let mut next = 0;
+        for (i, row) in m.rows().iter().enumerate() {
+            if row.alive {
+                renumber[i] = next;
+                next += 1;
+            }
+        }
+        let labels: Vec<u64> = m.rows().iter().filter(|r| r.alive).map(|r| r.label).collect();
+        m.compact_rows();
+        prop_assert_eq!(m.rows().len(), m.num_alive_rows());
+        prop_assert_eq!(m.rows().iter().map(|r| r.label).collect::<Vec<_>>(), labels);
+        for (ci, col) in m.cols().iter().enumerate() {
+            prop_assert!(col.rows.windows(2).all(|p| p[0] < p[1]));
+            for &r in &col.rows {
+                prop_assert!(m.rows()[r].entry(ci).is_some());
+            }
+        }
+        let (after, _) = best_rectangles_seeded(&m, &value_of, &cfg, None);
+        let expect: Vec<_> = before
+            .into_iter()
+            .map(|mut r| {
+                r.rows.iter_mut().for_each(|i| *i = renumber[*i]);
+                r
+            })
+            .collect();
+        prop_assert_eq!(after, expect);
     }
 
     /// Tombstoning a node's rows leaves the matrix consistent.

@@ -123,19 +123,18 @@ pub fn encode_sub_request(job: &SubJob, faults: Option<(&str, u64)>) -> Json {
                     .collect(),
             ),
         ),
-    ];
-    if job.extract.search.topk > 1 {
-        members.push((
+        // Both search knobs always travel: a worker fills an absent one
+        // with *its* default, which would silently turn an explicit
+        // classic job (`topk = 1`, `tile_width = 0`) into a batched one.
+        (
             "batch_rects".to_string(),
             Json::u64(job.extract.search.topk as u64),
-        ));
-    }
-    if job.extract.search.tile_width > 0 {
-        members.push((
+        ),
+        (
             "tile_width".to_string(),
             Json::u64(job.extract.search.tile_width as u64),
-        ));
-    }
+        ),
+    ];
     if let Some((spec, seed)) = faults {
         members.push(("fault_plan".to_string(), Json::str(spec)));
         members.push(("fault_seed".to_string(), Json::u64(seed)));
@@ -905,6 +904,61 @@ mod tests {
         assert_eq!(stats.leases_resolved, stats.leases_issued);
         assert!(nw.validate().is_ok());
         assert!(equivalent_random(&original, &nw, &EquivConfig::default()).unwrap());
+        shutdown(a0);
+        shutdown(a1);
+        h0.join().unwrap();
+        h1.join().unwrap();
+    }
+
+    #[test]
+    fn explicit_classic_job_stays_classic_on_remote_workers() {
+        // A worker fills an absent search knob with its own default, so
+        // the request must carry both even at `topk = 1`, `tile_width =
+        // 0`: the classic job over two TCP workers ends at the network
+        // the same job reaches in process — which is not where the
+        // batched default ends on this circuit.
+        let base = generate(&pf_workloads::scale_profile(
+            &pf_workloads::profile_by_name("misex3").expect("misex3 profile exists"),
+            0.3,
+        ));
+        let classic = DistConfig {
+            lease_timeout: Duration::from_secs(10),
+            extract: ExtractConfig {
+                search: pf_kcmatrix::SearchConfig::classic(),
+                ..DistConfig::default().extract
+            },
+            ..DistConfig::default()
+        };
+        let run_local = |cfg: &DistConfig| {
+            let mut nw = base.clone();
+            let (report, _) =
+                pf_core::distributed_extract(&mut nw, &pf_core::LocalTransport::new(2), cfg);
+            assert!(!report.degraded);
+            pf_kcmatrix::network_digest(&nw)
+        };
+        let in_process = run_local(&classic);
+        let batched = DistConfig {
+            lease_timeout: classic.lease_timeout,
+            ..DistConfig::default()
+        };
+        assert_ne!(in_process, run_local(&batched), "the circuit tells K apart");
+
+        let job = SubJob {
+            extract: classic.extract.clone(),
+            ..sample_job(1, base.node_ids().collect(), base.clone())
+        };
+        let request = encode_sub_request(&job, None);
+        assert_eq!(request.get("batch_rects").and_then(Json::as_u64), Some(1));
+        assert_eq!(request.get("tile_width").and_then(Json::as_u64), Some(0));
+
+        let (a0, h0) = start_worker_server();
+        let (a1, h1) = start_worker_server();
+        let transport = RemoteTransport::new(vec![a0.to_string(), a1.to_string()]);
+        let mut nw = base.clone();
+        let (report, stats) = pf_core::distributed_extract(&mut nw, &transport, &classic);
+        assert!(!report.degraded);
+        assert!(stats.balanced(), "{stats:?}");
+        assert_eq!(pf_kcmatrix::network_digest(&nw), in_process);
         shutdown(a0);
         shutdown(a1);
         h0.join().unwrap();

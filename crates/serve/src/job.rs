@@ -2,7 +2,7 @@
 
 use crate::json::Json;
 use pf_core::{ExtractReport, RunCtl};
-use pf_kcmatrix::{Digest, DigestBuilder};
+use pf_kcmatrix::{Digest, DigestBuilder, SearchConfig};
 use pf_network::Network;
 use std::time::Duration;
 
@@ -75,16 +75,17 @@ pub struct JobSpec {
     /// (`SearchConfig::par_threads`). `0` keeps the classic sequential
     /// search. Clamped to the host's parallelism at submit time.
     pub par_threads: usize,
-    /// Rectangles collected per search pass (`SearchConfig::topk`).
-    /// `1` keeps the classic one-rectangle-per-pass engine; larger
-    /// values enable conflict-aware batching. Result-affecting, unlike
-    /// `par_threads`, so it participates in the cache key.
+    /// Rectangles collected per search pass (`SearchConfig::topk`,
+    /// whose default this field follows): conflict-aware batching.
+    /// `1` is the classic one-rectangle-per-pass engine.
+    /// Result-affecting, unlike `par_threads`, so it participates in
+    /// the cache key.
     pub batch_rects: usize,
     /// Tile width in u64 words for the cache-blocked rectangle-search
-    /// kernel (`SearchConfig::tile_width`). `0` keeps the scalar
-    /// intersection loop. Result-invariant like `par_threads` (the
-    /// tiled kernel is byte-identical by construction), so it does NOT
-    /// participate in the cache key.
+    /// kernel (`SearchConfig::tile_width`, whose default this field
+    /// follows). `0` is the scalar intersection loop. Result-invariant
+    /// like `par_threads` (the tiled kernel is byte-identical by
+    /// construction), so it does NOT participate in the cache key.
     pub tile_width: usize,
     /// Per-job deadline; expiry (including time spent queued) turns the
     /// job into a structured timeout response.
@@ -98,15 +99,18 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A seq job for `workload` with service defaults elsewhere.
+    /// A job for `workload` with service defaults elsewhere; the search
+    /// knobs default to the library's ([`SearchConfig::default`]), so a
+    /// default job over the wire equals a default in-process run.
     pub fn new(algorithm: Algorithm, workload: impl Into<String>) -> Self {
+        let search = SearchConfig::default();
         JobSpec {
             algorithm,
             workload: workload.into(),
             procs: 2,
-            par_threads: 0,
-            batch_rects: 1,
-            tile_width: 0,
+            par_threads: search.par_threads,
+            batch_rects: search.topk,
+            tile_width: search.tile_width,
             deadline: None,
             delta_from: None,
         }
@@ -137,8 +141,8 @@ impl JobSpec {
     /// per the repo's determinism tests (a timed-out run is never
     /// admitted anyway).
     /// `batch_rects` *is* result-affecting (batched extraction may pick
-    /// a slightly different cover), so any K > 1 gets its own key —
-    /// keyed only when > 1 so existing K=1 cache entries stay valid.
+    /// a slightly different cover), so every K has its own key (the
+    /// cache is in-memory: no stored entry outlives the process).
     pub fn cache_param_digest(&self) -> Digest {
         let mut b = DigestBuilder::new();
         b.write_str("cache-key");
@@ -146,10 +150,8 @@ impl JobSpec {
         if self.algorithm != Algorithm::Seq {
             b.write_u64(self.procs as u64);
         }
-        if self.batch_rects > 1 {
-            b.write_str("batch-rects");
-            b.write_u64(self.batch_rects as u64);
-        }
+        b.write_str("batch-rects");
+        b.write_u64(self.batch_rects as u64);
         b.finish()
     }
 }
@@ -447,19 +449,25 @@ mod tests {
 
     #[test]
     fn cache_params_track_batch_rects_for_every_driver() {
-        // K=1 must hash like a spec that predates the field (cache
-        // entries from classic runs stay valid); any K>1 is its own key.
+        // Every K is its own key — the classic K = 1 and the default
+        // included, neither is the "unkeyed" one — while the
+        // result-invariant knobs stay out of the key.
         for alg in ALGORITHMS {
-            let classic = JobSpec::new(alg, "gen:dalu@0.2");
-            let mut k1 = classic.clone();
-            k1.batch_rects = 1;
-            assert_eq!(classic.cache_param_digest(), k1.cache_param_digest());
-            let mut k4 = classic.clone();
+            let default = JobSpec::new(alg, "gen:dalu@0.2");
+            assert_eq!(default.batch_rects, SearchConfig::default().topk);
+            let mut classic = default.clone();
+            classic.batch_rects = SearchConfig::classic().topk;
+            let mut k4 = default.clone();
             k4.batch_rects = 4;
-            let mut k16 = classic.clone();
+            let mut k16 = default.clone();
             k16.batch_rects = 16;
+            assert_ne!(classic.cache_param_digest(), default.cache_param_digest());
             assert_ne!(classic.cache_param_digest(), k4.cache_param_digest());
             assert_ne!(k4.cache_param_digest(), k16.cache_param_digest());
+            let mut same_k = k4.clone();
+            same_k.tile_width = k4.tile_width + 3;
+            same_k.par_threads = k4.par_threads + 2;
+            assert_eq!(same_k.cache_param_digest(), k4.cache_param_digest());
             // Fingerprint (poison identity) still ignores it.
             assert_eq!(classic.fingerprint(), k16.fingerprint());
         }

@@ -552,35 +552,31 @@ fn spec_from_json(request: &Json) -> Result<JobSpec, String> {
         .and_then(Json::as_str)
         .ok_or("missing \"workload\"")?
         .to_string();
-    let procs = match request.get("procs") {
-        None => 2,
-        Some(v) => checked_count(v, "procs")?,
-    };
-    let par_threads = match request.get("par_threads") {
-        None => 0,
-        Some(v) => checked_count(v, "par_threads")?,
-    };
-    let batch_rects = match request.get("batch_rects") {
-        None => 1,
-        Some(v) => {
-            let k = checked_count(v, "batch_rects")?;
-            if k == 0 {
-                return Err("\"batch_rects\" must be at least 1".into());
-            }
-            k
+    // Absent fields keep `JobSpec::new`'s defaults — for the search
+    // knobs those are the library's `SearchConfig::default()`.
+    let mut spec = JobSpec::new(algorithm, workload);
+    if let Some(v) = request.get("procs") {
+        spec.procs = checked_count(v, "procs")?;
+    }
+    if let Some(v) = request.get("par_threads") {
+        spec.par_threads = checked_count(v, "par_threads")?;
+    }
+    if let Some(v) = request.get("batch_rects") {
+        spec.batch_rects = checked_count(v, "batch_rects")?;
+        if spec.batch_rects == 0 {
+            return Err("\"batch_rects\" must be at least 1".into());
         }
-    };
-    let tile_width = match request.get("tile_width") {
-        None => 0,
-        Some(v) => checked_count(v, "tile_width")?,
-    };
-    let deadline = match request.get("deadline_ms") {
+    }
+    if let Some(v) = request.get("tile_width") {
+        spec.tile_width = checked_count(v, "tile_width")?;
+    }
+    spec.deadline = match request.get("deadline_ms") {
         None | Some(Json::Null) => None,
         Some(v) => Some(Duration::from_millis(
             v.as_u64().ok_or("\"deadline_ms\" must be an integer")?,
         )),
     };
-    let delta_from = match request.get("delta_from") {
+    spec.delta_from = match request.get("delta_from") {
         None | Some(Json::Null) => None,
         Some(v) => Some(
             v.as_str()
@@ -588,16 +584,7 @@ fn spec_from_json(request: &Json) -> Result<JobSpec, String> {
                 .to_string(),
         ),
     };
-    Ok(JobSpec {
-        algorithm,
-        workload,
-        procs,
-        par_threads,
-        batch_rects,
-        tile_width,
-        deadline,
-        delta_from,
-    })
+    Ok(spec)
 }
 
 /// Parses a processor/thread count, range-checking *before* narrowing:

@@ -147,8 +147,10 @@ fn min_ns(reps: usize, mut f: impl FnMut()) -> u64 {
         .unwrap_or(0)
 }
 
-/// One full search over `m` with the given thread count (0 = classic
-/// sequential engine) and tile width (0 = scalar word loop).
+/// One full single-rectangle search over `m` with the given thread
+/// count (0 = classic sequential engine) and tile width (0 = scalar
+/// word loop). The kernel sections compare engines on the classic
+/// `topk = 1` pass, whatever the library default is.
 fn timed_search(
     m: &KcMatrix,
     w: &[u32],
@@ -159,7 +161,7 @@ fn timed_search(
     let cfg = SearchConfig {
         par_threads,
         tile_width,
-        ..SearchConfig::default()
+        ..SearchConfig::classic()
     };
     min_ns(reps, || {
         let (best, _) = best_rectangle(m, &|id| w[id as usize], &cfg);
@@ -229,7 +231,7 @@ pub fn run(opts: &BenchJsonOptions) -> Json {
     // Micro: one full search, legacy vec engine vs bitset engine.
     eprintln!("bench-json: rect_search micro @ dalu scale {micro_scale}");
     let (m, w) = dalu_matrix(micro_scale);
-    let cfg = SearchConfig::default();
+    let cfg = SearchConfig::classic();
     let vec_ns = min_ns(micro_reps, || {
         let (best, _) = reference::best_rectangle(&m, &|id| w[id as usize], &cfg);
         std::hint::black_box(best);
@@ -249,10 +251,10 @@ pub fn run(opts: &BenchJsonOptions) -> Json {
     eprintln!("bench-json: parallel search @ dalu scale {big_scale}");
     let (mb, wb) = dalu_matrix(big_scale);
     let (seq_ns, pooled_t1_ns) = {
-        let seq_cfg = SearchConfig::default();
+        let seq_cfg = SearchConfig::classic();
         let t1_cfg = SearchConfig {
             par_threads: 1,
-            ..SearchConfig::default()
+            ..SearchConfig::classic()
         };
         let mut pool = SearchPool::new();
         pool.warm(1);
@@ -294,7 +296,7 @@ pub fn run(opts: &BenchJsonOptions) -> Json {
         } else {
             let cfg = SearchConfig {
                 par_threads: t,
-                ..SearchConfig::default()
+                ..SearchConfig::classic()
             };
             let mut pool = SearchPool::new();
             pool.warm(t);

@@ -33,13 +33,17 @@
 //!                       [default: seq]
 //! -p, --procs N         processors / partitions            [default: 4]
 //!     --par-threads N   intra-matrix search threads per worker; 0 keeps
-//!                       the classic sequential search      [default: 0]
+//!                       the sequential search              [default: 0]
 //!     --batch-rects K   rectangles collected per search pass; conflict-
-//!                       free subsets are applied in one batch. 1 keeps
-//!                       the classic one-per-pass engine    [default: 1]
+//!                       free subsets are applied in one batch
+//!                                                         [default: 16]
 //!     --tile-width W    u64 words per tile in the cache-blocked search
-//!                       kernel (byte-identical results); 0 keeps the
-//!                       scalar word loop                   [default: 0]
+//!                       kernel (byte-identical results); 0 is the
+//!                       scalar word loop                   [default: 4]
+//!                       The two defaults are the library's
+//!                       (SearchConfig::default()), on run, profile and
+//!                       submit alike; --batch-rects 1 --tile-width 0 is
+//!                       the classic one-rectangle-per-pass engine.
 //! -o, --output FILE     write the optimized circuit (format by extension:
 //!                       .blif or anything else = native text)
 //!     --objective OBJ   area | timing | power               [default: area]
@@ -115,6 +119,7 @@ use parafactor::core::{
     lshaped_extract_cubes, replicated_extract, CubeExtractConfig, ExtractConfig, IndependentConfig,
     IterativeConfig, LShapedConfig, LShapedCxConfig, Objective, ReplicatedConfig, Trace, Tracer,
 };
+use parafactor::kcmatrix::SearchConfig;
 use parafactor::network::blif::{read_blif, write_blif};
 use parafactor::network::io::{read_network, write_network};
 use parafactor::network::sim::{equivalent_random, EquivConfig};
@@ -141,6 +146,27 @@ struct Options {
     verify: bool,
 }
 
+impl Options {
+    /// Every option at its default; the search knobs at the library's.
+    fn new() -> Options {
+        let search = SearchConfig::default();
+        Options {
+            input: String::new(),
+            algorithm: "seq".into(),
+            procs: 4,
+            par_threads: search.par_threads,
+            batch_rects: search.topk,
+            tile_width: search.tile_width,
+            output: None,
+            objective: "area".into(),
+            run_cx: false,
+            seed: None,
+            show_stats: false,
+            verify: false,
+        }
+    }
+}
+
 fn usage() -> ! {
     // The doc comment above is the single source of truth.
     let text = include_str!("parafactor.rs");
@@ -157,20 +183,7 @@ fn usage() -> ! {
 }
 
 fn parse_args() -> Options {
-    let mut opts = Options {
-        input: String::new(),
-        algorithm: "seq".into(),
-        procs: 4,
-        par_threads: 0,
-        batch_rects: 1,
-        tile_width: 0,
-        output: None,
-        objective: "area".into(),
-        run_cx: false,
-        seed: None,
-        show_stats: false,
-        verify: false,
-    };
+    let mut opts = Options::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut need = |name: &str| -> String {
@@ -368,9 +381,12 @@ fn cmd_submit(args: &[String]) -> ExitCode {
     let mut addr = "127.0.0.1:7878".to_string();
     let mut algorithm = "seq".to_string();
     let mut procs = 2usize;
-    let mut par_threads = 0usize;
-    let mut batch_rects = 1usize;
-    let mut tile_width = 0usize;
+    let Options {
+        mut par_threads,
+        mut batch_rects,
+        mut tile_width,
+        ..
+    } = Options::new();
     let mut deadline_ms: Option<u64> = None;
     let mut retries = 4u32;
     let mut delta_from: Option<String> = None;
@@ -589,17 +605,7 @@ fn cmd_dist(args: &[String]) -> ExitCode {
     };
     let mut nw = match load_circuit(&Options {
         input: workload,
-        algorithm: "dist".into(),
-        procs: workers.max(1),
-        par_threads: 0,
-        batch_rects: 1,
-        tile_width: 0,
-        output: None,
-        objective: "area".into(),
-        run_cx: false,
-        seed: None,
-        show_stats: false,
-        verify: false,
+        ..Options::new()
     }) {
         Ok(nw) => nw,
         Err(e) => return bad(e),
@@ -647,20 +653,7 @@ fn cmd_dist(args: &[String]) -> ExitCode {
 /// the merged span timeline as Chrome Trace Event Format JSON, loadable
 /// in chrome://tracing or Perfetto.
 fn cmd_profile(args: &[String]) -> ExitCode {
-    let mut opts = Options {
-        input: String::new(),
-        algorithm: "seq".into(),
-        procs: 4,
-        par_threads: 0,
-        batch_rects: 1,
-        tile_width: 0,
-        output: None,
-        objective: "area".into(),
-        run_cx: false,
-        seed: None,
-        show_stats: false,
-        verify: false,
-    };
+    let mut opts = Options::new();
     let bad = |msg: String| -> ExitCode {
         eprintln!("error: {msg}");
         ExitCode::FAILURE
@@ -930,7 +923,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    // 0 is meaningful for --par-threads (classic search), so only cap.
+    // 0 is meaningful for --par-threads (sequential search), so only cap.
     opts.par_threads = opts.par_threads.min(default_max_procs());
     let nw = match load_circuit(&opts) {
         Ok(nw) => nw,
@@ -1044,7 +1037,7 @@ fn main() -> ExitCode {
         work.literal_count(),
         report.extractions,
         report.elapsed,
-        if opts.batch_rects > 1 {
+        if report.passes < report.extractions + 1 {
             format!(
                 ", {} passes at {:.2} rects/pass",
                 report.passes,
