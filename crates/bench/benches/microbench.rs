@@ -11,7 +11,9 @@ use pf_core::{
     extract_kernels, independent_extract, lshaped_extract, ExtractConfig, FaultPlan, FaultRule,
     IndependentConfig, LShapedConfig, RunCtl,
 };
-use pf_kcmatrix::{best_rectangle, CubeRegistry, KcMatrix, LabelGen, SearchConfig};
+use pf_kcmatrix::{
+    CeilingUpdate, CostModel, CubeRegistry, KcMatrix, LabelGen, SearchConfig, SearchPool,
+};
 use pf_network::sim::simulate;
 use pf_partition::{partition_network, PartitionConfig};
 use pf_sop::kernel::{kernels, KernelConfig};
@@ -83,20 +85,26 @@ fn matrix(c: &mut Criterion) {
         );
     }
     let w = reg.weights_snapshot();
+    let value_of = |id: u32| w[id as usize];
+    let model = CostModel::area(&value_of);
+    let mut pool = SearchPool::new();
     c.bench_function("rectangle/best_full", |b| {
-        b.iter(|| best_rectangle(&m, &|id| w[id as usize], &SearchConfig::default()))
-    });
-    c.bench_function("rectangle/best_striped", |b| {
         b.iter(|| {
-            best_rectangle(
+            pool.find(
                 &m,
-                &|id| w[id as usize],
-                &SearchConfig {
-                    stripe: Some((0, 4)),
-                    ..SearchConfig::default()
-                },
+                &model,
+                &SearchConfig::default(),
+                None,
+                CeilingUpdate::Off,
             )
         })
+    });
+    c.bench_function("rectangle/best_striped", |b| {
+        let cfg = SearchConfig {
+            stripe: Some((0, 4)),
+            ..SearchConfig::default()
+        };
+        b.iter(|| pool.find(&m, &model, &cfg, None, CeilingUpdate::Off))
     });
 }
 

@@ -251,7 +251,7 @@ mod tests {
             ttl: None,
         });
         let mut cfg = ExtractConfig::default();
-        cfg.search.par_threads = 2; // pooled → ceilings exist
+        cfg.search.par_threads = 2;
         let mut pool = None;
 
         let (mut first, _) = example_1_1();

@@ -81,9 +81,8 @@ pub fn independent_extract(nw: &mut Network, cfg: &IndependentConfig) -> Extract
                     name_prefix: format!("p{pid}_{}", cfg.extract.name_prefix),
                     ..cfg.extract.clone()
                 };
-                // With `search.par_threads ≥ 1` the nested run owns a
-                // persistent SearchPool for its whole cover loop (one
-                // pool per worker, warmed in the run's pool phase).
+                // The nested run owns one resident search for its whole
+                // cover loop, warmed in the run's pool phase.
                 let report = extract_kernels(&mut local, part, &worker_cfg);
                 // Every clone allocates new-node ids from the same point
                 // (`n0`), so shift this worker's ids into a private block

@@ -12,12 +12,12 @@
 //! visible under another, so quality approaches the sequential result
 //! while each round stays embarrassingly parallel.
 //!
-//! Pooling: each round's Algorithm-I workers run their own nested
-//! `extract_kernels`, so with `search.par_threads ≥ 1` every worker owns
-//! a persistent `SearchPool` for the round (created in that run's pool
-//! phase, dropped with its engine). Rounds re-partition the circuit, so
-//! no cross-round search state is carried — only the scratch reuse and
-//! spawn amortization within each round's cover loop.
+//! Search state: each round's Algorithm-I workers run their own nested
+//! `extract_kernels`, so every worker owns a resident `SearchPool` for
+//! the round (created in that run's pool phase, dropped with its
+//! engine). Rounds re-partition the circuit, so no cross-round search
+//! state is carried — only the panel, ceiling and scratch reuse within
+//! each round's cover loop.
 
 use crate::independent::{independent_extract, IndependentConfig};
 use crate::report::{ExtractReport, PhaseTiming};

@@ -41,8 +41,8 @@ use crate::trace::Lane;
 use parking_lot::Mutex;
 use pf_kcmatrix::registry::ConcurrentCubeStates;
 use pf_kcmatrix::{
-    best_rectangles_pooled, best_rectangles_seeded, select_nonconflicting, CeilingUpdate, CubeId,
-    CubeRegistry, CubeState, KcMatrix, LabelGen, ProcId, Rectangle, SearchConfig, SearchPool,
+    select_nonconflicting, CeilingUpdate, CostModel, CubeId, CubeRegistry, CubeState, KcMatrix,
+    LabelGen, ProcId, Rectangle, SearchConfig, SearchPool,
 };
 use pf_network::{Network, SignalId};
 use pf_partition::{partition_network, PartitionConfig};
@@ -209,12 +209,12 @@ struct Worker<'a> {
     /// Rectangle committed by this worker's previous extraction —
     /// re-validated against the current matrix to seed the next search.
     prev_best: Option<Rectangle>,
-    /// Persistent search executor (present iff `par_threads ≥ 1`),
-    /// reusing parked workers and scratch across this worker's passes.
-    /// Cross-pass ceilings stay **off** here: `CubeStates::release`
-    /// (COVERED → FREE) can *raise* cube values between passes, which
-    /// would make a remembered upper bound unsound.
-    pool: Option<SearchPool>,
+    /// The resident search, reusing parked workers and scratch across
+    /// this worker's passes. Cross-pass ceilings stay **off** here:
+    /// `CubeStates::release` (COVERED → FREE) can *raise* cube values
+    /// between passes, which would make a remembered upper bound
+    /// unsound.
+    pool: SearchPool,
     /// This processor's trace lane (`L<pid>`); inert when disarmed.
     lane: Lane,
 }
@@ -357,25 +357,15 @@ impl Worker<'_> {
             states.value_for(id, w, pid)
         };
         let pass = self.lane.start("search");
-        // Plural search: the canonical top `search.topk` (the classic
-        // single winner when `topk ≤ 1` — the singular entry points are
-        // thin wrappers over the same plural engine).
-        let (rects, stats) = match self.pool.as_mut() {
-            Some(pool) => best_rectangles_pooled(
-                &self.matrix,
-                &value_of,
-                &search_cfg,
-                self.prev_best.as_ref(),
-                pool,
-                CeilingUpdate::Off,
-            ),
-            None => best_rectangles_seeded(
-                &self.matrix,
-                &value_of,
-                &search_cfg,
-                self.prev_best.as_ref(),
-            ),
-        };
+        // The canonical top `search.topk` (the single winner when
+        // `topk = 1`).
+        let (rects, stats) = self.pool.find(
+            &self.matrix,
+            &CostModel::area(&value_of),
+            &search_cfg,
+            self.prev_best.as_ref(),
+            CeilingUpdate::Off,
+        );
         self.passes += 1;
         self.budget_exhausted |= stats.budget_exhausted;
         crate::seq::end_search_span(&mut self.lane, pass, rects.first(), &stats);
@@ -737,10 +727,8 @@ fn setup<'a>(
             batch_rejected: 0,
             prev_best: None,
             pool: {
-                let mut pool = (cfg.extract.search.par_threads >= 1).then(SearchPool::new);
-                if let Some(p) = pool.as_mut() {
-                    p.warm(cfg.extract.search.par_threads);
-                }
+                let mut pool = SearchPool::new();
+                pool.warm(cfg.extract.search.par_threads);
                 pool
             },
             lane: cfg.extract.trace.lane(&format!("L{pid}")),

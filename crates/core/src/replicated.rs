@@ -121,11 +121,11 @@ pub fn replicated_extract(nw: &mut Network, cfg: &ReplicatedConfig) -> ExtractRe
                 // so all replicas are bit-identical by construction.
                 let mut replica = nw_ref.clone();
                 let mut engine = Engine::new_parallel(&replica, targets, cfg.extract.clone(), p);
-                // With `search.par_threads ≥ 1` each replica owns a
-                // persistent search pool; pre-spawn its workers inside
-                // the replicate span so no cover pass pays spawn cost.
-                // The per-replica stripe is constant, so the pool's
-                // cross-pass ceilings stay valid between iterations.
+                // Pre-spawn the replica's search threads (if
+                // `search.par_threads ≥ 2`) inside the replicate span so
+                // no cover pass pays spawn cost. The per-replica stripe
+                // is constant, so the pool's cross-pass ceilings stay
+                // valid between iterations.
                 engine.warm_pool();
                 lane.end(replicate_span);
                 if pid == 0 {
@@ -136,10 +136,8 @@ pub fn replicated_extract(nw: &mut Network, cfg: &ReplicatedConfig) -> ExtractRe
                 let mut total_value = 0i64;
                 loop {
                     let pass = lane.start("search");
-                    // The plural search: the per-stripe canonical top-K
-                    // (the classic single candidate when `topk ≤ 1` —
-                    // the singular entry points are thin wrappers over
-                    // the same plural engine).
+                    // The per-stripe canonical top-K (the single
+                    // candidate when `topk = 1`).
                     let (rects, stats) = engine.search_batch(Some((pid as u32, p as u32)));
                     if stats.budget_exhausted {
                         exhausted_any.store(true, Ordering::Relaxed);

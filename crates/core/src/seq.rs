@@ -12,12 +12,9 @@ use crate::ctl::RunCtl;
 use crate::report::{ExtractReport, PhaseTiming};
 use crate::trace::{Lane, Tracer};
 use pf_cache::WarmStart;
-use pf_kcmatrix::rectangle::CostModel;
 use pf_kcmatrix::{
-    best_rectangles_pooled, best_rectangles_pooled_with, best_rectangles_seeded,
-    best_rectangles_with_seed, revalidate_rectangle, select_prefix_nonconflicting, CeilingSnapshot,
-    CeilingUpdate, ColIdx, CubeRegistry, KcMatrix, LabelGen, Rectangle, SearchConfig, SearchPool,
-    SearchStats,
+    revalidate_rectangle, select_prefix_nonconflicting, CeilingSnapshot, CeilingUpdate, ColIdx,
+    CostModel, CubeRegistry, KcMatrix, LabelGen, Rectangle, SearchConfig, SearchPool, SearchStats,
 };
 use pf_network::{Network, SignalId};
 use pf_sop::fx::{FxHashMap, FxHashSet};
@@ -86,16 +83,13 @@ pub struct Engine {
     /// cover loop — re-validated against the current matrix and used to
     /// seed the next search's pruning bound.
     prev_best: Option<Rectangle>,
-    /// Persistent search executor, present iff `search.par_threads ≥ 1`:
-    /// long-lived workers with reusable scratch and cross-pass
-    /// per-column ceilings, replacing per-pass thread spawns.
-    pool: Option<SearchPool>,
+    /// The resident search: this matrix's tile panel and cross-pass
+    /// per-column ceilings, worker scratch, and parked threads when
+    /// `search.par_threads ≥ 2`.
+    pool: SearchPool,
     /// Columns invalidated by [`Engine::apply`] since the last search —
-    /// the pool's ceiling dirty set.
+    /// the dirty set for the pool's panel and ceilings.
     dirty_cols: Vec<ColIdx>,
-    /// Whether the pool has yet to see this engine's matrix (first
-    /// search resets the ceilings instead of patching them).
-    pool_fresh: bool,
     /// Rows are compacted at a search head once the tombstones exceed
     /// this many times the alive rows. Result-invariant, so not a
     /// config field; tests set `0` (compact whenever a tombstone
@@ -137,7 +131,6 @@ impl Engine {
         }
         let weights = registry.weights_snapshot();
         let counter = counter_past_existing(nw, &cfg.name_prefix);
-        let pool = (cfg.search.par_threads >= 1).then(SearchPool::new);
         let mut engine = Engine {
             matrix,
             registry,
@@ -150,9 +143,8 @@ impl Engine {
             applied: 0,
             wvals: Vec::new(),
             prev_best: None,
-            pool,
+            pool: SearchPool::new(),
             dirty_cols: Vec::new(),
-            pool_fresh: true,
             compact_dead_per_alive: 1,
         };
         engine.refresh_wvals();
@@ -226,7 +218,6 @@ impl Engine {
         }
         let weights = registry.weights_snapshot();
         let counter = counter_past_existing(nw, &cfg.name_prefix);
-        let pool = (cfg.search.par_threads >= 1).then(SearchPool::new);
         let mut engine = Engine {
             matrix,
             registry,
@@ -239,9 +230,8 @@ impl Engine {
             applied: 0,
             wvals: Vec::new(),
             prev_best: None,
-            pool,
+            pool: SearchPool::new(),
             dirty_cols: Vec::new(),
-            pool_fresh: true,
             compact_dead_per_alive: 1,
         };
         engine.refresh_wvals();
@@ -260,39 +250,30 @@ impl Engine {
         });
     }
 
-    /// Pre-spawns the pool's background workers (no-op for a pool-less
-    /// engine or `par_threads ≤ 1`). Drivers call this before their
-    /// measured cover loop so no pass pays spawn latency.
+    /// Pre-spawns the pool's background workers (no-op for
+    /// `par_threads ≤ 1`). Drivers call this before their measured
+    /// cover loop so no pass pays spawn latency.
     pub fn warm_pool(&mut self) {
-        let threads = self.cfg.search.par_threads;
-        if let Some(pool) = self.pool.as_mut() {
-            pool.warm(threads);
-        }
+        self.pool.warm(self.cfg.search.par_threads);
     }
 
-    /// Hands an existing pool to this engine (replacing any own pool),
-    /// reusing its warmed threads and scratch; its ceilings are reset on
-    /// the first search. Only meaningful when `par_threads ≥ 1`.
-    pub fn adopt_pool(&mut self, pool: SearchPool) {
-        if self.cfg.search.par_threads >= 1 {
-            self.pool = Some(pool);
-            self.pool_fresh = true;
-        }
+    /// Hands an existing pool to this engine in place of its own,
+    /// reusing its warmed threads and scratch. Its panel and ceilings
+    /// describe another matrix and are dropped.
+    pub fn adopt_pool(&mut self, mut pool: SearchPool) {
+        pool.forget_matrix();
+        self.pool = pool;
     }
 
-    /// Takes the engine's pool back out (e.g. to reuse it for the next
-    /// job on this worker thread).
-    pub fn take_pool(&mut self) -> Option<SearchPool> {
-        self.pool.take()
+    /// The engine's pool, for the next job on this worker thread.
+    pub fn into_pool(self) -> SearchPool {
+        self.pool
     }
 
     /// The pool's `tile` phase counters: full panel (re)builds and
-    /// incrementally re-encoded columns so far. `(0, 0)` for a pool-less
-    /// engine or `tile_width == 0`.
+    /// incrementally re-encoded columns so far.
     pub fn tile_counters(&self) -> (u64, u64) {
-        self.pool
-            .as_ref()
-            .map_or((0, 0), |p| (p.tile_rebuilds(), p.tile_synced_cols()))
+        (self.pool.tile_rebuilds(), self.pool.tile_synced_cols())
     }
 
     /// The matrix (for inspection / rendering).
@@ -311,8 +292,7 @@ impl Engine {
     }
 
     /// Collects the canonical top `search.topk` rectangles of this
-    /// pass, best-first; with `topk ≤ 1` the classic first-maximum
-    /// winner alone.
+    /// pass, best-first.
     ///
     /// No rectangle of an earlier pass is outstanding at a search head
     /// (every driver applies or drops its wave before searching again),
@@ -323,58 +303,29 @@ impl Engine {
             stripe,
             ..self.cfg.search.clone()
         };
-        let seed = self.prev_best.as_ref();
-        if let Some(pool) = self.pool.as_mut() {
-            // Pooled pass: the first one over this matrix resets the
-            // ceilings; later ones only invalidate the columns `apply`
-            // dirtied, so unchanged leftmost-column subtrees prune from
-            // their surviving ceilings immediately.
-            let update = if self.pool_fresh {
-                CeilingUpdate::Reset
-            } else {
-                CeilingUpdate::Dirty(&self.dirty_cols)
-            };
-            let out = match &self.cfg.objective {
-                None => {
-                    let w = &self.weights;
-                    best_rectangles_pooled(
-                        &self.matrix,
-                        &|id| w[id as usize],
-                        &cfg,
-                        seed,
-                        pool,
-                        update,
-                    )
-                }
-                Some(obj) => {
-                    let wv = &self.wvals;
-                    let model = CostModel {
-                        cube_value: &|id| wv[id as usize],
-                        row_cost: &|cok| obj.row_cost(cok),
-                        col_cost: &|cube| obj.col_cost(cube),
-                    };
-                    best_rectangles_pooled_with(&self.matrix, &model, &cfg, seed, pool, update)
-                }
-            };
-            self.pool_fresh = false;
-            self.dirty_cols.clear();
-            return out;
-        }
-        match &self.cfg.objective {
-            None => {
-                let w = &self.weights;
-                best_rectangles_seeded(&self.matrix, &|id| w[id as usize], &cfg, seed)
-            }
-            Some(obj) => {
-                let wv = &self.wvals;
-                let model = CostModel {
-                    cube_value: &|id| wv[id as usize],
-                    row_cost: &|cok| obj.row_cost(cok),
-                    col_cost: &|cube| obj.col_cost(cube),
-                };
-                best_rectangles_with_seed(&self.matrix, &model, &cfg, seed)
-            }
-        }
+        // Only the columns `apply` dirtied are re-encoded and lose their
+        // ceilings, so unchanged leftmost-column subtrees prune from
+        // their surviving ceilings immediately. A wave applies many
+        // rectangles per pass; deduplicating once here, not per apply,
+        // keeps apply's cost independent of the wave size.
+        self.dirty_cols.sort_unstable();
+        self.dirty_cols.dedup();
+        let out = with_cost_model(
+            &self.weights,
+            &self.wvals,
+            self.cfg.objective.as_ref(),
+            |model| {
+                self.pool.find(
+                    &self.matrix,
+                    model,
+                    &cfg,
+                    self.prev_best.as_ref(),
+                    CeilingUpdate::Dirty(&self.dirty_cols),
+                )
+            },
+        );
+        self.dirty_cols.clear();
+        out
     }
 
     /// Drops the tombstoned rows once they outnumber the alive ones, so
@@ -382,14 +333,13 @@ impl Engine {
     /// Order-preserving, hence result-invariant (see
     /// [`KcMatrix::compact_rows`]); `prev_best` survives because a seed
     /// is re-validated from its columns alone. The pool's panel and
-    /// ceilings are row-indexed state of the old numbering and restart,
-    /// as after a truncated pass.
+    /// ceilings are row-indexed state of the old numbering and restart.
     fn compact_sparse_rows(&mut self) {
         let alive = self.matrix.num_alive_rows();
         let dead = self.matrix.rows().len() - alive;
         if dead > alive.saturating_mul(self.compact_dead_per_alive) {
             self.matrix.compact_rows();
-            self.pool_fresh = true;
+            self.pool.forget_matrix();
             self.dirty_cols.clear();
         }
     }
@@ -416,23 +366,12 @@ impl Engine {
     /// conflict-rejected candidates after a batch apply without another
     /// search pass.
     pub fn revalidate(&self, rect: &Rectangle) -> Option<Rectangle> {
-        match &self.cfg.objective {
-            None => {
-                let w = &self.weights;
-                let value_of = |id: pf_kcmatrix::CubeId| w[id as usize];
-                let model = CostModel::area(&value_of);
-                revalidate_rectangle(&self.matrix, &model, &self.cfg.search, rect)
-            }
-            Some(obj) => {
-                let wv = &self.wvals;
-                let model = CostModel {
-                    cube_value: &|id| wv[id as usize],
-                    row_cost: &|cok| obj.row_cost(cok),
-                    col_cost: &|cube| obj.col_cost(cube),
-                };
-                revalidate_rectangle(&self.matrix, &model, &self.cfg.search, rect)
-            }
-        }
+        with_cost_model(
+            &self.weights,
+            &self.wvals,
+            self.cfg.objective.as_ref(),
+            |model| revalidate_rectangle(&self.matrix, model, &self.cfg.search, rect),
+        )
     }
 
     /// Applies a rectangle: creates the kernel node, rewrites every
@@ -493,18 +432,16 @@ impl Engine {
             affected.push(node);
         }
 
-        // Ceiling bookkeeping (pooled engines only): every column with an
-        // entry in a row about to be tombstoned goes dirty now, and every
-        // column of a row appended below goes dirty after. Clean columns
-        // keep byte-identical subtrees — their support rows, entry cubes
-        // and values are all untouched — so their ceilings stay sound.
+        // Panel and ceiling bookkeeping: every column with an entry in a
+        // row about to be tombstoned goes dirty now, and every column of
+        // a row appended below goes dirty after. Clean columns keep
+        // byte-identical subtrees — their support rows, entry cubes and
+        // values are all untouched — so their ceilings stay sound.
         let rows_before = self.matrix.rows().len();
-        if self.pool.is_some() {
-            for &n in &affected {
-                for &r in self.matrix.node_rows(n) {
-                    let entries = &self.matrix.rows()[r].entries;
-                    self.dirty_cols.extend(entries.iter().map(|&(c, _)| c));
-                }
+        for &n in &affected {
+            for &r in self.matrix.node_rows(n) {
+                let entries = &self.matrix.rows()[r].entries;
+                self.dirty_cols.extend(entries.iter().map(|&(c, _)| c));
             }
         }
 
@@ -532,14 +469,10 @@ impl Engine {
                 &mut self.col_labels,
             );
         }
-        if self.pool.is_some() {
-            for row in &self.matrix.rows()[rows_before..] {
-                for &(c, _) in &row.entries {
-                    self.dirty_cols.push(c);
-                }
+        for row in &self.matrix.rows()[rows_before..] {
+            for &(c, _) in &row.entries {
+                self.dirty_cols.push(c);
             }
-            self.dirty_cols.sort_unstable();
-            self.dirty_cols.dedup();
         }
         self.registry.extend_weights(&mut self.weights);
         self.refresh_wvals();
@@ -566,18 +499,17 @@ impl Engine {
     /// Seeds the engine from another run's warm-start hints, valid only
     /// when this engine's matrix is byte-identical to the one the hints
     /// were captured over (the cache guarantees this by keying hints on
-    /// the network content digest). Ceilings seed the pool (skipped for
-    /// pool-less engines; config drift self-guards via the snapshot's
-    /// embedded fingerprint); `best` seeds the first search's pruning
-    /// bound exactly like a previous pass's winner would — it is
-    /// re-validated against the matrix before use, and because it *is*
-    /// the first-pass winner of an identical matrix, the seeded search
-    /// returns the identical rectangle.
+    /// the network content digest). Ceilings seed the pool (config
+    /// drift self-guards via the snapshot's embedded fingerprint; the
+    /// pool builds its panel from this matrix on the first search);
+    /// `best` seeds the first search's pruning bound exactly like a
+    /// previous pass's winner would — it is re-validated against the
+    /// matrix before use, and because it *is* the first-pass winner of
+    /// an identical matrix, the seeded search returns the identical
+    /// rectangle.
     pub fn seed_warm_start(&mut self, ceilings: Option<&CeilingSnapshot>, best: Option<Rectangle>) {
-        if let (Some(pool), Some(snap)) = (self.pool.as_mut(), ceilings) {
-            pool.seed_ceilings(snap);
-            self.pool_fresh = false;
-            self.dirty_cols.clear();
+        if let Some(snap) = ceilings {
+            self.pool.seed_ceilings(snap);
         }
         if best.is_some() {
             self.prev_best = best;
@@ -585,11 +517,29 @@ impl Engine {
     }
 
     /// Exports the pool's current per-column ceilings for a future
-    /// warm start (`None` for pool-less engines or before any pooled
-    /// search). Meaningful as hints only right after the *first* search
-    /// pass — later passes describe the partially rewritten matrix.
+    /// warm start (`None` before any search). Meaningful as hints only
+    /// right after the *first* search pass — later passes describe the
+    /// partially rewritten matrix.
     pub fn export_warm_ceilings(&self) -> Option<CeilingSnapshot> {
-        self.pool.as_ref().and_then(|p| p.export_ceilings())
+        self.pool.export_ceilings()
+    }
+}
+
+/// Runs `f` with the cost model of an engine whose cube weights are
+/// `weights` — or, under a weighted `objective`, `wvals`.
+fn with_cost_model<R>(
+    weights: &[u32],
+    wvals: &[u32],
+    objective: Option<&Objective>,
+    f: impl FnOnce(&CostModel<'_>) -> R,
+) -> R {
+    match objective {
+        None => f(&CostModel::area(&|id| weights[id as usize])),
+        Some(obj) => f(&CostModel {
+            cube_value: &|id| wvals[id as usize],
+            row_cost: &|cok| obj.row_cost(cok),
+            col_cost: &|cube| obj.col_cost(cube),
+        }),
     }
 }
 
@@ -643,9 +593,7 @@ pub fn extract_kernels(
 /// [`extract_kernels`] with an externally owned [`SearchPool`] slot: a
 /// pool left in `*pool` is adopted (reusing its warmed threads and
 /// scratch across jobs — the resident-service pattern), and the engine's
-/// pool is handed back through the slot when the run ends. When
-/// `par_threads` is 0 the slot is ignored and the classic spawn-free
-/// sequential engine runs as before.
+/// pool is handed back through the slot when the run ends.
 ///
 /// Phases: `matrix` (build), `pool` (pool adoption + worker pre-spawn,
 /// before the cover clock starts), `cover` (the extraction loop).
@@ -838,16 +786,13 @@ pub(crate) fn extract_kernels_warm(
     // sync across the cover's passes (full rebuilds vs incrementally
     // re-encoded columns). Emitted once per run — the counters are
     // cumulative over the pool's passes.
-    if cfg.search.tile_width > 0 {
-        let (rebuilds, synced_cols) = engine.tile_counters();
-        lane.event("tile", || {
-            vec![
-                ("rebuilds", rebuilds as i64),
-                ("synced_cols", synced_cols as i64),
-            ]
-        });
-    }
-    *pool = engine.take_pool();
+    let (rebuilds, synced_cols) = engine.tile_counters();
+    lane.event("tile", || {
+        vec![
+            ("rebuilds", rebuilds as i64),
+            ("synced_cols", synced_cols as i64),
+        ]
+    });
     report.lc_after = nw.literal_count();
     report.elapsed = start.elapsed();
     report.setup = matrix_elapsed;
@@ -859,6 +804,9 @@ pub(crate) fn extract_kernels_warm(
             report.elapsed.saturating_sub(matrix_elapsed + pool_elapsed),
         ),
     ];
+    // Handing the pool back drops the engine (matrix, registry): off
+    // the clock, like the drop of any other run's working state.
+    *pool = Some(engine.into_pool());
     report
 }
 
@@ -1011,10 +959,9 @@ mod tests {
 
     #[test]
     fn pooled_engine_matches_classic_across_thread_counts() {
-        // Byte-identical extraction across engine modes: classic
-        // sequential (par_threads = 0) vs the pooled executor at several
-        // widths, on the paper network where the canonical parallel
-        // winner coincides with the classic one at every pass.
+        // Byte-identical extraction across worker counts: the inline
+        // search (par_threads = 0) vs parked workers at several widths,
+        // on the one-per-pass cover of the paper network.
         let (classic_nw, _) = example_1_1();
         let mut classic = classic_nw.clone();
         let classic_report = extract_kernels(&mut classic, &[], &classic_config());
@@ -1375,16 +1322,9 @@ mod tests {
             let base = pf_workloads::generate(&pf_workloads::scale_profile(&profile, scale));
             for labelling in 0..3u64 {
                 let input = relabel(&base, labelling);
-                // K × tile on the pool-less engine, plus the pooled one,
-                // whose resident panel and ceilings must restart.
-                for (topk, tile_width, par_threads) in [
-                    (1, 0, 0),
-                    (1, 4, 0),
-                    (16, 0, 0),
-                    (16, 4, 0),
-                    (1, 0, 1),
-                    (16, 4, 2),
-                ] {
+                // K inline, plus K = 16 on parked threads; the resident
+                // panel and ceilings must restart at every compaction.
+                for (topk, tile_width, par_threads) in [(1, 4, 0), (16, 4, 0), (16, 4, 2)] {
                     let mut cfg = ExtractConfig::default();
                     cfg.search.topk = topk;
                     cfg.search.tile_width = tile_width;
@@ -1410,6 +1350,82 @@ mod tests {
                     let report = extract_kernels(&mut nw, &[], &cfg);
                     let shipped = (pf_kcmatrix::network_digest(&nw), report.extractions);
                     assert_eq!(shipped, (never.0, never.1), "{which}");
+                }
+            }
+        }
+    }
+
+    /// `(profile, labelling, K, network digest, extractions)` of
+    /// [`extract_kernels`] at the default settings with `search.topk = K`,
+    /// recorded from the search engines this crate shipped before they
+    /// were folded into one (run with `par_threads = 1`, which at K = 16
+    /// matched the then-default inline engine digest for digest).
+    const GOLDEN: [(&str, u64, usize, &str, usize); 36] = [
+        ("misex3", 0, 1, "aaa181e026b547e096ea7c571a9307d9", 15),
+        ("misex3", 0, 16, "3d136f9b59209d949cc4c3a4fad3afbb", 17),
+        ("misex3", 1, 1, "05285a286dad401be67ac768e2f94a4d", 15),
+        ("misex3", 1, 16, "e2df7409fc05a15bc069272db0c4625d", 17),
+        ("misex3", 2, 1, "d0133c8b30b1f93e7a9a04629965ea93", 15),
+        ("misex3", 2, 16, "9a5e1165c0553a11830ea17f3dcd00c0", 17),
+        ("dalu", 0, 1, "2e639f2c611effbd0d45f44be8ee5e00", 11),
+        ("dalu", 0, 16, "ad11a0c0cae9709607fa1903c57e6f5b", 11),
+        ("dalu", 1, 1, "40bca8942e5c831276c3073432caa75e", 11),
+        ("dalu", 1, 16, "d7b95aa3ee5cfb91e9b3d83c549aca5e", 11),
+        ("dalu", 2, 1, "014c68add38bdac72f9f02eb55fd89ba", 11),
+        ("dalu", 2, 16, "e2adef7d6f7d20361ea09dc5cd7c9ff7", 11),
+        ("des", 0, 1, "6a84ca02af50062c427c07e363efb12a", 7),
+        ("des", 0, 16, "6a84ca02af50062c427c07e363efb12a", 7),
+        ("des", 1, 1, "3a53a1b45581975175aa5f575adab70f", 7),
+        ("des", 1, 16, "3a53a1b45581975175aa5f575adab70f", 7),
+        ("des", 2, 1, "9127e24dc6c0df2316685ae68637b1e0", 7),
+        ("des", 2, 16, "9127e24dc6c0df2316685ae68637b1e0", 7),
+        ("seq", 0, 1, "76f3d14bc28ecb57a3be29bb3ba33bc2", 13),
+        ("seq", 0, 16, "76f3d14bc28ecb57a3be29bb3ba33bc2", 13),
+        ("seq", 1, 1, "2a6af7968854040a723a605764c75218", 13),
+        ("seq", 1, 16, "2a6af7968854040a723a605764c75218", 13),
+        ("seq", 2, 1, "3356fd04eab832e0dc8203ac81653141", 13),
+        ("seq", 2, 16, "3356fd04eab832e0dc8203ac81653141", 13),
+        ("spla", 0, 1, "911dd512630ca7865078fc5df37b717b", 54),
+        ("spla", 0, 16, "5e68b55dcbf1012432febb07afa5cd8d", 54),
+        ("spla", 1, 1, "40f7ec9b62ee7f371ea537f12ab650d6", 53),
+        ("spla", 1, 16, "edee8ff5c26c64eae8e644957ef8a8a1", 53),
+        ("spla", 2, 1, "5efe9dd59c7530dfae6a9ceff66fc999", 53),
+        ("spla", 2, 16, "4a6a18848b4f241702f04c86deda9cff", 53),
+        ("ex1010", 0, 1, "ff88ee3dbc73bf403478195ba5725843", 77),
+        ("ex1010", 0, 16, "487c1db087835a6dc2019f86eee4104e", 77),
+        ("ex1010", 1, 1, "e86049f6cb1bb1c9ee73ee4bc0e67efd", 77),
+        ("ex1010", 1, 16, "37a14935a32a1748a926d820e5f28f24", 77),
+        ("ex1010", 2, 1, "691ef5d323c51c235965a00577a468cf", 77),
+        ("ex1010", 2, 16, "cf73e524b20928d4cbeb4fe6350dd74a", 77),
+    ];
+
+    #[test]
+    fn extraction_reproduces_the_golden_table_at_every_worker_count() {
+        for (name, scale) in PROFILES {
+            let profile = pf_workloads::profile_by_name(name).unwrap();
+            let base = pf_workloads::generate(&pf_workloads::scale_profile(&profile, scale));
+            for labelling in 0..3u64 {
+                let input = relabel(&base, labelling);
+                for topk in [1usize, 16] {
+                    let &(.., digest, extractions) = GOLDEN
+                        .iter()
+                        .find(|g| (g.0, g.1, g.2) == (name, labelling, topk))
+                        .expect("every case is in the table");
+                    for par_threads in [0usize, 1, 2] {
+                        let mut cfg = ExtractConfig::default();
+                        cfg.search.topk = topk;
+                        cfg.search.par_threads = par_threads;
+                        let mut nw = input.clone();
+                        let report = extract_kernels(&mut nw, &[], &cfg);
+                        assert_eq!(
+                            (
+                                pf_kcmatrix::network_digest(&nw).to_hex(),
+                                report.extractions
+                            ),
+                            (digest.to_string(), extractions),
+                            "{name} labelling {labelling} K {topk} threads {par_threads}"
+                        );
+                    }
                 }
             }
         }

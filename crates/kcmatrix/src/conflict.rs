@@ -163,8 +163,9 @@ pub fn select_prefix_nonconflicting(
 mod tests {
     use super::*;
     use crate::matrix::LabelGen;
-    use crate::rectangle::{best_rectangles_seeded, SearchConfig};
-    use crate::registry::CubeRegistry;
+    use crate::pool::{CeilingUpdate, SearchPool};
+    use crate::rectangle::{CostModel, SearchConfig};
+    use crate::registry::{CubeId, CubeRegistry};
     use pf_sop::kernel::KernelConfig;
     use pf_sop::{Cube, Lit, Sop};
 
@@ -199,6 +200,19 @@ mod tests {
         m.add_node_kernels(8, &h, &kc, &reg, &mut rl, &mut cl);
         let weights = reg.weights_snapshot();
         (m, weights)
+    }
+
+    /// The canonical top 8 of the matrix under weights `w`.
+    fn top8(m: &KcMatrix, w: &[u32]) -> Vec<Rectangle> {
+        let value_of = |id: CubeId| w[id as usize];
+        let cfg = SearchConfig {
+            topk: 8,
+            ..SearchConfig::default()
+        };
+        let model = CostModel::area(&value_of);
+        SearchPool::new()
+            .find(m, &model, &cfg, None, CeilingUpdate::Off)
+            .0
     }
 
     #[test]
@@ -265,11 +279,7 @@ mod tests {
     #[test]
     fn selection_is_greedy_canonical_and_conflict_free() {
         let (m, w) = paper_matrix();
-        let cfg = SearchConfig {
-            topk: 8,
-            ..SearchConfig::default()
-        };
-        let (cands, _) = best_rectangles_seeded(&m, &|id| w[id as usize], &cfg, None);
+        let cands = top8(&m, &w);
         assert!(cands.len() > 1, "paper matrix has multiple rectangles");
         let sel = select_nonconflicting(&m, &cands, usize::MAX);
         assert!(!sel.is_empty());
@@ -295,11 +305,7 @@ mod tests {
     #[test]
     fn selection_is_input_order_independent_and_respects_max() {
         let (m, w) = paper_matrix();
-        let cfg = SearchConfig {
-            topk: 8,
-            ..SearchConfig::default()
-        };
-        let (cands, _) = best_rectangles_seeded(&m, &|id| w[id as usize], &cfg, None);
+        let cands = top8(&m, &w);
         let sel = select_nonconflicting(&m, &cands, usize::MAX);
         let mut shuffled = cands.clone();
         shuffled.reverse();
@@ -314,11 +320,7 @@ mod tests {
     #[test]
     fn prefix_selection_stops_at_the_first_conflict() {
         let (m, w) = paper_matrix();
-        let cfg = SearchConfig {
-            topk: 8,
-            ..SearchConfig::default()
-        };
-        let (cands, _) = best_rectangles_seeded(&m, &|id| w[id as usize], &cfg, None);
+        let cands = top8(&m, &w);
         assert!(cands.len() > 1);
         let prefix = select_prefix_nonconflicting(&m, &cands, usize::MAX);
         let greedy = select_nonconflicting(&m, &cands, usize::MAX);

@@ -15,29 +15,28 @@
 //!   (node, co-kernel) and columns by kernel cube, using the paper's
 //!   processor-offset labeling scheme (§5.2) so concurrently generated
 //!   rows and columns get consistent identities on every processor;
-//! * exact best-rectangle search ([`rectangle`]) by branch-and-bound over
-//!   prime column sets ordered by leftmost column — the exact ordering
-//!   Algorithm R (§3) distributes across processors — with an admissible
-//!   pruning bound and a visit budget that falls back to a per-kernel
-//!   greedy sweep on pathological matrices. Row supports are dense
-//!   [`rowset::RowSet`] bitsets, and `SearchConfig::par_threads` turns
-//!   on the deterministic parallel engine ([`par_search`]); the original
-//!   sorted-vec search survives as the [`reference`] oracle.
-//!   `SearchConfig::tile_width` swaps the hot intersection loop for the
-//!   cache-blocked tiled kernel over column-major panels ([`tiles`]) —
-//!   byte-identical results, linear streaming.
+//! * exact best-rectangle search by branch-and-bound over prime column
+//!   sets ordered by leftmost column — the exact ordering Algorithm R
+//!   (§3) distributes across processors — with an admissible pruning
+//!   bound and a visit budget that falls back to a per-row greedy sweep
+//!   on pathological matrices. One resident [`pool::SearchPool`] runs
+//!   it: [`SearchPool::find`] returns the canonical top-K, identical for
+//!   any worker count, over a column-major tile panel ([`tiles`]) and
+//!   per-column ceilings it keeps in sync across passes. The rectangle
+//!   value and the search options live in [`rectangle`]; an unpruned
+//!   enumeration survives as the [`mod@reference`] oracle.
 
 pub mod conflict;
 pub mod cube_matrix;
 pub mod digest;
 pub mod matrix;
-mod par_search;
 pub mod pool;
 pub mod rectangle;
 pub mod reference;
 pub mod registry;
 pub mod rowset;
 pub mod tiles;
+mod worker;
 
 pub use conflict::{conflicts, select_nonconflicting, select_prefix_nonconflicting};
 pub use cube_matrix::{CommonCube, CubeLitMatrix};
@@ -45,9 +44,6 @@ pub use digest::{cube_digest, network_digest, sop_digest, Digest, DigestBuilder}
 pub use matrix::{ColIdx, KcCol, KcMatrix, KcRow, LabelGen, RowIdx};
 pub use pool::{CeilingSnapshot, CeilingUpdate, SearchPool};
 pub use rectangle::{
-    best_rectangle, best_rectangle_pooled, best_rectangle_pooled_with, best_rectangle_seeded,
-    best_rectangle_with, best_rectangle_with_seed, best_rectangles_pooled,
-    best_rectangles_pooled_with, best_rectangles_seeded, best_rectangles_with_seed,
     canonical_top_k, revalidate_rectangle, CostModel, Rectangle, SearchConfig, SearchStats,
 };
 pub use registry::{CubeId, CubeRegistry, CubeState, CubeStates, ProcId};

@@ -331,8 +331,9 @@ impl KcMatrix {
     }
 
     /// Per-column supports as dense [`RowSet`] bitsets over the row
-    /// universe — the search's working representation. Tombstoned rows
-    /// never appear (column row-lists are scrubbed on removal).
+    /// universe — the layout a [`crate::tiles::TilePanels`] column must
+    /// equal word for word. Tombstoned rows never appear (column
+    /// row-lists are scrubbed on removal).
     pub fn col_row_sets(&self) -> Vec<RowSet> {
         let nrows = self.rows.len();
         self.cols

@@ -1,21 +1,25 @@
-//! Persistent parallel search executor: a [`SearchPool`] of long-lived
-//! workers plus cross-pass per-column value ceilings.
+//! The resident rectangle search: a [`SearchPool`] owns everything one
+//! search pass needs besides the matrix — the column-major tile panel,
+//! the cross-pass per-column ceilings, each worker's scratch, and (with
+//! `par_threads ≥ 2`) the parked worker threads.
 //!
-//! The extraction loop calls the rectangle search hundreds of times per
-//! circuit, and [`crate::par_search::search`] pays two per-pass taxes
-//! for that: `N − 1` thread spawns, and cold scratch (greedy buffers,
-//! per-depth row sets, visited sets) reallocated by every worker on
-//! every call. This module makes the steady-state pass spawn-free and
-//! allocation-free:
+//! The extraction loop searches the same, slowly changing matrix
+//! hundreds of times per circuit. Keeping this state resident makes the
+//! steady-state pass spawn-free and allocation-free:
 //!
-//! * workers are spawned once ([`SearchPool::warm`], or lazily on the
-//!   first pass that needs them) and park on a condvar between passes;
-//! * each worker — including the inline worker 0, which runs on the
-//!   calling thread — owns one [`WorkerScratch`] for its whole life, so
-//!   buffer capacities survive across passes (and across jobs, when the
-//!   pool itself is reused by a resident service);
-//! * a 1-thread pass touches no locks, no condvars and no atomics at
-//!   all: it runs the worker body inline over plain `Cell` state.
+//! * the panel is re-encoded only in the columns the caller declares
+//!   dirty ([`CeilingUpdate::Dirty`]), not rebuilt per pass;
+//! * each worker — including worker 0, which runs on the calling thread
+//!   — owns one scratch for its whole life, so buffer capacities survive
+//!   across passes (and across jobs, when the pool itself is reused by
+//!   a resident service);
+//! * a one-worker pass touches no locks, no condvars and no shared
+//!   bound: it runs the worker body inline over plain `Cell` state (the
+//!   task queue's claim counters are its only atomics, one uncontended
+//!   `fetch_add` per chunk);
+//! * background workers are spawned once ([`SearchPool::warm`], or
+//!   lazily on the first pass that needs them) and park on a condvar
+//!   between passes.
 //!
 //! # Cross-pass ceilings
 //!
@@ -54,6 +58,13 @@
 //!    same candidate set as a cold pass. Warm and cold passes return
 //!    byte-identical rectangles; only `SearchStats` (visited/pruned
 //!    counts) differ.
+//! 4. **One matrix.** The panel and the ceilings describe the matrix of
+//!    the previous pass. [`SearchPool::forget_matrix`] drops both before
+//!    the pool moves to another matrix (a compacted one, or another
+//!    job's); a pool with no panel builds one on its next pass whatever
+//!    the update says. Seeding ceilings from a snapshot drops the panel
+//!    too: a snapshot vouches for ceilings, not for the matrix the pool
+//!    last saw.
 //!
 //! The ceilings are *task-level* pruning state. They are never used to
 //! seed the shared lower bound — they are upper bounds, and feeding one
@@ -61,32 +72,32 @@
 //! seeded, as always, from the re-validated previous-pass rectangle.
 
 use crate::matrix::{ColIdx, KcMatrix};
-use crate::par_search::{
-    admissible_tasks, merge_results, run_worker, AtomicSync, CeilingsView, PassSync, Queue,
-    SoloSync, WorkerScratch,
-};
 use crate::rectangle::{
-    revalidate_seed, row_full_values, scalar_col_sets, CostModel, Rectangle, SearchConfig,
-    SearchStats,
+    revalidate_rectangle, row_full_values, CostModel, Rectangle, SearchConfig, SearchStats,
 };
 use crate::tiles::TilePanels;
+use crate::worker::{
+    admissible_tasks, init_bound, merge_results, run_worker, AtomicSync, CeilingsView, PassSync,
+    Queue, SoloSync, WorkerResult, WorkerScratch,
+};
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// How a pooled pass should treat the stored per-column ceilings.
+/// What the matrix of a pass has in common with the previous pass's,
+/// and so how the pool treats its stored panel and ceilings.
 pub enum CeilingUpdate<'a> {
-    /// Ceilings off: drop any stored state and record none. For callers
-    /// whose cube values can *rise* between passes (e.g. the L-shaped
-    /// engine's COVERED→FREE release) or whose matrix identity is
-    /// unknown (a pool reused across jobs).
+    /// Unknown: rebuild the panel, drop any stored ceilings and record
+    /// none. For callers whose cube values can *rise* between passes
+    /// (e.g. the L-shaped engine's COVERED→FREE release).
     Off,
-    /// First pass over a fresh matrix: reset all ceilings to invalid,
-    /// record fresh ones.
+    /// A new matrix: forget the stored panel and ceilings, then record
+    /// fresh ones.
     Reset,
-    /// Incremental pass: the matrix changed only in these columns (and
-    /// in rows appended since the last pass — the caller must include
-    /// the appended rows' columns). Clean columns keep their ceilings.
+    /// The same matrix, changed only in these columns (and in rows
+    /// appended since the last pass — the caller must include the
+    /// appended rows' columns). Clean columns keep their panel words and
+    /// their ceilings.
     Dirty(&'a [ColIdx]),
 }
 
@@ -172,11 +183,11 @@ impl Ceilings {
     }
 }
 
-/// A persistent pool of rectangle-search workers with owned scratch and
-/// cross-pass pruning state. Create one per extraction run (or adopt
-/// one per resident worker thread), drive every pass through
-/// [`crate::rectangle::best_rectangle_pooled`], and drop it when done —
-/// `Drop` joins the background threads.
+/// The resident rectangle search: tile panel, cross-pass ceilings,
+/// per-worker scratch and parked workers (see the module docs). Create
+/// one per extraction run (or adopt one per resident worker thread),
+/// drive every pass through [`SearchPool::find`], and drop it when done
+/// — `Drop` joins the background threads.
 pub struct SearchPool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
@@ -185,9 +196,10 @@ pub struct SearchPool {
     spawned: u64,
     passes: u64,
     ceil: Ceilings,
-    /// Resident tile-panel mirror for `SearchConfig::tile_width > 0`
-    /// passes, kept in sync across passes by the same dirty-column
-    /// bookkeeping that drives the ceilings (see [`crate::tiles`]).
+    /// Column-major tile mirror of the previous pass's matrix, kept in
+    /// sync across passes by the same dirty-column bookkeeping that
+    /// drives the ceilings (see [`crate::tiles`]); `None` until a pass
+    /// builds it, and after [`SearchPool::forget_matrix`].
     panel: Option<TilePanels>,
     /// `tile` phase counters: full panel (re)builds and in-place
     /// column re-encodes, for observability (`tile_rebuilds` /
@@ -234,7 +246,7 @@ impl SearchPool {
 
     /// Eagerly spawns the background workers an `nthreads`-wide pass
     /// will use, so the first search pays no spawn latency. Call before
-    /// the measured region starts.
+    /// the measured region starts; `nthreads ≤ 1` spawns nothing.
     pub fn warm(&mut self, nthreads: usize) {
         self.ensure_bg(nthreads.saturating_sub(1));
     }
@@ -255,10 +267,10 @@ impl SearchPool {
         self.passes
     }
 
-    /// `tile` phase counter: full panel (re)builds this pool performed
-    /// for the tiled kernel. A steady-state incremental run should pin
-    /// this at 1 (the first pass) — a climbing count means the dirty
-    /// contract keeps forcing rebuilds.
+    /// `tile` phase counter: full panel (re)builds this pool performed.
+    /// A steady-state incremental run should pin this at 1 per matrix
+    /// (the first pass) — a climbing count means the dirty contract
+    /// keeps forcing rebuilds.
     pub fn tile_rebuilds(&self) -> u64 {
         self.tile_rebuilds
     }
@@ -269,11 +281,13 @@ impl SearchPool {
         self.tile_synced_cols
     }
 
-    /// Drops all stored ceilings (e.g. before reusing the pool on a
-    /// different matrix). Equivalent to the next pass running with
-    /// [`CeilingUpdate::Off`] then [`CeilingUpdate::Reset`].
-    pub fn invalidate_ceilings(&mut self) {
-        self.ceil.invalidate_all();
+    /// Drops the panel and the ceilings — the state that belongs to the
+    /// previous pass's matrix — and keeps the threads and the scratch.
+    /// Call before moving the pool to a different matrix; the next pass
+    /// rebuilds both.
+    pub fn forget_matrix(&mut self) {
+        self.panel = None;
+        self.ceil = Ceilings::default();
     }
 
     /// Copies the current ceilings out for cross-job warm-starting, or
@@ -291,15 +305,181 @@ impl SearchPool {
     }
 
     /// Installs a snapshot exported by [`export_ceilings`], replacing
-    /// any stored ceilings. The next [`CeilingUpdate::Dirty`] pass
-    /// consults them; see [`CeilingSnapshot`] for the matrix-identity
-    /// contract the caller must uphold.
+    /// any stored ceilings, and drops the panel (invariant 4). The next
+    /// [`CeilingUpdate::Dirty`] pass consults the ceilings; see
+    /// [`CeilingSnapshot`] for the matrix-identity contract the caller
+    /// must uphold.
     ///
     /// [`export_ceilings`]: SearchPool::export_ceilings
     pub fn seed_ceilings(&mut self, snap: &CeilingSnapshot) {
+        self.panel = None;
         self.ceil.vals = snap.vals.clone();
         self.ceil.valid = snap.valid.clone();
         self.ceil.fingerprint = snap.fingerprint;
+    }
+
+    /// One search pass over `m`: the canonical top `cfg.topk`
+    /// rectangles under the (value, cols, rows) order, best-first,
+    /// identical for every `par_threads` and every `update` mode.
+    ///
+    /// `seed` is a rectangle from a previous pass; it is re-validated
+    /// against the current matrix and, when still positive, joins the
+    /// result and (with `topk = 1`) starts the pruning bound. `update`
+    /// says how `m` relates to the previous pass's matrix (see
+    /// [`CeilingUpdate`]).
+    pub fn find(
+        &mut self,
+        m: &KcMatrix,
+        model: &CostModel<'_>,
+        cfg: &SearchConfig,
+        seed: Option<&Rectangle>,
+        update: CeilingUpdate<'_>,
+    ) -> (Vec<Rectangle>, SearchStats) {
+        let init_best = seed.and_then(|s| revalidate_rectangle(m, model, cfg, s));
+        let ncols = m.cols().len();
+        let dirty: Option<&[ColIdx]> = match update {
+            CeilingUpdate::Off => None,
+            CeilingUpdate::Reset => {
+                self.forget_matrix();
+                Some(&[])
+            }
+            CeilingUpdate::Dirty(dirty) => Some(dirty),
+        };
+
+        // Panel prologue: a resident panel re-encodes only the dirty and
+        // appended columns; without one, or without dirty information,
+        // it is built from scratch.
+        match (self.panel.as_mut(), dirty) {
+            (Some(panel), Some(dirty)) => {
+                let appended = ncols.saturating_sub(panel.ncols());
+                if panel.sync(m.rows().len(), m.cols(), cfg.tile_width, dirty) {
+                    self.tile_rebuilds += 1;
+                } else {
+                    self.tile_synced_cols += (appended + dirty.len()) as u64;
+                }
+            }
+            _ => {
+                self.panel = Some(TilePanels::build(m.rows().len(), m.cols(), cfg.tile_width));
+                self.tile_rebuilds += 1;
+            }
+        }
+
+        // Ceiling prologue: decide whether this pass consults and records
+        // ceilings, and apply the caller-declared invalidation.
+        let enabled = match dirty {
+            None => {
+                self.ceil.invalidate_all();
+                false
+            }
+            Some(dirty) => {
+                let fp = Some((cfg.min_cols, cfg.stripe));
+                if self.ceil.fingerprint != fp || self.ceil.vals.len() > ncols {
+                    // Nothing recorded, config drift, or a shrunk matrix
+                    // (should not happen — rows are tombstoned, columns
+                    // appended): start over.
+                    self.ceil.reset(ncols);
+                } else {
+                    // New columns arrive invalid; dirty columns flip off.
+                    self.ceil.vals.resize(ncols, 0);
+                    self.ceil.valid.resize(ncols, false);
+                    for &c in dirty {
+                        if let Some(v) = self.ceil.valid.get_mut(c) {
+                            *v = false;
+                        }
+                    }
+                }
+                true
+            }
+        };
+
+        let tasks = admissible_tasks(m, cfg);
+        if tasks.is_empty() {
+            // No admissible leftmost column ⇒ the greedy sweep (whose
+            // rows need an admissible leftmost column too) finds nothing
+            // either.
+            return (init_best.into_iter().collect(), SearchStats::default());
+        }
+        let row_full_value = row_full_values(m, model);
+        let nthreads = cfg.par_threads.min(tasks.len()).max(1);
+        let greedy_rows = if cfg.greedy_seed { m.rows().len() } else { 0 };
+        let queue = Queue::new(&tasks, nthreads, greedy_rows);
+        let init_bound = init_bound(cfg, init_best.as_ref());
+
+        // Move the ceilings and the panel out of the pool so
+        // `run_pass(&mut self)` and the read-only views can coexist.
+        let mut ceil = std::mem::take(&mut self.ceil);
+        let panel = self.panel.take().expect("the prologue built the panel");
+        self.passes += 1;
+        let (results, truncated) = {
+            let view = enabled.then_some(CeilingsView {
+                vals: &ceil.vals,
+                valid: &ceil.valid,
+            });
+            let view = view.as_ref();
+            if nthreads == 1 {
+                // Atomic-free pass straight on the caller's thread;
+                // identical enumeration and pruning, so identical
+                // results.
+                let sync = SoloSync::new(init_bound);
+                let result = run_worker(
+                    m,
+                    model,
+                    cfg,
+                    &row_full_value,
+                    &queue,
+                    &sync,
+                    &mut self.solo,
+                    view,
+                    &panel,
+                );
+                (vec![result], sync.is_truncated())
+            } else {
+                let sync = AtomicSync::new(init_bound);
+                let slots: Vec<Mutex<Option<WorkerResult>>> =
+                    (0..nthreads).map(|_| Mutex::new(None)).collect();
+                self.run_pass(nthreads, &|idx: usize, ws: &mut WorkerScratch| {
+                    let r = run_worker(
+                        m,
+                        model,
+                        cfg,
+                        &row_full_value,
+                        &queue,
+                        &sync,
+                        ws,
+                        view,
+                        &panel,
+                    );
+                    *slots[idx].lock() = Some(r);
+                });
+                let results = slots
+                    .into_iter()
+                    .map(|s| s.into_inner().expect("every pass worker reports"))
+                    .collect();
+                (results, sync.is_truncated())
+            }
+        };
+        let (best, stats, ceil_out) = merge_results(results, init_best, truncated, cfg.topk);
+
+        // Ceiling epilogue: commit the freshly recorded ceilings — unless
+        // the pass truncated, in which case nothing finished cleanly and
+        // every stored ceiling dies with it (invariant 2).
+        if enabled {
+            if truncated {
+                ceil.invalidate_all();
+            } else {
+                for (c, v) in ceil_out {
+                    ceil.vals[c] = v;
+                    ceil.valid[c] = true;
+                }
+                ceil.fingerprint = Some((cfg.min_cols, cfg.stripe));
+            }
+        }
+        self.ceil = ceil;
+        // The panel stays valid regardless of truncation — it mirrors
+        // matrix *content*, not search state.
+        self.panel = Some(panel);
+
+        (best, stats)
     }
 
     fn ensure_bg(&mut self, nbg: usize) {
@@ -316,21 +496,15 @@ impl SearchPool {
         }
     }
 
-    /// Runs `f(worker_index, scratch)` on `nworkers` workers: index 0
-    /// inline on the calling thread, the rest on parked pool threads.
+    /// Runs `f(worker_index, scratch)` on `nworkers ≥ 2` workers: index
+    /// 0 inline on the calling thread, the rest on parked pool threads.
     /// Blocks until all participants return. Panics (after the pass
     /// fully drains) if any worker panicked.
     fn run_pass<F>(&mut self, nworkers: usize, f: &F)
     where
         F: Fn(usize, &mut WorkerScratch) + Sync,
     {
-        self.passes += 1;
         let nbg = nworkers.saturating_sub(1);
-        if nbg == 0 {
-            // 1-thread fast path: no locks, no wakeups, no atomics.
-            f(0, &mut self.solo);
-            return;
-        }
         self.ensure_bg(nbg);
 
         // Erase the closure's borrows; sound because this function does
@@ -420,197 +594,11 @@ fn worker_loop(shared: Arc<PoolShared>, idx: usize, start_epoch: u64) {
     }
 }
 
-/// One rectangle-search pass on the pool. Mirrors
-/// [`crate::par_search::search`] exactly — same tasks, same greedy
-/// striping, same canonical merge and truncation fallback — plus the
-/// ceiling lifecycle described in the module docs.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pool_search(
-    pool: &mut SearchPool,
-    m: &KcMatrix,
-    model: &CostModel<'_>,
-    cfg: &SearchConfig,
-    row_full_value: &[i64],
-    col_sets: &[crate::rowset::RowSet],
-    init_best: Option<Rectangle>,
-    update: CeilingUpdate<'_>,
-) -> (Vec<Rectangle>, SearchStats) {
-    let ncols = m.cols().len();
-    // Panel prologue: keep the resident tile mirror in sync with the
-    // matrix. The caller's `update` carries exactly the information the
-    // panel needs — `Dirty` lists every column that gained or lost a
-    // row since the previous pass (the `Engine::apply` contract), so an
-    // incremental re-encode suffices; anything else rebuilds.
-    if cfg.tile_width == 0 {
-        pool.panel = None;
-    } else if let (Some(panel), CeilingUpdate::Dirty(dirty)) = (&mut pool.panel, &update) {
-        let appended = ncols.saturating_sub(panel.ncols());
-        if panel.sync(m.rows().len(), m.cols(), cfg.tile_width, dirty) {
-            pool.tile_rebuilds += 1;
-        } else {
-            pool.tile_synced_cols += (appended + dirty.len()) as u64;
-        }
-    } else {
-        pool.panel = Some(TilePanels::build(m.rows().len(), m.cols(), cfg.tile_width));
-        pool.tile_rebuilds += 1;
-    }
-
-    // Ceiling prologue: decide whether this pass consults and records
-    // ceilings, and apply the caller-declared invalidation.
-    let enabled = match update {
-        CeilingUpdate::Off => {
-            pool.ceil.invalidate_all();
-            false
-        }
-        CeilingUpdate::Reset => {
-            pool.ceil.reset(ncols);
-            true
-        }
-        CeilingUpdate::Dirty(dirty) => {
-            let fp = Some((cfg.min_cols, cfg.stripe));
-            if pool.ceil.fingerprint != fp || pool.ceil.vals.len() > ncols {
-                // Config drift or a shrunk matrix (should not happen —
-                // rows are tombstoned, columns appended): start over.
-                pool.ceil.reset(ncols);
-            } else {
-                // New columns arrive invalid; dirty columns flip off.
-                pool.ceil.vals.resize(ncols, 0);
-                pool.ceil.valid.resize(ncols, false);
-                for &c in dirty {
-                    if let Some(v) = pool.ceil.valid.get_mut(c) {
-                        *v = false;
-                    }
-                }
-            }
-            true
-        }
-    };
-
-    let tasks = admissible_tasks(m, cfg);
-    if tasks.is_empty() {
-        return (init_best.into_iter().collect(), SearchStats::default());
-    }
-    let nthreads = cfg.par_threads.min(tasks.len()).max(1);
-    let greedy_rows = if cfg.greedy_seed { m.rows().len() } else { 0 };
-    let queue = Queue::new(&tasks, nthreads, greedy_rows);
-    let init_bound = crate::par_search::init_bound(cfg, init_best.as_ref());
-
-    // Move the ceilings (and the panel) out of the pool so
-    // `run_pass(&mut pool)` and the read-only views can coexist.
-    let mut ceil = std::mem::take(&mut pool.ceil);
-    let panel = std::mem::take(&mut pool.panel);
-    let panel_ref = panel.as_ref();
-    let view = if enabled {
-        Some(CeilingsView {
-            vals: &ceil.vals,
-            valid: &ceil.valid,
-        })
-    } else {
-        None
-    };
-
-    let (best, stats, ceil_out, truncated) = if nthreads == 1 {
-        // Atomic-free pass straight on the caller's thread; identical
-        // enumeration and pruning, so identical results.
-        pool.passes += 1;
-        let sync = SoloSync::new(init_bound);
-        let result = run_worker(
-            m,
-            model,
-            cfg,
-            row_full_value,
-            col_sets,
-            &queue,
-            &sync,
-            &mut pool.solo,
-            view.as_ref(),
-            panel_ref,
-        );
-        let truncated = sync.is_truncated();
-        let (best, stats, ceil_out) = merge_results(vec![result], init_best, truncated, cfg.topk);
-        (best, stats, ceil_out, truncated)
-    } else {
-        let sync = AtomicSync::new(init_bound);
-        let slots: Vec<Mutex<Option<crate::par_search::WorkerResult>>> =
-            (0..nthreads).map(|_| Mutex::new(None)).collect();
-        let view_ref = view.as_ref();
-        pool.run_pass(nthreads, &|idx: usize, ws: &mut WorkerScratch| {
-            let r = run_worker(
-                m,
-                model,
-                cfg,
-                row_full_value,
-                col_sets,
-                &queue,
-                &sync,
-                ws,
-                view_ref,
-                panel_ref,
-            );
-            *slots[idx].lock() = Some(r);
-        });
-        let results: Vec<_> = slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("every pass worker reports"))
-            .collect();
-        let truncated = sync.is_truncated();
-        let (best, stats, ceil_out) = merge_results(results, init_best, truncated, cfg.topk);
-        (best, stats, ceil_out, truncated)
-    };
-
-    // Ceiling epilogue: commit the freshly recorded ceilings — unless
-    // the pass truncated, in which case nothing finished cleanly and
-    // every stored ceiling dies with it (invariant 2).
-    if enabled {
-        if truncated {
-            ceil.invalidate_all();
-        } else {
-            for (c, v) in ceil_out {
-                ceil.vals[c] = v;
-                ceil.valid[c] = true;
-            }
-            ceil.fingerprint = Some((cfg.min_cols, cfg.stripe));
-        }
-    }
-    pool.ceil = ceil;
-    // The panel stays valid regardless of truncation — it mirrors
-    // matrix *content*, not search state.
-    pool.panel = panel;
-
-    (best, stats)
-}
-
-/// [`pool_search`] with seed revalidation — the pooled twin of
-/// [`crate::rectangle::best_rectangle_with_seed`].
-pub(crate) fn pool_search_seeded(
-    pool: &mut SearchPool,
-    m: &KcMatrix,
-    model: &CostModel<'_>,
-    cfg: &SearchConfig,
-    seed: Option<&Rectangle>,
-    update: CeilingUpdate<'_>,
-) -> (Vec<Rectangle>, SearchStats) {
-    let row_full_value = row_full_values(m, model);
-    let col_sets = scalar_col_sets(m, cfg);
-    let best = seed.and_then(|s| revalidate_seed(m, model, cfg, s));
-    pool_search(
-        pool,
-        m,
-        model,
-        cfg,
-        &row_full_value,
-        &col_sets,
-        best,
-        update,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::matrix::LabelGen;
-    use crate::rectangle::{best_rectangle_seeded, SearchConfig};
-    use crate::registry::CubeRegistry;
+    use crate::registry::{CubeId, CubeRegistry};
     use pf_sop::kernel::KernelConfig;
     use pf_sop::{Cube, Lit, Sop};
 
@@ -622,30 +610,51 @@ mod tests {
         Sop::from_cubes(cubes.iter().map(|c| cube(c)))
     }
 
-    /// The paper's network N (Eq. 1) — same fixture as the rectangle
-    /// tests: F (id 10), G (id 9), H (id 8), vars a=1 … g=7.
-    fn paper_matrix() -> (KcMatrix, Vec<u32>) {
+    /// The KC matrix of `funcs` (node ids from 10 down).
+    fn matrix_of(funcs: &[Sop]) -> (KcMatrix, Vec<u32>) {
         let reg = CubeRegistry::new();
         let mut m = KcMatrix::new();
         let mut rl = LabelGen::new(0, LabelGen::DEFAULT_OFFSET);
         let mut cl = LabelGen::new(0, LabelGen::DEFAULT_OFFSET);
-        let f = sop(&[
-            &[1, 6],
-            &[2, 6],
-            &[1, 7],
-            &[3, 7],
-            &[1, 4, 5],
-            &[2, 4, 5],
-            &[3, 4, 5],
-        ]);
-        let g = sop(&[&[1, 6], &[2, 6], &[1, 3, 5], &[2, 3, 5]]);
-        let h = sop(&[&[1, 4, 5], &[3, 4, 5]]);
         let kc = KernelConfig::default();
-        m.add_node_kernels(10, &f, &kc, &reg, &mut rl, &mut cl);
-        m.add_node_kernels(9, &g, &kc, &reg, &mut rl, &mut cl);
-        m.add_node_kernels(8, &h, &kc, &reg, &mut rl, &mut cl);
+        for (i, f) in funcs.iter().enumerate() {
+            m.add_node_kernels(10 - i as u32, f, &kc, &reg, &mut rl, &mut cl);
+        }
         let weights = reg.weights_snapshot();
         (m, weights)
+    }
+
+    /// The paper's network N (Eq. 1) — same fixture as the rectangle
+    /// tests: F (id 10), G (id 9), H (id 8), vars a=1 … g=7.
+    fn paper_matrix() -> (KcMatrix, Vec<u32>) {
+        matrix_of(&[
+            sop(&[
+                &[1, 6],
+                &[2, 6],
+                &[1, 7],
+                &[3, 7],
+                &[1, 4, 5],
+                &[2, 4, 5],
+                &[3, 4, 5],
+            ]),
+            sop(&[&[1, 6], &[2, 6], &[1, 3, 5], &[2, 3, 5]]),
+            sop(&[&[1, 4, 5], &[3, 4, 5]]),
+        ])
+    }
+
+    /// One pass through `pool` under the area model over weights `w`;
+    /// the head of the list.
+    fn best(
+        pool: &mut SearchPool,
+        m: &KcMatrix,
+        w: &[u32],
+        cfg: &SearchConfig,
+        seed: Option<&Rectangle>,
+        update: CeilingUpdate<'_>,
+    ) -> (Option<Rectangle>, SearchStats) {
+        let value_of = |id: CubeId| w[id as usize];
+        let (rects, stats) = pool.find(m, &CostModel::area(&value_of), cfg, seed, update);
+        (rects.into_iter().next(), stats)
     }
 
     #[test]
@@ -656,16 +665,8 @@ mod tests {
             par_threads: 1,
             ..SearchConfig::default()
         };
-        let value_of = |id: crate::registry::CubeId| w[id as usize];
         for _ in 0..5 {
-            let _ = crate::rectangle::best_rectangle_pooled(
-                &m,
-                &value_of,
-                &cfg,
-                None,
-                &mut pool,
-                CeilingUpdate::Off,
-            );
+            let _ = best(&mut pool, &m, &w, &cfg, None, CeilingUpdate::Off);
         }
         assert_eq!(pool.spawned_threads(), 0, "t1 passes must never spawn");
         assert_eq!(pool.bg_threads(), 0);
@@ -683,17 +684,9 @@ mod tests {
         pool.warm(4);
         let after_warm = pool.spawned_threads();
         assert!(after_warm <= 3);
-        let value_of = |id: crate::registry::CubeId| w[id as usize];
         let mut rects = Vec::new();
         for _ in 0..8 {
-            let (r, _) = crate::rectangle::best_rectangle_pooled(
-                &m,
-                &value_of,
-                &cfg,
-                None,
-                &mut pool,
-                CeilingUpdate::Off,
-            );
+            let (r, _) = best(&mut pool, &m, &w, &cfg, None, CeilingUpdate::Off);
             rects.push(r);
         }
         assert_eq!(
@@ -708,72 +701,26 @@ mod tests {
     }
 
     #[test]
-    fn pooled_matches_spawn_executor() {
-        let (m, w) = paper_matrix();
-        let value_of = |id: crate::registry::CubeId| w[id as usize];
-        for threads in [1usize, 2, 4] {
-            let cfg = SearchConfig {
-                par_threads: threads,
-                ..SearchConfig::default()
-            };
-            let (spawn_rect, spawn_stats) = best_rectangle_seeded(&m, &value_of, &cfg, None);
-            let mut pool = SearchPool::new();
-            let (pool_rect, pool_stats) = crate::rectangle::best_rectangle_pooled(
-                &m,
-                &value_of,
-                &cfg,
-                None,
-                &mut pool,
-                CeilingUpdate::Off,
-            );
-            assert_eq!(pool_rect, spawn_rect, "threads={threads}");
-            assert_eq!(
-                pool_stats.budget_exhausted, spawn_stats.budget_exhausted,
-                "threads={threads}"
-            );
-            if threads == 1 {
-                // Deterministic single-worker schedule: stats line up too.
-                assert_eq!(pool_stats.visited, spawn_stats.visited);
-            }
-        }
-    }
-
-    #[test]
     fn ceilings_preserve_results_across_identical_passes() {
         let (m, w) = paper_matrix();
-        let value_of = |id: crate::registry::CubeId| w[id as usize];
         let cfg = SearchConfig {
             par_threads: 1,
             ..SearchConfig::default()
         };
         let mut pool = SearchPool::new();
-        let (cold, _) = crate::rectangle::best_rectangle_pooled(
-            &m,
-            &value_of,
-            &cfg,
-            None,
-            &mut pool,
-            CeilingUpdate::Reset,
-        );
+        let (cold, _) = best(&mut pool, &m, &w, &cfg, None, CeilingUpdate::Reset);
         // Nothing dirty: every surviving ceiling may prune, and the
         // result must still be byte-identical.
-        let (warm, warm_stats) = crate::rectangle::best_rectangle_pooled(
-            &m,
-            &value_of,
-            &cfg,
-            None,
-            &mut pool,
-            CeilingUpdate::Dirty(&[]),
-        );
+        let (warm, warm_stats) = best(&mut pool, &m, &w, &cfg, None, CeilingUpdate::Dirty(&[]));
         assert_eq!(cold, warm);
         // Seeding the warm pass with the cold winner makes the bound
         // tight from the start — ceilings then prune almost everything.
-        let (seeded, seeded_stats) = crate::rectangle::best_rectangle_pooled(
+        let (seeded, seeded_stats) = best(
+            &mut pool,
             &m,
-            &value_of,
+            &w,
             &cfg,
             cold.as_ref(),
-            &mut pool,
             CeilingUpdate::Dirty(&[]),
         );
         assert_eq!(cold, seeded);
@@ -783,32 +730,24 @@ mod tests {
     #[test]
     fn exported_ceilings_warm_start_a_fresh_pool_identically() {
         let (m, w) = paper_matrix();
-        let value_of = |id: crate::registry::CubeId| w[id as usize];
         let cfg = SearchConfig {
             par_threads: 1,
             ..SearchConfig::default()
         };
         let mut cold_pool = SearchPool::new();
-        let (cold, cold_stats) = crate::rectangle::best_rectangle_pooled(
-            &m,
-            &value_of,
-            &cfg,
-            None,
-            &mut cold_pool,
-            CeilingUpdate::Reset,
-        );
+        let (cold, cold_stats) = best(&mut cold_pool, &m, &w, &cfg, None, CeilingUpdate::Reset);
         let snap = cold_pool.export_ceilings().expect("completed pass records");
         assert!(snap.valid_columns() > 0);
         // A brand-new pool seeded with the snapshot over the identical
         // matrix: byte-identical winner, no more work than cold.
         let mut warm_pool = SearchPool::new();
         warm_pool.seed_ceilings(&snap);
-        let (warm, warm_stats) = crate::rectangle::best_rectangle_pooled(
+        let (warm, warm_stats) = best(
+            &mut warm_pool,
             &m,
-            &value_of,
+            &w,
             &cfg,
             cold.as_ref(),
-            &mut warm_pool,
             CeilingUpdate::Dirty(&[]),
         );
         assert_eq!(cold, warm);
@@ -818,52 +757,56 @@ mod tests {
     }
 
     #[test]
+    fn seeded_ceilings_never_reuse_another_matrix_panel() {
+        // A pool that last searched a small matrix is seeded with the
+        // ceilings of a larger one and told nothing is dirty. The large
+        // matrix fits the small one's padded panel, so only the rule
+        // that seeding drops the panel keeps the pass from intersecting
+        // against the small matrix's columns.
+        let (big, wb) = paper_matrix();
+        let (small, ws) = matrix_of(&[sop(&[&[1, 3], &[1, 4], &[2, 3], &[2, 4]])]);
+        for threads in [1usize, 2] {
+            let cfg = SearchConfig {
+                par_threads: threads,
+                ..SearchConfig::default()
+            };
+            let mut cold_pool = SearchPool::new();
+            let (cold, _) = best(&mut cold_pool, &big, &wb, &cfg, None, CeilingUpdate::Reset);
+            let snap = cold_pool.export_ceilings().expect("completed pass records");
+
+            let mut pool = SearchPool::new();
+            let _ = best(&mut pool, &small, &ws, &cfg, None, CeilingUpdate::Reset);
+            pool.seed_ceilings(&snap);
+            let (warm, _) = best(&mut pool, &big, &wb, &cfg, None, CeilingUpdate::Dirty(&[]));
+            assert_eq!(warm, cold, "threads={threads}");
+            assert_eq!(pool.tile_rebuilds(), 2, "seeding forces a rebuild");
+        }
+    }
+
+    #[test]
     fn off_update_invalidates_stored_ceilings() {
         let (m, w) = paper_matrix();
-        let value_of = |id: crate::registry::CubeId| w[id as usize];
         let cfg = SearchConfig {
             par_threads: 1,
             ..SearchConfig::default()
         };
         let mut pool = SearchPool::new();
-        let _ = crate::rectangle::best_rectangle_pooled(
-            &m,
-            &value_of,
-            &cfg,
-            None,
-            &mut pool,
-            CeilingUpdate::Reset,
-        );
+        let _ = best(&mut pool, &m, &w, &cfg, None, CeilingUpdate::Reset);
         assert!(pool.ceil.valid.iter().any(|&v| v));
-        let _ = crate::rectangle::best_rectangle_pooled(
-            &m,
-            &value_of,
-            &cfg,
-            None,
-            &mut pool,
-            CeilingUpdate::Off,
-        );
+        let _ = best(&mut pool, &m, &w, &cfg, None, CeilingUpdate::Off);
         assert!(pool.ceil.valid.iter().all(|&v| !v));
     }
 
     #[test]
     fn fingerprint_mismatch_resets_ceilings() {
         let (m, w) = paper_matrix();
-        let value_of = |id: crate::registry::CubeId| w[id as usize];
         let mut pool = SearchPool::new();
         let cfg1 = SearchConfig {
             par_threads: 1,
             min_cols: 2,
             ..SearchConfig::default()
         };
-        let _ = crate::rectangle::best_rectangle_pooled(
-            &m,
-            &value_of,
-            &cfg1,
-            None,
-            &mut pool,
-            CeilingUpdate::Reset,
-        );
+        let _ = best(&mut pool, &m, &w, &cfg1, None, CeilingUpdate::Reset);
         // min_cols changed: stored ceilings are meaningless; Dirty(&[])
         // must behave like Reset, and the result must match a fresh
         // search under the new config.
@@ -872,36 +815,28 @@ mod tests {
             min_cols: 1,
             ..SearchConfig::default()
         };
-        let (warm, _) = crate::rectangle::best_rectangle_pooled(
+        let (warm, _) = best(&mut pool, &m, &w, &cfg2, None, CeilingUpdate::Dirty(&[]));
+        let (cold, _) = best(
+            &mut SearchPool::new(),
             &m,
-            &value_of,
+            &w,
             &cfg2,
             None,
-            &mut pool,
-            CeilingUpdate::Dirty(&[]),
+            CeilingUpdate::Off,
         );
-        let (cold, _) = best_rectangle_seeded(&m, &value_of, &cfg2, None);
         assert_eq!(warm, cold);
     }
 
     #[test]
     fn truncated_pass_invalidates_ceilings_and_falls_back() {
         let (m, w) = paper_matrix();
-        let value_of = |id: crate::registry::CubeId| w[id as usize];
         let cfg = SearchConfig {
             par_threads: 1,
             budget: 1,
             ..SearchConfig::default()
         };
         let mut pool = SearchPool::new();
-        let (rect, stats) = crate::rectangle::best_rectangle_pooled(
-            &m,
-            &value_of,
-            &cfg,
-            None,
-            &mut pool,
-            CeilingUpdate::Reset,
-        );
+        let (rect, stats) = best(&mut pool, &m, &w, &cfg, None, CeilingUpdate::Reset);
         assert!(stats.budget_exhausted);
         // Rule 3: the greedy fallback still yields a rectangle here.
         assert!(rect.is_some());
@@ -947,15 +882,7 @@ mod tests {
             par_threads: 2,
             ..SearchConfig::default()
         };
-        let value_of = |_id: crate::registry::CubeId| 1u32;
-        let (rect, stats) = crate::rectangle::best_rectangle_pooled(
-            &m,
-            &value_of,
-            &cfg,
-            None,
-            &mut pool,
-            CeilingUpdate::Reset,
-        );
+        let (rect, stats) = best(&mut pool, &m, &[], &cfg, None, CeilingUpdate::Reset);
         assert!(rect.is_none());
         assert_eq!(stats.visited, 0);
         assert_eq!(pool.spawned_threads(), 0);
@@ -963,22 +890,14 @@ mod tests {
 
     #[test]
     fn kernel_of_best_matches_reference() {
-        // Smoke: pooled winner's kernel extraction works end to end.
+        // Smoke: the winner's kernel extraction works end to end.
         let (m, w) = paper_matrix();
-        let value_of = |id: crate::registry::CubeId| w[id as usize];
         let cfg = SearchConfig {
             par_threads: 2,
             ..SearchConfig::default()
         };
         let mut pool = SearchPool::new();
-        let (rect, _) = crate::rectangle::best_rectangle_pooled(
-            &m,
-            &value_of,
-            &cfg,
-            None,
-            &mut pool,
-            CeilingUpdate::Reset,
-        );
+        let (rect, _) = best(&mut pool, &m, &w, &cfg, None, CeilingUpdate::Reset);
         let rect = rect.expect("paper matrix has a rectangle");
         let kernel = rect.kernel(&m);
         assert!(kernel.cubes().len() >= 2);

@@ -1,4 +1,5 @@
-//! Best-rectangle search over the KC matrix.
+//! Rectangles over the KC matrix: their value, the search options, and
+//! the pieces of the search that are not about scheduling.
 //!
 //! A rectangle `(R, C)` selects rows and columns whose intersections are
 //! all `1` entries; extracting it creates the node `X = Σ_{c∈C} cube_c`
@@ -13,24 +14,17 @@
 //!
 //! where `v(cube)` is the cube's current value — the weight for FREE
 //! cubes, 0 for cubes covered by another processor or already divided
-//! (paper §5.3). The search enumerates column sets ordered by **leftmost
-//! column** (exactly the decomposition Figure 1 splits across
-//! processors), keeps for each column set the optimal row subset (rows
-//! with positive contribution), prunes with an admissible bound, and
-//! degrades to a per-row greedy sweep when a visit budget is exhausted.
-//!
-//! Row supports are dense [`RowSet`] bitsets: intersecting a candidate's
-//! support with a column is a handful of word `AND`s instead of a sorted
-//! merge. With `par_threads >= 1` the leftmost-column loop runs on a
-//! chunked work queue drained by scoped threads sharing an atomic
-//! pruning bound; see [`crate::par_search`] for the determinism rules.
-//! The legacy `Vec<RowIdx>` implementation survives in
-//! [`crate::reference`] as a differential-testing oracle.
+//! (paper §5.3). The search ([`crate::pool::SearchPool::find`])
+//! enumerates column sets ordered by **leftmost column** (exactly the
+//! decomposition Figure 1 splits across processors), keeps for each
+//! column set the optimal row subset (rows with positive contribution),
+//! prunes with an admissible bound, and falls back to a per-row greedy
+//! sweep when a visit budget is exhausted. It returns the canonical
+//! top-K under the (value, cols, rows) order, so the answer does not
+//! depend on how many workers ran it.
 
 use crate::matrix::{ColIdx, KcMatrix, RowIdx};
-use crate::pool::{CeilingUpdate, SearchPool};
 use crate::registry::CubeId;
-use crate::rowset::RowSet;
 use crate::tiles::{TilePanels, TiledSupport};
 use pf_sop::fx::FxHashSet;
 use pf_sop::Sop;
@@ -100,6 +94,14 @@ impl TopK {
         }
     }
 
+    /// Whether a candidate whose duplicate-blind upper bound is `approx`
+    /// deserves the exact (allocating) evaluation pass. `>=`: a tie on
+    /// value can still be canonically better (smaller cols/rows), and an
+    /// under-full list takes anything positive.
+    pub(crate) fn admits(&self, approx: i64) -> bool {
+        approx > 0 && approx >= self.threshold()
+    }
+
     /// Where `rect` would land, or `None` when it is rejected (a
     /// duplicate, or worse than a full list's tail). `k` is small (a
     /// batch size), so the scan is linear. The cheap value comparison
@@ -139,22 +141,6 @@ impl TopK {
         }
     }
 
-    /// [`TopK::insert`] by reference: the rectangle is cloned only when
-    /// it is actually kept. The greedy phase offers every row's
-    /// rectangle to two lists — cloning up front allocated two vectors
-    /// per *rejected* offer, which is exactly the pooled 1-thread
-    /// overhead the bench gate guards.
-    pub(crate) fn insert_ref(&mut self, rect: &Rectangle) -> bool {
-        match self.position(rect) {
-            Some(pos) => {
-                self.items.insert(pos, rect.clone());
-                self.items.truncate(self.k);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Canonical merge: offers every item of `other`.
     pub(crate) fn merge(&mut self, other: TopK) {
         for it in other.items {
@@ -165,64 +151,6 @@ impl TopK {
     /// The kept rectangles, best-first.
     pub(crate) fn into_vec(self) -> Vec<Rectangle> {
         self.items
-    }
-}
-
-/// What one search run collects. Two implementations: [`BestOne`]
-/// replicates the classic engine's first-maximum-in-enumeration-order
-/// rule exactly (monomorphized, so `topk = 1` stays byte-identical), and
-/// [`TopK`] keeps the canonical top-K with the bound keyed to the K-th
-/// value.
-pub(crate) trait Collect {
-    /// Whether a candidate whose duplicate-blind upper bound is `approx`
-    /// deserves the exact (allocating) evaluation pass.
-    fn admits(&self, approx: i64) -> bool;
-    /// Offers an exactly-evaluated rectangle; whether it was kept.
-    fn offer(&mut self, rect: Rectangle) -> bool;
-    /// Whether a subtree with admissible bound `ub` is provably dead.
-    fn prunes(&self, ub: i64) -> bool;
-}
-
-/// Classic best-only collector: keeps the *first* maximum-value
-/// rectangle in enumeration order (strictly-greater acceptance).
-pub(crate) struct BestOne(pub(crate) Option<Rectangle>);
-
-impl BestOne {
-    fn value(&self) -> i64 {
-        self.0.as_ref().map_or(0, |b| b.value)
-    }
-}
-
-impl Collect for BestOne {
-    fn admits(&self, approx: i64) -> bool {
-        approx > self.value()
-    }
-    fn offer(&mut self, rect: Rectangle) -> bool {
-        if rect.value > self.value() {
-            self.0 = Some(rect);
-            true
-        } else {
-            false
-        }
-    }
-    fn prunes(&self, ub: i64) -> bool {
-        ub <= self.value()
-    }
-}
-
-impl Collect for TopK {
-    fn admits(&self, approx: i64) -> bool {
-        // `>=`: a tie on value can still be canonically better (smaller
-        // cols/rows), and an under-full list takes anything positive.
-        approx > 0 && approx >= self.threshold()
-    }
-    fn offer(&mut self, rect: Rectangle) -> bool {
-        self.insert(rect)
-    }
-    fn prunes(&self, ub: i64) -> bool {
-        // Strict below the K-th value: a subtree that could tie it might
-        // hold a canonically smaller member.
-        ub <= 0 || (self.is_full() && ub < self.threshold())
     }
 }
 
@@ -242,81 +170,92 @@ pub struct SearchConfig {
     /// Run the seeding greedy sweep before branch and bound. Disable
     /// only in tests that target the exact search.
     pub greedy_seed: bool,
-    /// Intra-matrix search threads. `0` (the default) runs the
-    /// sequential engine, which at `topk = 1` keeps the *first*
-    /// maximum-value rectangle in enumeration order. `>= 1` runs the
-    /// parallel engine:
-    /// leftmost-column tasks on a chunked work queue, a shared atomic
-    /// pruning bound, and a canonical (value, cols, rows) tie-break so
-    /// the result is identical for any thread count (including 1).
+    /// Workers per search pass. `0` and `1` both search inline on the
+    /// calling thread; `n ≥ 2` adds `n − 1` parked threads that share
+    /// the leftmost-column tasks and an atomic pruning bound. The result
+    /// is identical for every value, so this knob never joins cache
+    /// keys.
     pub par_threads: usize,
-    /// How many rectangles one pass collects (default 16). `> 1`
-    /// collects the canonical top-K (under the (value, cols, rows)
-    /// order) with the pruning bound keyed to the K-th best value —
-    /// identical for any thread count, including the sequential engine.
-    /// Top-K batches feed [`crate::conflict`] selection in the
-    /// extraction drivers. `1` keeps the classic best-only semantics
-    /// byte-for-byte ([`SearchConfig::classic`]).
+    /// How many rectangles one pass collects (default 16): the canonical
+    /// top-K under the (value, cols, rows) order, with the pruning bound
+    /// keyed to the K-th best value. Top-K batches feed
+    /// [`crate::conflict`] selection in the extraction drivers; `1` is
+    /// the one-rectangle-per-pass cover ([`SearchConfig::classic`]).
     pub topk: usize,
-    /// Words per tile of the cache-blocked search kernel
-    /// ([`crate::tiles`], default 4). `>= 1` mirrors the matrix into
-    /// column-major panels of `tile_width`-word tiles and runs the hot
-    /// intersection/bound loop over them; `0` keeps the scalar
-    /// [`RowSet`] intersection path. Results are byte-identical for
-    /// every width — only the memory access pattern changes — so this
-    /// knob is result-invariant (it never joins cache keys).
+    /// Words per tile of the column-major panel the search intersects
+    /// supports against ([`crate::tiles`], default 4; `0` is read as 1).
+    /// Results are byte-identical for every width — only the memory
+    /// access pattern changes — so this knob never joins cache keys.
     pub tile_width: usize,
 }
 
 impl Default for SearchConfig {
     /// The tuned engine: top-16 waves over 4-word tiles. Every place
     /// that spells a search default (service, wire, CLI) reads these
-    /// two values from here.
+    /// values from here.
     fn default() -> Self {
-        SearchConfig {
-            topk: 16,
-            tile_width: 4,
-            ..SearchConfig::classic()
-        }
-    }
-}
-
-impl SearchConfig {
-    /// The classic one-rectangle-per-pass engine over the scalar word
-    /// loop — SIS `gkx`'s shape, and the quality oracle the batched
-    /// default is tested against.
-    pub fn classic() -> Self {
         SearchConfig {
             budget: 2_000_000,
             stripe: None,
             min_cols: 2,
             greedy_seed: true,
             par_threads: 0,
-            topk: 1,
-            tile_width: 0,
+            topk: 16,
+            tile_width: 4,
         }
+    }
+}
+
+impl SearchConfig {
+    /// The widest [`SearchConfig::tile_width`] accepted from outside the
+    /// program. The panel stores every column padded to whole tiles, so
+    /// an unbounded width is an unbounded allocation.
+    pub const MAX_TILE_WIDTH: usize = 64;
+
+    /// The one-rectangle-per-pass cover — SIS `gkx`'s shape, and the
+    /// quality oracle the batched default is tested against.
+    pub fn classic() -> Self {
+        SearchConfig {
+            topk: 1,
+            ..SearchConfig::default()
+        }
+    }
+
+    /// Checks a tile width arriving from outside the program (CLI flag,
+    /// submit request, `sub` wire): `0..=MAX_TILE_WIDTH`, else the one
+    /// message every boundary rejects it with.
+    pub fn checked_tile_width(width: u64) -> Result<usize, String> {
+        usize::try_from(width)
+            .ok()
+            .filter(|&w| w <= Self::MAX_TILE_WIDTH)
+            .ok_or_else(|| {
+                format!(
+                    "tile_width {width} is out of range 0..={}",
+                    Self::MAX_TILE_WIDTH
+                )
+            })
     }
 }
 
 /// Statistics from one search call.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SearchStats {
-    /// Column sets fully expanded. In parallel mode this is the sum over
-    /// workers and depends on bound-arrival timing (the *result* does
-    /// not).
+    /// Column sets fully expanded. With several workers this is the sum
+    /// over workers and depends on bound-arrival timing (the *result*
+    /// does not).
     pub visited: u64,
     /// Whether the budget actually truncated exploration — i.e. an
     /// expansion was *denied*. A search whose final expansion lands
     /// exactly on the budget completed and is not exhausted. On
-    /// truncation the parallel engine discards partial worker bests and
-    /// returns the deterministic greedy/seed result.
+    /// truncation the search discards partial worker bests and returns
+    /// the deterministic greedy/seed result.
     pub budget_exhausted: bool,
     /// Subtrees cut by the admissible pruning bound before expansion.
-    /// Like `visited`, the parallel-mode count depends on bound-arrival
+    /// Like `visited`, the multi-worker count depends on bound-arrival
     /// timing.
     pub pruned: u64,
-    /// Times the best-so-far value (sequential) or the shared atomic
-    /// bound (parallel, including greedy publishes) was actually raised.
+    /// Times the shared pruning bound was actually raised (greedy
+    /// publishes included).
     pub bound_updates: u64,
 }
 
@@ -326,8 +265,8 @@ pub struct SearchStats {
 /// paper's conclusion points out that timing- and power-driven synthesis
 /// only need these three functions swapped ("our methods can be directly
 /// applied … provided the algorithms are formulated in terms of a
-/// rectangular cover problem"). The functions are `Sync` so the parallel
-/// engine can share them across worker threads.
+/// rectangular cover problem"). The functions are `Sync` so the search
+/// can share them across worker threads.
 pub struct CostModel<'a> {
     /// Current value of a covered cube (0 when covered elsewhere or
     /// divided — the paper's `V` attribute).
@@ -347,7 +286,10 @@ fn area_col_cost(cube: &pf_sop::Cube) -> i64 {
 }
 
 impl<'a> CostModel<'a> {
-    /// The default area model over `value_of`.
+    /// The default area model over `value_of`, which maps a [`CubeId`]
+    /// to its current value (weight, or 0 when covered elsewhere /
+    /// divided) — the paper's `V` attribute read with the asking
+    /// processor's identity baked in.
     pub fn area(value_of: &'a (dyn Fn(CubeId) -> u32 + Sync)) -> Self {
         CostModel {
             cube_value: value_of,
@@ -355,56 +297,6 @@ impl<'a> CostModel<'a> {
             col_cost: &area_col_cost,
         }
     }
-}
-
-/// Finds the maximum-valued rectangle with positive value, or `None`.
-///
-/// `value_of` maps a [`CubeId`] to its current value (weight, or 0 when
-/// covered elsewhere / divided) — the paper's `V` attribute read with the
-/// asking processor's identity baked in. Uses the default area cost
-/// model; see [`best_rectangle_with`] for custom objectives.
-pub fn best_rectangle(
-    m: &KcMatrix,
-    value_of: &(dyn Fn(CubeId) -> u32 + Sync),
-    cfg: &SearchConfig,
-) -> (Option<Rectangle>, SearchStats) {
-    best_rectangle_seeded(m, value_of, cfg, None)
-}
-
-/// [`best_rectangle`], seeded with a rectangle from a *previous*
-/// extraction pass. The seed's columns are re-validated against the
-/// current matrix (its support and value are recomputed from scratch) so
-/// branch-and-bound pruning starts tight; a stale or worthless seed is
-/// simply ignored.
-pub fn best_rectangle_seeded(
-    m: &KcMatrix,
-    value_of: &(dyn Fn(CubeId) -> u32 + Sync),
-    cfg: &SearchConfig,
-    seed: Option<&Rectangle>,
-) -> (Option<Rectangle>, SearchStats) {
-    let model = CostModel::area(value_of);
-    best_rectangle_with_seed(m, &model, cfg, seed)
-}
-
-/// [`best_rectangle`] under an explicit [`CostModel`].
-pub fn best_rectangle_with(
-    m: &KcMatrix,
-    model: &CostModel<'_>,
-    cfg: &SearchConfig,
-) -> (Option<Rectangle>, SearchStats) {
-    best_rectangle_with_seed(m, model, cfg, None)
-}
-
-/// [`best_rectangle_with`] with an optional previous-pass seed; see
-/// [`best_rectangle_seeded`].
-pub fn best_rectangle_with_seed(
-    m: &KcMatrix,
-    model: &CostModel<'_>,
-    cfg: &SearchConfig,
-    seed: Option<&Rectangle>,
-) -> (Option<Rectangle>, SearchStats) {
-    let (rects, stats) = best_rectangles_with_seed(m, model, cfg, seed);
-    (rects.into_iter().next(), stats)
 }
 
 /// The canonically best `k` of `candidates` (deduplicated, best-first
@@ -418,222 +310,6 @@ pub fn canonical_top_k(candidates: &[Rectangle], k: usize) -> Vec<Rectangle> {
         acc.insert(r.clone());
     }
     acc.into_vec()
-}
-
-/// Plural [`best_rectangle_seeded`]: collects up to `cfg.topk`
-/// rectangles, best-first. See [`best_rectangles_with_seed`].
-pub fn best_rectangles_seeded(
-    m: &KcMatrix,
-    value_of: &(dyn Fn(CubeId) -> u32 + Sync),
-    cfg: &SearchConfig,
-    seed: Option<&Rectangle>,
-) -> (Vec<Rectangle>, SearchStats) {
-    let model = CostModel::area(value_of);
-    best_rectangles_with_seed(m, &model, cfg, seed)
-}
-
-/// Plural [`best_rectangle_with_seed`]: collects up to `cfg.topk`
-/// rectangles per pass, returned best-first under the canonical
-/// (value, cols, rows) order. With `topk = 1` the sequential engine
-/// keeps its classic first-maximum semantics (byte-identical to
-/// [`best_rectangle_with_seed`]); with `topk > 1` both the sequential
-/// and the parallel engine return exactly the canonical top-K of all
-/// positive rectangles, independent of thread count.
-pub fn best_rectangles_with_seed(
-    m: &KcMatrix,
-    model: &CostModel<'_>,
-    cfg: &SearchConfig,
-    seed: Option<&Rectangle>,
-) -> (Vec<Rectangle>, SearchStats) {
-    let row_full_value = row_full_values(m, model);
-    let col_sets = scalar_col_sets(m, cfg);
-    // Per-call panel mirror for the tiled kernel; the resident pool
-    // keeps its panel across passes instead (see [`crate::pool`]).
-    let panel =
-        (cfg.tile_width > 0).then(|| TilePanels::build(m.rows().len(), m.cols(), cfg.tile_width));
-
-    let seed_rect = seed.and_then(|s| revalidate_seed(m, model, cfg, s));
-
-    if cfg.par_threads >= 1 {
-        // The parallel engine runs the greedy sweep itself, striped
-        // across its workers (it dominates the sequential prologue once
-        // exploration is well-pruned).
-        return crate::par_search::search(
-            m,
-            model,
-            cfg,
-            &row_full_value,
-            &col_sets,
-            seed_rect,
-            panel.as_ref(),
-        );
-    }
-
-    if cfg.topk <= 1 {
-        let mut acc = BestOne(seed_rect);
-        let stats = sequential_search(
-            m,
-            model,
-            cfg,
-            &row_full_value,
-            &col_sets,
-            panel.as_ref(),
-            &mut acc,
-        );
-        (acc.0.into_iter().collect(), stats)
-    } else {
-        let mut acc = TopK::new(cfg.topk);
-        if let Some(s) = seed_rect {
-            acc.insert(s);
-        }
-        let stats = sequential_search(
-            m,
-            model,
-            cfg,
-            &row_full_value,
-            &col_sets,
-            panel.as_ref(),
-            &mut acc,
-        );
-        (acc.into_vec(), stats)
-    }
-}
-
-/// The per-column [`RowSet`]s — the *scalar* kernel's dense mirror of
-/// the column supports, empty for a tiled search: that one reads a
-/// tile panel encoded straight from the sparse column row lists, and
-/// two mirrors of `cols × rows / 8` bytes each are one too many.
-pub(crate) fn scalar_col_sets(m: &KcMatrix, cfg: &SearchConfig) -> Vec<RowSet> {
-    if cfg.tile_width == 0 {
-        m.col_row_sets()
-    } else {
-        Vec::new()
-    }
-}
-
-/// Classic sequential branch and bound over column sets ordered by
-/// leftmost column, generic over the collector (monomorphized, so the
-/// best-only path compiles to exactly the pre-top-K engine). With a
-/// panel the per-task recursion runs [`Search::explore_tiled`] instead
-/// of [`Search::explore`] — same enumeration order, same prune/admit
-/// decisions, byte-identical results.
-fn sequential_search<C: Collect>(
-    m: &KcMatrix,
-    model: &CostModel<'_>,
-    cfg: &SearchConfig,
-    row_full_value: &[i64],
-    col_sets: &[RowSet],
-    panel: Option<&TilePanels>,
-    acc: &mut C,
-) -> SearchStats {
-    if cfg.greedy_seed {
-        greedy_sweep(m, model, cfg, row_full_value, col_sets, panel, acc);
-    }
-
-    let mut state = Search {
-        m,
-        model,
-        cfg,
-        row_full_value,
-        col_sets,
-        panel,
-        visited: 0,
-        truncated: false,
-        pruned: 0,
-        bound_updates: 0,
-        acc,
-        cols: Vec::new(),
-        scratch: Vec::new(),
-        tscratch: Vec::new(),
-        cand: Vec::new(),
-        rows_buf: Vec::new(),
-        seen: FxHashSet::default(),
-        root: RowSet::new(),
-        troot: TiledSupport::default(),
-    };
-    for (c0, col) in m.cols().iter().enumerate() {
-        if !stripe_admits(cfg, c0) || col.rows.is_empty() {
-            continue;
-        }
-        if state.truncated {
-            break;
-        }
-        state.cols.clear();
-        state.cols.push(c0);
-        if let Some(p) = state.panel {
-            let mut troot = std::mem::take(&mut state.troot);
-            troot.load_col(p, c0);
-            state.troot = state.explore_tiled(0, troot);
-        } else {
-            let mut root = std::mem::take(&mut state.root);
-            root.copy_from(&col_sets[c0]);
-            state.root = state.explore(0, root);
-        }
-    }
-    SearchStats {
-        visited: state.visited,
-        budget_exhausted: state.truncated,
-        pruned: state.pruned,
-        bound_updates: state.bound_updates,
-    }
-}
-
-/// [`best_rectangle_seeded`] executed on a persistent [`SearchPool`]
-/// instead of per-call spawned threads: zero thread spawns on a warm
-/// pool, per-worker scratch reused across passes, and optional
-/// cross-pass per-column ceilings driven by `update` (see
-/// [`crate::pool`]). Results are byte-identical to the spawn executor
-/// for every thread count and every `update` mode.
-pub fn best_rectangle_pooled(
-    m: &KcMatrix,
-    value_of: &(dyn Fn(CubeId) -> u32 + Sync),
-    cfg: &SearchConfig,
-    seed: Option<&Rectangle>,
-    pool: &mut SearchPool,
-    update: CeilingUpdate<'_>,
-) -> (Option<Rectangle>, SearchStats) {
-    let model = CostModel::area(value_of);
-    best_rectangle_pooled_with(m, &model, cfg, seed, pool, update)
-}
-
-/// [`best_rectangle_pooled`] under an explicit [`CostModel`].
-pub fn best_rectangle_pooled_with(
-    m: &KcMatrix,
-    model: &CostModel<'_>,
-    cfg: &SearchConfig,
-    seed: Option<&Rectangle>,
-    pool: &mut SearchPool,
-    update: CeilingUpdate<'_>,
-) -> (Option<Rectangle>, SearchStats) {
-    let (rects, stats) = crate::pool::pool_search_seeded(pool, m, model, cfg, seed, update);
-    (rects.into_iter().next(), stats)
-}
-
-/// Plural [`best_rectangle_pooled`]: up to `cfg.topk` rectangles,
-/// best-first, on the persistent pool. See [`best_rectangles_with_seed`]
-/// for the top-K semantics.
-pub fn best_rectangles_pooled(
-    m: &KcMatrix,
-    value_of: &(dyn Fn(CubeId) -> u32 + Sync),
-    cfg: &SearchConfig,
-    seed: Option<&Rectangle>,
-    pool: &mut SearchPool,
-    update: CeilingUpdate<'_>,
-) -> (Vec<Rectangle>, SearchStats) {
-    let model = CostModel::area(value_of);
-    best_rectangles_pooled_with(m, &model, cfg, seed, pool, update)
-}
-
-/// [`best_rectangles_pooled`] under an explicit [`CostModel`].
-pub fn best_rectangles_pooled_with(
-    m: &KcMatrix,
-    model: &CostModel<'_>,
-    cfg: &SearchConfig,
-    seed: Option<&Rectangle>,
-    pool: &mut SearchPool,
-    update: CeilingUpdate<'_>,
-) -> (Vec<Rectangle>, SearchStats) {
-    crate::pool::pool_search_seeded(pool, m, model, cfg, seed, update)
 }
 
 /// Whether the stripe filter admits `c` as a leftmost column.
@@ -662,210 +338,11 @@ pub(crate) fn row_full_values(m: &KcMatrix, model: &CostModel<'_>) -> Vec<i64> {
     out
 }
 
-struct Search<'a, C: Collect> {
-    m: &'a KcMatrix,
-    model: &'a CostModel<'a>,
-    cfg: &'a SearchConfig,
-    row_full_value: &'a [i64],
-    col_sets: &'a [RowSet],
-    /// Column-major tile mirror; `Some` selects the tiled kernel.
-    panel: Option<&'a TilePanels>,
-    /// Column sets fully expanded so far.
-    visited: u64,
-    /// Set when an expansion was denied by the budget.
-    truncated: bool,
-    /// Subtrees cut by the admissible bound.
-    pruned: u64,
-    /// Times the collector accepted a rectangle.
-    bound_updates: u64,
-    acc: &'a mut C,
-    /// Current column set (shared across the recursion as a stack).
-    cols: Vec<ColIdx>,
-    /// Per-depth row-support buffers, reused between branches.
-    scratch: Vec<RowSet>,
-    /// Per-depth tiled-support buffers (the tiled kernel's twin of
-    /// `scratch`).
-    tscratch: Vec<TiledSupport>,
-    /// Per-depth candidate-column bitsets (universe = column count).
-    cand: Vec<RowSet>,
-    /// Reusable row-index buffer for exact evaluation.
-    rows_buf: Vec<RowIdx>,
-    /// Reusable dedup set for exact evaluation.
-    seen: FxHashSet<CubeId>,
-    /// Reusable root support buffer for the leftmost-column loop.
-    root: RowSet,
-    /// Tiled twin of `root`.
-    troot: TiledSupport,
-}
-
-impl<C: Collect> Search<'_, C> {
-    /// Expands the current column set (`self.cols`) whose supporting
-    /// rows are `rows`. `depth` indexes the scratch pool. Returns the
-    /// `rows` buffer so the caller can pool it.
-    fn explore(&mut self, depth: usize, rows: RowSet) -> RowSet {
-        if self.visited >= self.cfg.budget {
-            self.truncated = true;
-            return rows;
-        }
-        self.visited += 1;
-
-        if self.cols.len() >= self.cfg.min_cols {
-            // Cheap gate first: the duplicate-blind value is an upper
-            // bound on the exact value, so the exact (allocating) pass
-            // only runs on candidates the collector could still keep.
-            let approx = approx_value(self.m, self.model, &self.cols, &rows);
-            if self.acc.admits(approx) {
-                self.rows_buf.clear();
-                rows.collect_into(&mut self.rows_buf);
-                self.seen.clear();
-                if let Some(rect) = evaluate_with(
-                    self.m,
-                    self.model,
-                    &self.cols,
-                    &self.rows_buf,
-                    &mut self.seen,
-                ) {
-                    if self.acc.offer(rect) {
-                        self.bound_updates += 1;
-                    }
-                }
-            }
-        }
-
-        // Extend with columns to the right of the current rightmost. A
-        // column intersects the support only if some support row has an
-        // entry in it, so enumerate the rows' entries (marked into a
-        // column bitset, which dedups and sorts for free) instead of
-        // intersecting against every column of the matrix.
-        let from = self.cols.last().copied().unwrap_or(0) + 1;
-        if self.scratch.len() <= depth {
-            self.scratch.resize_with(depth + 1, RowSet::new);
-            self.cand.resize_with(depth + 1, RowSet::new);
-        }
-        let mut cand = std::mem::take(&mut self.cand[depth]);
-        cand.reset(self.m.cols().len());
-        for r in &rows {
-            for &(c, _) in &self.m.rows()[r].entries {
-                if c >= from {
-                    cand.insert(c);
-                }
-            }
-        }
-        for c in &cand {
-            // rows ∩ rows(c), into the per-depth scratch buffer.
-            let mut shared = std::mem::take(&mut self.scratch[depth]);
-            shared.assign_and(&rows, &self.col_sets[c]);
-            debug_assert!(!shared.is_empty(), "candidate columns share a row");
-            // Admissible bound: every surviving row can contribute at
-            // most its full-row value; column costs only grow.
-            let ub: i64 = shared.iter().map(|r| self.row_full_value[r].max(0)).sum();
-            if self.acc.prunes(ub) {
-                self.pruned += 1;
-                self.scratch[depth] = shared;
-                continue;
-            }
-            self.cols.push(c);
-            let buf = self.explore(depth + 1, shared);
-            self.scratch[depth] = buf;
-            self.cols.pop();
-            if self.truncated {
-                // Terminal unwind — skip restoring the candidate pool.
-                return rows;
-            }
-        }
-        self.cand[depth] = cand;
-        rows
-    }
-
-    /// [`Search::explore`] over the tiled kernel: the support is a
-    /// [`TiledSupport`] and the per-candidate intersection+bound is the
-    /// fused [`TiledSupport::and_ub_from`] pass over the parent's live
-    /// tiles. Enumeration order, budget accounting and every
-    /// prune/admit decision match the scalar body exactly.
-    fn explore_tiled(&mut self, depth: usize, rows: TiledSupport) -> TiledSupport {
-        if self.visited >= self.cfg.budget {
-            self.truncated = true;
-            return rows;
-        }
-        self.visited += 1;
-
-        if self.cols.len() >= self.cfg.min_cols {
-            let approx = approx_value_rows(self.m, self.model, &self.cols, rows.iter());
-            if self.acc.admits(approx) {
-                self.rows_buf.clear();
-                rows.collect_into(&mut self.rows_buf);
-                self.seen.clear();
-                if let Some(rect) = evaluate_with(
-                    self.m,
-                    self.model,
-                    &self.cols,
-                    &self.rows_buf,
-                    &mut self.seen,
-                ) {
-                    if self.acc.offer(rect) {
-                        self.bound_updates += 1;
-                    }
-                }
-            }
-        }
-
-        let from = self.cols.last().copied().unwrap_or(0) + 1;
-        if self.tscratch.len() <= depth {
-            self.tscratch.resize_with(depth + 1, TiledSupport::default);
-        }
-        if self.cand.len() <= depth {
-            self.cand.resize_with(depth + 1, RowSet::new);
-        }
-        let mut cand = std::mem::take(&mut self.cand[depth]);
-        cand.reset(self.m.cols().len());
-        for r in &rows {
-            for &(c, _) in &self.m.rows()[r].entries {
-                if c >= from {
-                    cand.insert(c);
-                }
-            }
-        }
-        let panel = self.panel.expect("tiled explore requires a panel");
-        for c in &cand {
-            let mut shared = std::mem::take(&mut self.tscratch[depth]);
-            let ub = shared.and_ub_from(&rows, panel, c, self.row_full_value);
-            if self.acc.prunes(ub) {
-                self.pruned += 1;
-                self.tscratch[depth] = shared;
-                continue;
-            }
-            self.cols.push(c);
-            let buf = self.explore_tiled(depth + 1, shared);
-            self.tscratch[depth] = buf;
-            self.cols.pop();
-            if self.truncated {
-                // Terminal unwind — skip restoring the candidate pool.
-                return rows;
-            }
-        }
-        self.cand[depth] = cand;
-        rows
-    }
-}
-
-/// Duplicate-blind value of `(cols, rows)`: per-row contributions
-/// clamped at zero, minus column costs. An upper bound on the exact
-/// value (cube dedup only lowers it), cheap enough to gate the exact
-/// pass.
+/// Duplicate-blind value of `(cols, rows)` over ascending `rows`:
+/// per-row contributions clamped at zero, minus column costs. An upper
+/// bound on the exact value (cube dedup only lowers it), cheap enough to
+/// gate the exact pass.
 pub(crate) fn approx_value(
-    m: &KcMatrix,
-    model: &CostModel<'_>,
-    cols: &[ColIdx],
-    rows: &RowSet,
-) -> i64 {
-    approx_value_rows(m, model, cols, rows.iter())
-}
-
-/// [`approx_value`] over any ascending row iterator — shared by the
-/// scalar ([`RowSet`]) and tiled ([`TiledSupport`]) supports. The sum
-/// is order-independent, so both paths produce the same value bit for
-/// bit.
-pub(crate) fn approx_value_rows(
     m: &KcMatrix,
     model: &CostModel<'_>,
     cols: &[ColIdx],
@@ -958,24 +435,11 @@ pub fn revalidate_rectangle(
     cfg: &SearchConfig,
     rect: &Rectangle,
 ) -> Option<Rectangle> {
-    revalidate_seed(m, model, cfg, rect)
-}
-
-/// Re-validates a previous-pass rectangle against the *current* matrix:
-/// recomputes the support of its column set and the exact value. Returns
-/// `None` when the columns vanished, the support is empty, or the value
-/// is no longer positive.
-pub(crate) fn revalidate_seed(
-    m: &KcMatrix,
-    model: &CostModel<'_>,
-    cfg: &SearchConfig,
-    seed: &Rectangle,
-) -> Option<Rectangle> {
-    if seed.cols.len() < cfg.min_cols || seed.cols.iter().any(|&c| c >= m.cols().len()) {
+    if rect.cols.len() < cfg.min_cols || rect.cols.iter().any(|&c| c >= m.cols().len()) {
         return None;
     }
-    let mut support = m.cols()[seed.cols[0]].rows.clone();
-    for &c in &seed.cols[1..] {
+    let mut support = m.cols()[rect.cols[0]].rows.clone();
+    for &c in &rect.cols[1..] {
         support = KcMatrix::intersect_rows(&support, &m.cols()[c].rows);
         if support.is_empty() {
             return None;
@@ -985,17 +449,16 @@ pub(crate) fn revalidate_seed(
         return None;
     }
     let mut seen = FxHashSet::default();
-    evaluate_with(m, model, &seed.cols, &support, &mut seen)
+    evaluate_with(m, model, &rect.cols, &support, &mut seen)
 }
 
-/// Reusable buffers for [`greedy_row`]; one per sweeping thread.
+/// Reusable buffers for [`greedy_row`]; one per worker.
 #[derive(Default)]
 pub(crate) struct GreedyBufs {
     seen: FxHashSet<CubeId>,
-    support: RowSet,
     rows_buf: Vec<RowIdx>,
     cols: Vec<ColIdx>,
-    /// Ping-pong tiled supports for [`greedy_row_tiled`].
+    /// Ping-pong supports for the column intersections.
     ta: TiledSupport,
     tb: TiledSupport,
 }
@@ -1003,13 +466,25 @@ pub(crate) struct GreedyBufs {
 /// One step of the greedy sweep: takes row `r`'s full column set as the
 /// candidate kernel and evaluates the optimal rectangle for it. Returns
 /// `None` for dead, too-narrow, stripe-rejected, or worthless rows.
+///
+/// The support intersection runs the fused
+/// [`TiledSupport::and_ub_from`] pass, whose by-product — the admissible
+/// bound `Σ max(row_full_value, 0)` over the survivors — gates the exact
+/// evaluation against `acc`: a row whose bound (minus column costs)
+/// fails [`TopK::admits`] cannot change the list (`admits` is
+/// conservative on ties), so its collect + hash-dedup evaluation is
+/// skipped outright. Most rows die at this gate once the first strong
+/// rows set the bar.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn greedy_row(
     m: &KcMatrix,
     model: &CostModel<'_>,
     cfg: &SearchConfig,
-    col_sets: &[RowSet],
+    panel: &TilePanels,
+    row_full_value: &[i64],
     r: RowIdx,
     bufs: &mut GreedyBufs,
+    acc: &TopK,
 ) -> Option<Rectangle> {
     let row = &m.rows()[r];
     if !row.alive || row.entries.len() < cfg.min_cols {
@@ -1019,52 +494,6 @@ pub(crate) fn greedy_row(
     bufs.cols.extend(row.entries.iter().map(|&(c, _)| c));
     // Stripe filter applies to the leftmost column for consistency with
     // the exact search.
-    if !stripe_admits(cfg, bufs.cols[0]) {
-        return None;
-    }
-    // Supporting rows: intersection of the column row-sets.
-    bufs.support.copy_from(&col_sets[bufs.cols[0]]);
-    for &c in &bufs.cols[1..] {
-        bufs.support.and_with(&col_sets[c]);
-        if bufs.support.is_empty() {
-            return None;
-        }
-    }
-    bufs.rows_buf.clear();
-    bufs.support.collect_into(&mut bufs.rows_buf);
-    bufs.seen.clear();
-    evaluate_with(m, model, &bufs.cols, &bufs.rows_buf, &mut bufs.seen)
-}
-
-/// [`greedy_row`] over the tiled kernel. The support intersection runs
-/// the fused [`TiledSupport::and_ub_from`] pass, whose by-product — the
-/// admissible bound `Σ max(row_full_value, 0)` over the survivors —
-/// gates the exact evaluation against the collector: a row whose bound
-/// (minus column costs) fails [`Collect::admits`] cannot change the
-/// collector's state (both collectors' `admits` are conservative on
-/// ties), so its collect + hash-dedup evaluation is skipped outright.
-/// The greedy sweep dominates search wall time on well-pruned matrices,
-/// and most rows die at this gate once the first strong rows set the
-/// bar — this is where the tiled kernel's speedup lives. Results are
-/// byte-identical to the scalar sweep by the admissibility argument;
-/// only the work done changes.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn greedy_row_tiled<C: Collect>(
-    m: &KcMatrix,
-    model: &CostModel<'_>,
-    cfg: &SearchConfig,
-    panel: &TilePanels,
-    row_full_value: &[i64],
-    r: RowIdx,
-    bufs: &mut GreedyBufs,
-    acc: &C,
-) -> Option<Rectangle> {
-    let row = &m.rows()[r];
-    if !row.alive || row.entries.len() < cfg.min_cols {
-        return None;
-    }
-    bufs.cols.clear();
-    bufs.cols.extend(row.entries.iter().map(|&(c, _)| c));
     if !stripe_admits(cfg, bufs.cols[0]) {
         return None;
     }
@@ -1097,35 +526,11 @@ pub(crate) fn greedy_row_tiled<C: Collect>(
     evaluate_with(m, model, &bufs.cols, &bufs.rows_buf, &mut bufs.seen)
 }
 
-/// Greedy seed: [`greedy_row`] over every row, offered to the collector
-/// (first-strictly-better for [`BestOne`], canonical insert for
-/// [`TopK`]). O(rows × cols); seeds the branch-and-bound with a strong
-/// lower bound and is the fallback answer when the budget dies.
-fn greedy_sweep<C: Collect>(
-    m: &KcMatrix,
-    model: &CostModel<'_>,
-    cfg: &SearchConfig,
-    row_full_value: &[i64],
-    col_sets: &[RowSet],
-    panel: Option<&TilePanels>,
-    acc: &mut C,
-) {
-    let mut bufs = GreedyBufs::default();
-    for r in 0..m.rows().len() {
-        let rect = match panel {
-            Some(p) => greedy_row_tiled(m, model, cfg, p, row_full_value, r, &mut bufs, &*acc),
-            None => greedy_row(m, model, cfg, col_sets, r, &mut bufs),
-        };
-        if let Some(rect) = rect {
-            acc.offer(rect);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::matrix::LabelGen;
+    use crate::pool::{CeilingUpdate, SearchPool};
     use crate::registry::CubeRegistry;
     use pf_sop::kernel::KernelConfig;
     use pf_sop::{Cube, Lit};
@@ -1136,6 +541,27 @@ mod tests {
 
     fn sop(cubes: &[&[u32]]) -> Sop {
         Sop::from_cubes(cubes.iter().map(|c| cube(c)))
+    }
+
+    /// One cold search over `m` under the area model with `value_of`.
+    fn find(
+        m: &KcMatrix,
+        value_of: &(dyn Fn(CubeId) -> u32 + Sync),
+        cfg: &SearchConfig,
+        seed: Option<&Rectangle>,
+    ) -> (Vec<Rectangle>, SearchStats) {
+        let model = CostModel::area(value_of);
+        SearchPool::new().find(m, &model, cfg, seed, CeilingUpdate::Off)
+    }
+
+    /// The head of [`find`]'s list.
+    fn best(
+        m: &KcMatrix,
+        value_of: &(dyn Fn(CubeId) -> u32 + Sync),
+        cfg: &SearchConfig,
+    ) -> (Option<Rectangle>, SearchStats) {
+        let (rects, stats) = find(m, value_of, cfg, None);
+        (rects.into_iter().next(), stats)
     }
 
     /// Builds the full KC matrix of the paper's network N (Eq. 1):
@@ -1167,7 +593,7 @@ mod tests {
     #[test]
     fn best_rectangle_on_paper_network_is_a_plus_b() {
         let (m, _reg, w) = paper_matrix();
-        let (best, stats) = best_rectangle(&m, &|id| w[id as usize], &SearchConfig::default());
+        let (best, stats) = best(&m, &|id| w[id as usize], &SearchConfig::default());
         let best = best.expect("positive rectangle exists");
         assert!(!stats.budget_exhausted);
         // Example 1.1: extracting X = a + b saves 8 literals.
@@ -1190,7 +616,7 @@ mod tests {
     #[test]
     fn exact_and_greedy_agree_on_paper_network() {
         let (m, _reg, w) = paper_matrix();
-        let exact = best_rectangle(
+        let exact = best(
             &m,
             &|id| w[id as usize],
             &SearchConfig {
@@ -1200,7 +626,7 @@ mod tests {
         )
         .0
         .unwrap();
-        let seeded = best_rectangle(&m, &|id| w[id as usize], &SearchConfig::default())
+        let seeded = best(&m, &|id| w[id as usize], &SearchConfig::default())
             .0
             .unwrap();
         assert_eq!(exact.value, seeded.value);
@@ -1211,7 +637,7 @@ mod tests {
         // The union of the best rectangles over all stripes must contain
         // a rectangle as good as the global best (Figure 1's reduction).
         let (m, _reg, w) = paper_matrix();
-        let global = best_rectangle(&m, &|id| w[id as usize], &SearchConfig::default())
+        let global = best(&m, &|id| w[id as usize], &SearchConfig::default())
             .0
             .unwrap();
         let nprocs = 3u32;
@@ -1221,7 +647,7 @@ mod tests {
                 stripe: Some((p, nprocs)),
                 ..SearchConfig::default()
             };
-            if let (Some(r), _) = best_rectangle(&m, &|id| w[id as usize], &cfg) {
+            if let (Some(r), _) = best(&m, &|id| w[id as usize], &cfg) {
                 best_striped = best_striped.max(r.value);
             }
         }
@@ -1247,9 +673,7 @@ mod tests {
                 w[id as usize]
             }
         };
-        let best = best_rectangle(&m, &value_of, &SearchConfig::default())
-            .0
-            .unwrap();
+        let best = best(&m, &value_of, &SearchConfig::default()).0.unwrap();
         // a+b over F only: covered 2+2+3+3=10, rows (f:2)+(de:3)=5, cols 2 ⇒ 3
         // but other kernels may do better; value must drop below 8.
         assert!(best.value < 8);
@@ -1262,7 +686,7 @@ mod tests {
     #[test]
     fn budget_falls_back_to_greedy() {
         let (m, _reg, w) = paper_matrix();
-        let (best, stats) = best_rectangle(
+        let (best, stats) = best(
             &m,
             &|id| w[id as usize],
             &SearchConfig {
@@ -1282,9 +706,9 @@ mod tests {
         // re-run with the budget set to precisely that count: the search
         // still completes, so it must NOT report exhaustion.
         let (m, _reg, w) = paper_matrix();
-        let (_, free) = best_rectangle(&m, &|id| w[id as usize], &SearchConfig::default());
+        let (_, free) = best(&m, &|id| w[id as usize], &SearchConfig::default());
         assert!(free.visited > 1);
-        let (best, stats) = best_rectangle(
+        let (found, stats) = best(
             &m,
             &|id| w[id as usize],
             &SearchConfig {
@@ -1297,9 +721,9 @@ mod tests {
             "final expansion completed the search"
         );
         assert_eq!(stats.visited, free.visited);
-        assert_eq!(best.unwrap().value, 8);
+        assert_eq!(found.unwrap().value, 8);
         // One fewer and the search is genuinely truncated.
-        let (_, short) = best_rectangle(
+        let (_, short) = best(
             &m,
             &|id| w[id as usize],
             &SearchConfig {
@@ -1326,7 +750,7 @@ mod tests {
             &mut cl,
         );
         let w = reg.weights_snapshot();
-        let (best, _) = best_rectangle(&m, &|id| w[id as usize], &SearchConfig::default());
+        let (best, _) = best(&m, &|id| w[id as usize], &SearchConfig::default());
         assert!(best.is_none());
     }
 
@@ -1347,7 +771,7 @@ mod tests {
             &mut cl,
         );
         let w = reg.weights_snapshot();
-        let best = best_rectangle(&m, &|id| w[id as usize], &SearchConfig::default())
+        let best = best(&m, &|id| w[id as usize], &SearchConfig::default())
             .0
             .unwrap();
         assert_eq!(best.value, 2);
@@ -1364,7 +788,7 @@ mod tests {
             min_cols: 1,
             ..SearchConfig::default()
         };
-        let best = best_rectangle(&m, &|id| w[id as usize], &cfg).0.unwrap();
+        let best = best(&m, &|id| w[id as usize], &cfg).0.unwrap();
         assert!(best.value >= 8); // at least as good as the 2-col optimum
     }
 
@@ -1385,7 +809,7 @@ mod tests {
             &mut cl,
         );
         let w = reg.weights_snapshot();
-        let best = best_rectangle(&m, &|id| w[id as usize], &SearchConfig::default())
+        let best = best(&m, &|id| w[id as usize], &SearchConfig::default())
             .0
             .unwrap();
         assert_eq!(best.value, 3);
@@ -1397,11 +821,10 @@ mod tests {
         // unchanged (the seed re-validates to the same rectangle).
         let (m, _reg, w) = paper_matrix();
         let value_of = |id: CubeId| w[id as usize];
-        let (best, _) = best_rectangle(&m, &value_of, &SearchConfig::default());
-        let best = best.unwrap();
-        let (seeded, _) =
-            best_rectangle_seeded(&m, &value_of, &SearchConfig::default(), Some(&best));
-        assert_eq!(seeded.unwrap().value, best.value);
+        let cfg = SearchConfig::classic();
+        let (top, _) = find(&m, &value_of, &cfg, None);
+        let (seeded, _) = find(&m, &value_of, &cfg, top.first());
+        assert_eq!(seeded, top);
     }
 
     #[test]
@@ -1415,31 +838,24 @@ mod tests {
             cols: vec![9999, 10000],
             value: 123,
         };
-        let (best, _) =
-            best_rectangle_seeded(&m, &value_of, &SearchConfig::default(), Some(&stale));
-        assert_eq!(best.unwrap().value, 8);
+        let (top, _) = find(&m, &value_of, &SearchConfig::classic(), Some(&stale));
+        assert_eq!(top[0].value, 8);
     }
 
     #[test]
     fn parallel_matches_sequential_and_is_thread_count_independent() {
         let (m, _reg, w) = paper_matrix();
         let value_of = |id: CubeId| w[id as usize];
-        let (seq_best, _) = best_rectangle(&m, &value_of, &SearchConfig::default());
-        let seq_best = seq_best.unwrap();
-        let mut prior: Option<Rectangle> = None;
+        let (inline, _) = best(&m, &value_of, &SearchConfig::default());
+        let inline = inline.unwrap();
         for threads in [1usize, 2, 4, 8] {
             let cfg = SearchConfig {
                 par_threads: threads,
                 ..SearchConfig::default()
             };
-            let (par_best, stats) = best_rectangle(&m, &value_of, &cfg);
-            let par_best = par_best.unwrap();
+            let (par_best, stats) = best(&m, &value_of, &cfg);
             assert!(!stats.budget_exhausted);
-            assert_eq!(par_best.value, seq_best.value, "threads={threads}");
-            if let Some(p) = &prior {
-                assert_eq!(&par_best, p, "threads={threads} changed the result");
-            }
-            prior = Some(par_best);
+            assert_eq!(par_best.unwrap(), inline, "threads={threads}");
         }
     }
 
@@ -1448,13 +864,13 @@ mod tests {
         let (m, _reg, w) = paper_matrix();
         let value_of = |id: CubeId| w[id as usize];
         let mut prior: Option<Rectangle> = None;
-        for threads in [1usize, 4] {
+        for threads in [0usize, 1, 4] {
             let cfg = SearchConfig {
                 budget: 1,
                 par_threads: threads,
                 ..SearchConfig::default()
             };
-            let (best, stats) = best_rectangle(&m, &value_of, &cfg);
+            let (best, stats) = best(&m, &value_of, &cfg);
             assert!(stats.budget_exhausted);
             let best = best.unwrap();
             assert_eq!(best.value, 8); // greedy finds a+b (a full row)
@@ -1473,7 +889,7 @@ mod tests {
             topk: 4,
             ..SearchConfig::default()
         };
-        let (rects, stats) = best_rectangles_seeded(&m, &value_of, &cfg, None);
+        let (rects, stats) = find(&m, &value_of, &cfg, None);
         assert!(!stats.budget_exhausted);
         assert!(rects.len() > 1, "paper matrix holds several rectangles");
         assert!(rects.len() <= 4);
@@ -1489,25 +905,26 @@ mod tests {
         let (m, _reg, w) = paper_matrix();
         let value_of = |id: CubeId| w[id as usize];
         for k in [2usize, 4, 16] {
-            let seq_cfg = SearchConfig {
+            let inline_cfg = SearchConfig {
                 topk: k,
                 ..SearchConfig::default()
             };
-            let (seq_rects, _) = best_rectangles_seeded(&m, &value_of, &seq_cfg, None);
+            let (inline, _) = find(&m, &value_of, &inline_cfg, None);
             for threads in [1usize, 2, 4, 8] {
                 let cfg = SearchConfig {
-                    topk: k,
                     par_threads: threads,
-                    ..SearchConfig::default()
+                    ..inline_cfg.clone()
                 };
-                let (par_rects, _) = best_rectangles_seeded(&m, &value_of, &cfg, None);
-                assert_eq!(par_rects, seq_rects, "k={k} threads={threads}");
+                let (par_rects, _) = find(&m, &value_of, &cfg, None);
+                assert_eq!(par_rects, inline, "k={k} threads={threads}");
             }
         }
     }
 
     #[test]
     fn plural_with_k1_matches_singular_exactly() {
+        // K = 1 is the head of any larger K: the canonical order is
+        // total, so the best rectangle does not depend on K.
         let (m, _reg, w) = paper_matrix();
         let value_of = |id: CubeId| w[id as usize];
         for threads in [0usize, 1, 4] {
@@ -1515,10 +932,10 @@ mod tests {
                 par_threads: threads,
                 ..SearchConfig::classic()
             };
-            let (single, _) = best_rectangle_seeded(&m, &value_of, &cfg, None);
-            let (plural, _) = best_rectangles_seeded(&m, &value_of, &cfg, None);
-            assert_eq!(plural.len(), 1);
-            assert_eq!(plural[0], single.unwrap(), "threads={threads}");
+            let (single, _) = find(&m, &value_of, &cfg, None);
+            let (plural, _) = find(&m, &value_of, &SearchConfig { topk: 16, ..cfg }, None);
+            assert_eq!(single.len(), 1);
+            assert_eq!(single[0], plural[0], "threads={threads}");
         }
     }
 
@@ -1530,8 +947,8 @@ mod tests {
             topk: 4,
             ..SearchConfig::default()
         };
-        let (unseeded, _) = best_rectangles_seeded(&m, &value_of, &cfg, None);
-        let (seeded, _) = best_rectangles_seeded(&m, &value_of, &cfg, Some(&unseeded[0]));
+        let (unseeded, _) = find(&m, &value_of, &cfg, None);
+        let (seeded, _) = find(&m, &value_of, &cfg, Some(&unseeded[0]));
         assert_eq!(seeded, unseeded, "re-validated seed dedups into the batch");
     }
 

@@ -1,53 +1,97 @@
-//! Reference rectangle search: the original sorted-`Vec<RowIdx>`
-//! implementation, kept verbatim as a differential-testing oracle for
-//! the bitset engine in [`crate::rectangle`].
+//! Reference rectangle searches, written independently of the
+//! production search in [`crate::pool`] and kept as differential-testing
+//! oracles:
 //!
-//! It mirrors the classic sequential path exactly — same enumeration
-//! order, same pruning, same first-found-max tie handling, and the same
-//! (fixed) budget semantics: an expansion is denied *before* it starts,
-//! `visited` counts completed expansions, and `budget_exhausted` is set
-//! only when a denial actually happened. A property suite asserts the
-//! two engines agree on best value and stats; see
-//! `crates/kcmatrix/tests/props.rs`. `SearchConfig::par_threads` is
-//! ignored here — the oracle is always sequential.
+//! * [`top_k`] — an exhaustive enumeration of every column set with a
+//!   non-empty support: no bound, no budget, no greedy sweep, just the
+//!   optimal rectangle of each column set sorted into the canonical
+//!   (value, cols, rows) order. `SearchPool::find` must return exactly
+//!   its head; see `crates/kcmatrix/tests/props.rs`.
+//! * [`best_rectangle`] — the original sorted-`Vec<RowIdx>` branch and
+//!   bound, sequential, keeping the *first* maximum-value rectangle in
+//!   enumeration order: an independent check of the best value on
+//!   matrices too large to enumerate. `budget_exhausted` is set only
+//!   when the budget actually denied an expansion.
 
 use crate::matrix::{ColIdx, KcMatrix, RowIdx};
 use crate::rectangle::{
-    evaluate_with, revalidate_seed, row_full_values, stripe_admits, CostModel, Rectangle,
-    SearchConfig, SearchStats,
+    evaluate_with, row_full_values, stripe_admits, CostModel, Rectangle, SearchConfig, SearchStats,
 };
 use crate::registry::CubeId;
 use pf_sop::fx::FxHashSet;
 
-/// Sequential vec-based [`crate::rectangle::best_rectangle`].
+/// Every positive rectangle [`crate::pool::SearchPool::find`] could
+/// return, best-first under the canonical (value, cols, rows) order and
+/// cut to `cfg.topk`: for each column set whose leftmost column the
+/// stripe admits, with at least `cfg.min_cols` columns and a non-empty
+/// support, the optimal rectangle over that whole support.
+pub fn top_k(
+    m: &KcMatrix,
+    value_of: &(dyn Fn(CubeId) -> u32 + Sync),
+    cfg: &SearchConfig,
+) -> Vec<Rectangle> {
+    let model = CostModel::area(value_of);
+    let mut all = Vec::new();
+    let mut cols = Vec::new();
+    for c0 in 0..m.cols().len() {
+        if stripe_admits(cfg, c0) && !m.cols()[c0].rows.is_empty() {
+            cols.push(c0);
+            enumerate(m, &model, cfg, &mut cols, &m.cols()[c0].rows, &mut all);
+            cols.pop();
+        }
+    }
+    all.sort_by(|a, b| {
+        b.value
+            .cmp(&a.value)
+            .then_with(|| (&a.cols, &a.rows).cmp(&(&b.cols, &b.rows)))
+    });
+    all.truncate(cfg.topk.max(1));
+    all
+}
+
+/// Collects the rectangle of `cols` (supported by `rows`) and of every
+/// extension of it by columns to the right of its last one.
+fn enumerate(
+    m: &KcMatrix,
+    model: &CostModel<'_>,
+    cfg: &SearchConfig,
+    cols: &mut Vec<ColIdx>,
+    rows: &[RowIdx],
+    out: &mut Vec<Rectangle>,
+) {
+    if cols.len() >= cfg.min_cols {
+        out.extend(evaluate_with(
+            m,
+            model,
+            cols,
+            rows,
+            &mut FxHashSet::default(),
+        ));
+    }
+    let from = cols.last().map_or(0, |&c| c + 1);
+    for c in from..m.cols().len() {
+        let mut shared = Vec::new();
+        intersect_into(rows, &m.cols()[c].rows, &mut shared);
+        if !shared.is_empty() {
+            cols.push(c);
+            enumerate(m, model, cfg, cols, &shared, out);
+            cols.pop();
+        }
+    }
+}
+
+/// The first maximum-value rectangle by sequential vec-based branch and
+/// bound; see the module docs.
 pub fn best_rectangle(
     m: &KcMatrix,
     value_of: &(dyn Fn(CubeId) -> u32 + Sync),
     cfg: &SearchConfig,
 ) -> (Option<Rectangle>, SearchStats) {
     let model = CostModel::area(value_of);
-    best_rectangle_with_seed(m, &model, cfg, None)
-}
-
-/// Sequential vec-based [`crate::rectangle::best_rectangle_with`].
-pub fn best_rectangle_with(
-    m: &KcMatrix,
-    model: &CostModel<'_>,
-    cfg: &SearchConfig,
-) -> (Option<Rectangle>, SearchStats) {
-    best_rectangle_with_seed(m, model, cfg, None)
-}
-
-/// Sequential vec-based [`crate::rectangle::best_rectangle_with_seed`].
-pub fn best_rectangle_with_seed(
-    m: &KcMatrix,
-    model: &CostModel<'_>,
-    cfg: &SearchConfig,
-    seed: Option<&Rectangle>,
-) -> (Option<Rectangle>, SearchStats) {
+    let model = &model;
     let row_full_value = row_full_values(m, model);
 
-    let mut best = seed.and_then(|s| revalidate_seed(m, model, cfg, s));
+    let mut best = None;
     if cfg.greedy_seed {
         greedy_sweep(m, model, cfg, &mut best);
     }
@@ -82,9 +126,7 @@ pub fn best_rectangle_with_seed(
     let stats = SearchStats {
         visited: state.visited,
         budget_exhausted: state.truncated,
-        // The oracle predates (and does not need) the prune/bound
-        // counters; differential tests only compare rectangle, visited
-        // and budget_exhausted.
+        // The oracle does not keep the prune/bound counters.
         ..SearchStats::default()
     };
     (state.best, stats)
@@ -203,8 +245,7 @@ pub(crate) fn intersect_into(a: &[RowIdx], b: &[RowIdx], out: &mut Vec<RowIdx>) 
     }
 }
 
-/// Greedy seed, vec flavour — candidate set and tie handling identical
-/// to the bitset `greedy_sweep` in [`crate::rectangle`].
+/// Greedy seed: every alive row's full column set, first maximum kept.
 fn greedy_sweep(
     m: &KcMatrix,
     model: &CostModel<'_>,
@@ -273,11 +314,17 @@ mod tests {
         let w = reg.weights_snapshot();
         let value_of = |id: crate::registry::CubeId| w[id as usize];
         let cfg = SearchConfig::default();
-        let (ours, our_stats) = best_rectangle(&m, &value_of, &cfg);
-        let (theirs, their_stats) = crate::rectangle::best_rectangle(&m, &value_of, &cfg);
-        assert_eq!(ours, theirs);
-        assert_eq!(our_stats.visited, their_stats.visited);
-        assert_eq!(our_stats.budget_exhausted, their_stats.budget_exhausted);
+        let (first_max, _) = best_rectangle(&m, &value_of, &cfg);
+        let every = top_k(&m, &value_of, &cfg);
+        let (found, _) = crate::pool::SearchPool::new().find(
+            &m,
+            &CostModel::area(&value_of),
+            &cfg,
+            None,
+            crate::pool::CeilingUpdate::Off,
+        );
+        assert_eq!(found, every);
+        assert_eq!(first_max.map(|r| r.value), Some(every[0].value));
     }
 
     #[test]

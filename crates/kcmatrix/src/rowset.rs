@@ -1,12 +1,9 @@
-//! Dense `u64`-word bitsets over row indices.
+//! Dense `u64`-word bitsets over row (or column) indices.
 //!
-//! The rectangle search spends most of its time intersecting row-sets —
-//! "which rows support this column set?" — and summing per-row bounds
-//! over the result. A sorted `Vec<RowIdx>` merge costs one branchy
-//! compare per element; a dense bitset costs one `AND` + `popcount` per
-//! 64 rows with no branches and no allocation (buffers are pooled per
-//! recursion depth). At KC-matrix densities (hundreds of rows, column
-//! supports of 2–50 rows) the word loop wins by a wide margin.
+//! The rectangle search marks the candidate extension columns of each
+//! node into one of these (inserting dedups and iterating sorts for
+//! free), and [`crate::matrix::KcMatrix::col_row_sets`] lays column
+//! supports out in the dense word format a tile panel column must equal.
 //!
 //! All sets over one matrix share the same universe (`row count` bits),
 //! so intersections are plain word-wise `AND`s without bounds juggling.
@@ -19,7 +16,7 @@ pub struct RowSet {
 
 impl RowSet {
     /// The empty set with zero capacity. Useful as a pooled scratch
-    /// buffer: the first [`RowSet::assign_and`] sizes it.
+    /// buffer: the first [`RowSet::reset`] sizes it.
     pub fn new() -> Self {
         RowSet { words: Vec::new() }
     }
@@ -72,13 +69,6 @@ impl RowSet {
             .extend(a.words.iter().zip(&b.words).map(|(x, y)| x & y));
     }
 
-    /// `self = src`, reusing `self`'s allocation (unlike the derived
-    /// `Clone::clone_from`, which reallocates).
-    pub fn copy_from(&mut self, src: &RowSet) {
-        self.words.clear();
-        self.words.extend_from_slice(&src.words);
-    }
-
     /// Empties the set and resizes it for a universe of `nbits` rows,
     /// reusing the allocation.
     pub fn reset(&mut self, nbits: usize) {
@@ -96,7 +86,7 @@ impl RowSet {
 
     /// The backing words, least-significant row first. The final word
     /// may cover rows past the universe; those bits are always zero.
-    /// [`crate::tiles::TilePanels`] mirrors columns from this slice.
+    /// A [`crate::tiles::TilePanels`] column must equal this slice.
     pub fn as_words(&self) -> &[u64] {
         &self.words
     }

@@ -1,11 +1,11 @@
-//! Column-major tiled mirror of the KC matrix for the cache-blocked
-//! rectangle-search kernel.
+//! Column-major tiled mirror of the KC matrix for the rectangle-search
+//! kernel.
 //!
 //! The branch-and-bound inner loop does one thing millions of times:
 //! intersect the current support with a candidate column's row-set and
-//! sum the admissible per-row bound over the survivors. The scalar
-//! [`crate::rowset::RowSet`] path walks *every* word of the universe per
-//! candidate. This module restructures the same data for that loop:
+//! sum the admissible per-row bound over the survivors. A dense bitset
+//! over the whole row universe would walk *every* word per candidate.
+//! This module lays the same data out for that loop:
 //!
 //! * **Panels.** Each column's row bitset is mirrored into a
 //!   `TilePanels` buffer, column-major (`data[c * stride + w]`), with
@@ -32,11 +32,9 @@
 //! A panel is a *mirror*: it must stay byte-equal to the dense bitset
 //! of every column's row list ([`KcCol::rows`]), from which it is
 //! encoded directly — the tiled path never materialises per-column
-//! [`crate::rowset::RowSet`]s. The holders keep it in sync as follows:
+//! [`crate::rowset::RowSet`]s. Its holder keeps it in sync as follows:
 //!
-//! 1. The spawn/sequential executors build a fresh panel per search
-//!    call ([`TilePanels::build`]) — trivially in sync.
-//! 2. The resident [`crate::pool::SearchPool`] keeps one panel across
+//! 1. The resident [`crate::pool::SearchPool`] keeps one panel across
 //!    passes and drives [`TilePanels::sync`] from the same
 //!    [`crate::pool::CeilingUpdate`] bookkeeping as the ceilings: the
 //!    caller's dirty-column list must cover every column that gained or
@@ -45,10 +43,13 @@
 //!    are encoded fresh; a width change, a row-universe change that
 //!    no longer fits the padded stride, or a shrunk universe (row
 //!    compaction renumbered the rows) triggers a full rebuild.
-//! 3. Results are byte-identical to the scalar path by construction:
-//!    the candidate enumeration order is unchanged and the fused bound
-//!    is an order-independent integer sum, so every prune/admit
-//!    decision matches word-for-word.
+//! 2. Without dirty information ([`crate::pool::CeilingUpdate::Off`]),
+//!    or when the pool has forgotten its matrix, the panel is built
+//!    afresh ([`TilePanels::build`]) — trivially in sync.
+//! 3. Results do not depend on the tile width: the candidate
+//!    enumeration order is fixed and the fused bound is an
+//!    order-independent integer sum, so every prune/admit decision is
+//!    the same word for word.
 
 use crate::matrix::{ColIdx, KcCol, RowIdx};
 

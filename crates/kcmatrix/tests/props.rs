@@ -4,9 +4,9 @@
 //! Table 5 under arbitrary operation sequences.
 
 use pf_kcmatrix::{
-    best_rectangle, best_rectangle_pooled, best_rectangles_seeded, conflicts, reference,
-    select_nonconflicting, CeilingUpdate, CubeRegistry, CubeState, CubeStates, KcMatrix, LabelGen,
-    RowSet, SearchConfig, SearchPool, TilePanels,
+    conflicts, reference, select_nonconflicting, CeilingUpdate, CostModel, CubeId, CubeRegistry,
+    CubeState, CubeStates, KcMatrix, LabelGen, Rectangle, RowSet, SearchConfig, SearchPool,
+    SearchStats, TilePanels,
 };
 use pf_sop::kernel::KernelConfig;
 use pf_sop::{Cube, Lit, Sop};
@@ -45,6 +45,82 @@ fn build_matrix(funcs: &[Sop]) -> (KcMatrix, Vec<u32>) {
     (m, w)
 }
 
+/// One pass through `pool` under the area model over `value_of`.
+fn find_on(
+    pool: &mut SearchPool,
+    m: &KcMatrix,
+    value_of: &(dyn Fn(CubeId) -> u32 + Sync),
+    cfg: &SearchConfig,
+    update: CeilingUpdate<'_>,
+) -> (Vec<Rectangle>, SearchStats) {
+    pool.find(m, &CostModel::area(value_of), cfg, None, update)
+}
+
+/// One cold search: the canonical top `cfg.topk`.
+fn find(
+    m: &KcMatrix,
+    value_of: &(dyn Fn(CubeId) -> u32 + Sync),
+    cfg: &SearchConfig,
+) -> Vec<Rectangle> {
+    find_on(&mut SearchPool::new(), m, value_of, cfg, CeilingUpdate::Off).0
+}
+
+/// The head of one cold search.
+fn best(
+    m: &KcMatrix,
+    value_of: &(dyn Fn(CubeId) -> u32 + Sync),
+    cfg: &SearchConfig,
+) -> Option<Rectangle> {
+    find(m, value_of, cfg).into_iter().next()
+}
+
+proptest! {
+    // Enough cases to reach the rare matrices where a canonical tie
+    // decides the answer (a search that skips exact ties first differs
+    // from the oracle past case 160).
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The search is the exhaustive canonical top-K: for every K,
+    /// worker count and tile width it returns exactly the head of the
+    /// unpruned reference enumeration, with and without stripes, the
+    /// greedy seed, and for min_cols ∈ {1, 2}.
+    #[test]
+    fn find_equals_reference_top_k(
+        funcs in prop::collection::vec(arb_sop(8, 4, 8), 1..4),
+        striped in any::<bool>(),
+        proc in 0u32..4,
+        nprocs in 1u32..4,
+        min_cols in 1usize..3,
+        greedy_seed in any::<bool>(),
+    ) {
+        let (m, w) = build_matrix(&funcs);
+        let value_of = |id: CubeId| w[id as usize];
+        for workers in [1usize, 2, 4] {
+            let mut pool = SearchPool::new();
+            for topk in [1usize, 4, 16] {
+                let cfg = SearchConfig {
+                    stripe: striped.then_some((proc % nprocs, nprocs)),
+                    min_cols,
+                    greedy_seed,
+                    topk,
+                    par_threads: workers,
+                    ..SearchConfig::default()
+                };
+                let expect = reference::top_k(&m, &value_of, &cfg);
+                for tile_width in [1usize, 4] {
+                    let cfg = SearchConfig { tile_width, ..cfg.clone() };
+                    let (got, stats) = find_on(&mut pool, &m, &value_of, &cfg, CeilingUpdate::Off);
+                    prop_assert!(!stats.budget_exhausted);
+                    prop_assert_eq!(
+                        &got, &expect,
+                        "k={} workers={} width={}", topk, workers, tile_width
+                    );
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -67,8 +143,9 @@ proptest! {
     #[test]
     fn best_rectangle_value_is_exact(funcs in prop::collection::vec(arb_sop(8, 4, 8), 1..4)) {
         let (m, w) = build_matrix(&funcs);
-        let (best, _) = best_rectangle(&m, &|id| w[id as usize], &SearchConfig::default());
-        let Some(rect) = best else { return Ok(()) };
+        let Some(rect) = best(&m, &|id| w[id as usize], &SearchConfig::default()) else {
+            return Ok(());
+        };
         prop_assert!(rect.value > 0);
         // Recompute: Σ distinct covered − row costs − col costs.
         let mut seen = std::collections::HashSet::new();
@@ -94,17 +171,16 @@ proptest! {
         nprocs in 2u32..5,
     ) {
         let (m, w) = build_matrix(&funcs);
-        let global = best_rectangle(&m, &|id| w[id as usize], &SearchConfig::default())
-            .0
+        let global = best(&m, &|id| w[id as usize], &SearchConfig::default())
             .map_or(0, |r| r.value);
-        let mut best = 0i64;
+        let mut striped = 0i64;
         for p in 0..nprocs {
             let cfg = SearchConfig { stripe: Some((p, nprocs)), ..SearchConfig::default() };
-            if let (Some(r), _) = best_rectangle(&m, &|id| w[id as usize], &cfg) {
-                best = best.max(r.value);
+            if let Some(r) = best(&m, &|id| w[id as usize], &cfg) {
+                striped = striped.max(r.value);
             }
         }
-        prop_assert_eq!(best, global);
+        prop_assert_eq!(striped, global);
     }
 
     /// Zeroing cube values can only lower the best rectangle's value.
@@ -114,11 +190,11 @@ proptest! {
         mask in prop::collection::vec(any::<bool>(), 64),
     ) {
         let (m, w) = build_matrix(&funcs);
-        let full = best_rectangle(&m, &|id| w[id as usize], &SearchConfig::default())
-            .0.map_or(0, |r| r.value);
-        let masked = best_rectangle(&m, &|id| {
+        let full = best(&m, &|id| w[id as usize], &SearchConfig::default())
+            .map_or(0, |r| r.value);
+        let masked = best(&m, &|id| {
             if mask.get(id as usize).copied().unwrap_or(false) { 0 } else { w[id as usize] }
-        }, &SearchConfig::default()).0.map_or(0, |r| r.value);
+        }, &SearchConfig::default()).map_or(0, |r| r.value);
         prop_assert!(masked <= full);
     }
 
@@ -152,74 +228,10 @@ proptest! {
         }
     }
 
-    /// The bitset engine is a drop-in replacement for the legacy vec
-    /// search: identical rectangle, value, and stats on arbitrary
-    /// matrices, with and without stripes, for min_cols ∈ {1, 2} — and
-    /// the tiled kernel (any `tile_width`) is a drop-in replacement for
-    /// the scalar bitset engine against the same oracle, budget
-    /// truncation included.
-    #[test]
-    fn bitset_search_equals_vec_search(
-        funcs in prop::collection::vec(arb_sop(8, 4, 8), 1..4),
-        striped in any::<bool>(),
-        proc in 0u32..4,
-        nprocs in 1u32..4,
-        min_cols in 1usize..3,
-        tight_budget in any::<bool>(),
-        budget in 1u64..40,
-        tile_width in 0usize..6,
-    ) {
-        let (m, w) = build_matrix(&funcs);
-        let cfg = SearchConfig {
-            stripe: striped.then_some((proc % nprocs, nprocs)),
-            min_cols,
-            budget: if tight_budget { budget } else { SearchConfig::default().budget },
-            tile_width,
-            ..SearchConfig::classic()
-        };
-        let value_of = |id: pf_kcmatrix::CubeId| w[id as usize];
-        let (bit, bit_stats) = best_rectangle(&m, &value_of, &cfg);
-        let (vec, vec_stats) = reference::best_rectangle(&m, &value_of, &cfg);
-        prop_assert_eq!(bit, vec);
-        prop_assert_eq!(bit_stats.visited, vec_stats.visited);
-        prop_assert_eq!(bit_stats.budget_exhausted, vec_stats.budget_exhausted);
-    }
-
-    /// The tiled kernel is byte-identical to the scalar engine for any
-    /// tile width × thread count × topk: same rectangles in the same
-    /// order, and (sequentially, where the schedule is deterministic)
-    /// the same enumeration statistics.
-    #[test]
-    fn tiled_search_is_byte_identical_to_scalar(
-        funcs in prop::collection::vec(arb_sop(8, 4, 8), 1..4),
-        tile_width in 1usize..9,
-        topk in 1usize..5,
-        threads in 0usize..3,
-        min_cols in 1usize..3,
-    ) {
-        let (m, w) = build_matrix(&funcs);
-        let value_of = |id: pf_kcmatrix::CubeId| w[id as usize];
-        let scalar_cfg = SearchConfig {
-            min_cols,
-            topk,
-            par_threads: threads,
-            ..SearchConfig::default()
-        };
-        let tiled_cfg = SearchConfig { tile_width, ..scalar_cfg.clone() };
-        let (scalar, scalar_stats) = best_rectangles_seeded(&m, &value_of, &scalar_cfg, None);
-        let (tiled, tiled_stats) = best_rectangles_seeded(&m, &value_of, &tiled_cfg, None);
-        prop_assert_eq!(&tiled, &scalar, "width={} topk={} threads={}", tile_width, topk, threads);
-        if threads == 0 {
-            prop_assert_eq!(tiled_stats.visited, scalar_stats.visited);
-            prop_assert_eq!(tiled_stats.pruned, scalar_stats.pruned);
-            prop_assert_eq!(tiled_stats.budget_exhausted, scalar_stats.budget_exhausted);
-        }
-    }
-
-    /// The pooled tiled kernel survives matrix mutation through the
-    /// dirty-column panel sync: after tombstoning the winner's rows, a
-    /// warm tiled pass told only those rows' columns are dirty matches
-    /// a fresh scalar search on the new matrix exactly.
+    /// The resident panel survives matrix mutation through the
+    /// dirty-column sync: after tombstoning the winner's rows, a warm
+    /// pass told only those rows' columns are dirty re-encodes them in
+    /// place and matches a cold search on the new matrix exactly.
     #[test]
     fn tiled_pool_dirty_sync_matches_scalar(
         funcs in prop::collection::vec(arb_sop(8, 4, 8), 2..4),
@@ -227,17 +239,16 @@ proptest! {
         threads in 1usize..4,
     ) {
         let (mut m, w) = build_matrix(&funcs);
-        let value_of = |id: pf_kcmatrix::CubeId| w[id as usize];
+        let value_of = |id: CubeId| w[id as usize];
         let cfg = SearchConfig {
             par_threads: threads,
             tile_width,
             ..SearchConfig::default()
         };
         let mut pool = SearchPool::new();
-        let (first, _) =
-            best_rectangle_pooled(&m, &value_of, &cfg, None, &mut pool, CeilingUpdate::Reset);
+        let (first, _) = find_on(&mut pool, &m, &value_of, &cfg, CeilingUpdate::Reset);
         prop_assert_eq!(pool.tile_rebuilds(), 1, "first pass builds the panel once");
-        let Some(rect) = first else { return Ok(()) };
+        let Some(rect) = first.into_iter().next() else { return Ok(()) };
         let mut dirty: Vec<pf_kcmatrix::ColIdx> = rect
             .rows
             .iter()
@@ -248,11 +259,8 @@ proptest! {
         for &r in &rect.rows {
             m.tombstone_row(r);
         }
-        let scalar_cfg = SearchConfig { tile_width: 0, ..cfg.clone() };
-        let (fresh, _) = best_rectangle(&m, &value_of, &scalar_cfg);
-        let (warm, _) = best_rectangle_pooled(
-            &m, &value_of, &cfg, None, &mut pool, CeilingUpdate::Dirty(&dirty),
-        );
+        let fresh = find(&m, &value_of, &cfg);
+        let (warm, _) = find_on(&mut pool, &m, &value_of, &cfg, CeilingUpdate::Dirty(&dirty));
         prop_assert_eq!(&warm, &fresh, "width={} threads={}", tile_width, threads);
         prop_assert_eq!(pool.tile_rebuilds(), 1, "dirty pass syncs in place");
     }
@@ -348,75 +356,25 @@ proptest! {
         }
     }
 
-    /// The parallel engine returns the same `Rectangle` no matter the
-    /// thread count, and its value matches the sequential optimum.
+    /// The search returns the same `Rectangle` no matter the worker
+    /// count, and its value matches the reference branch and bound's.
     #[test]
     fn parallel_search_is_thread_count_independent(
         funcs in prop::collection::vec(arb_sop(8, 4, 8), 1..4),
         min_cols in 1usize..3,
     ) {
         let (m, w) = build_matrix(&funcs);
-        let value_of = |id: pf_kcmatrix::CubeId| w[id as usize];
+        let value_of = |id: CubeId| w[id as usize];
         let base = SearchConfig { min_cols, ..SearchConfig::default() };
-        let (seq, _) = best_rectangle(&m, &value_of, &base);
-        let (one, _) = best_rectangle(
-            &m,
-            &value_of,
-            &SearchConfig { par_threads: 1, ..base.clone() },
-        );
-        let (four, _) = best_rectangle(
-            &m,
-            &value_of,
-            &SearchConfig { par_threads: 4, ..base },
-        );
+        let (oracle, _) = reference::best_rectangle(&m, &value_of, &base);
+        let one = best(&m, &value_of, &SearchConfig { par_threads: 1, ..base.clone() });
+        let four = best(&m, &value_of, &SearchConfig { par_threads: 4, ..base });
         prop_assert_eq!(&one, &four, "1 vs 4 threads must agree exactly");
         prop_assert_eq!(
             one.as_ref().map(|r| r.value),
-            seq.map(|r| r.value),
-            "parallel value must match the sequential optimum"
+            oracle.map(|r| r.value),
+            "the value must match the reference optimum"
         );
-    }
-
-    /// The pooled engine is a drop-in replacement for the spawn-per-pass
-    /// parallel engine: identical `Rectangle` for every thread count, and
-    /// identical enumeration (visited / budget flag) at one thread, where
-    /// the pooled pass runs the very same worker loop inline.
-    #[test]
-    fn pooled_search_equals_spawn_search(
-        funcs in prop::collection::vec(arb_sop(8, 4, 8), 1..4),
-        min_cols in 1usize..3,
-    ) {
-        let (m, w) = build_matrix(&funcs);
-        let value_of = |id: pf_kcmatrix::CubeId| w[id as usize];
-        let (classic, _) = best_rectangle(
-            &m,
-            &value_of,
-            &SearchConfig { min_cols, ..SearchConfig::default() },
-        );
-        for threads in [1usize, 2, 4] {
-            let cfg = SearchConfig {
-                par_threads: threads,
-                min_cols,
-                ..SearchConfig::default()
-            };
-            let (spawn, spawn_stats) = best_rectangle(&m, &value_of, &cfg);
-            let mut pool = SearchPool::new();
-            let (pooled, pooled_stats) =
-                best_rectangle_pooled(&m, &value_of, &cfg, None, &mut pool, CeilingUpdate::Off);
-            prop_assert_eq!(&pooled, &spawn, "threads={}", threads);
-            prop_assert_eq!(
-                pooled_stats.budget_exhausted, spawn_stats.budget_exhausted,
-                "threads={}", threads
-            );
-            if threads == 1 {
-                prop_assert_eq!(pooled_stats.visited, spawn_stats.visited);
-            }
-            prop_assert_eq!(
-                pooled.as_ref().map(|r| r.value),
-                classic.as_ref().map(|r| r.value),
-                "threads={}: pooled value must match the classic optimum", threads
-            );
-        }
     }
 
     /// A warm pool is stateless across passes unless ceilings say
@@ -430,28 +388,23 @@ proptest! {
         threads in 1usize..5,
     ) {
         let (m, w) = build_matrix(&funcs);
-        let value_of = |id: pf_kcmatrix::CubeId| w[id as usize];
+        let value_of = |id: CubeId| w[id as usize];
         let cfg = SearchConfig { par_threads: threads, ..SearchConfig::default() };
         let mut pool = SearchPool::new();
-        let (first, _) =
-            best_rectangle_pooled(&m, &value_of, &cfg, None, &mut pool, CeilingUpdate::Off);
+        let (first, _) = find_on(&mut pool, &m, &value_of, &cfg, CeilingUpdate::Off);
         // Pass widths are clamped to the available tasks, so the first
         // pass may spawn fewer than `threads - 1` background workers —
         // but identical repeats must never spawn another thread.
         let spawned_cold = pool.spawned_threads();
         prop_assert!(spawned_cold <= threads.saturating_sub(1) as u64);
         for _ in 0..2 {
-            let (again, _) =
-                best_rectangle_pooled(&m, &value_of, &cfg, None, &mut pool, CeilingUpdate::Off);
+            let (again, _) = find_on(&mut pool, &m, &value_of, &cfg, CeilingUpdate::Off);
             prop_assert_eq!(&again, &first);
         }
-        let (reset, _) =
-            best_rectangle_pooled(&m, &value_of, &cfg, None, &mut pool, CeilingUpdate::Reset);
+        let (reset, _) = find_on(&mut pool, &m, &value_of, &cfg, CeilingUpdate::Reset);
         prop_assert_eq!(&reset, &first);
         for _ in 0..2 {
-            let (ceiled, _) = best_rectangle_pooled(
-                &m, &value_of, &cfg, None, &mut pool, CeilingUpdate::Dirty(&[]),
-            );
+            let (ceiled, _) = find_on(&mut pool, &m, &value_of, &cfg, CeilingUpdate::Dirty(&[]));
             prop_assert_eq!(&ceiled, &first);
         }
         prop_assert_eq!(pool.spawned_threads(), spawned_cold, "warm repeats spawned threads");
@@ -459,20 +412,19 @@ proptest! {
 
     /// Ceiling invalidation is sound across matrix mutation: after
     /// tombstoning the best rectangle's rows (the cover loop's mutation
-    /// shape), a pooled pass told only those rows' columns are dirty
-    /// finds exactly what a fresh spawn search finds on the new matrix.
+    /// shape), a pass told only those rows' columns are dirty finds
+    /// exactly what a cold search finds on the new matrix.
     #[test]
     fn dirty_column_ceilings_survive_mutation(
         funcs in prop::collection::vec(arb_sop(8, 4, 8), 2..4),
         threads in 1usize..4,
     ) {
         let (mut m, w) = build_matrix(&funcs);
-        let value_of = |id: pf_kcmatrix::CubeId| w[id as usize];
+        let value_of = |id: CubeId| w[id as usize];
         let cfg = SearchConfig { par_threads: threads, ..SearchConfig::default() };
         let mut pool = SearchPool::new();
-        let (first, _) =
-            best_rectangle_pooled(&m, &value_of, &cfg, None, &mut pool, CeilingUpdate::Reset);
-        let Some(rect) = first else { return Ok(()) };
+        let (first, _) = find_on(&mut pool, &m, &value_of, &cfg, CeilingUpdate::Reset);
+        let Some(rect) = first.into_iter().next() else { return Ok(()) };
         // Tombstone the winning rows; their columns are exactly the
         // dirty set (no rows were appended).
         let mut dirty: Vec<pf_kcmatrix::ColIdx> = rect
@@ -485,15 +437,13 @@ proptest! {
         for &r in &rect.rows {
             m.tombstone_row(r);
         }
-        let (fresh, _) = best_rectangle(&m, &value_of, &cfg);
-        let (ceiled, _) = best_rectangle_pooled(
-            &m, &value_of, &cfg, None, &mut pool, CeilingUpdate::Dirty(&dirty),
-        );
+        let fresh = find(&m, &value_of, &cfg);
+        let (ceiled, _) = find_on(&mut pool, &m, &value_of, &cfg, CeilingUpdate::Dirty(&dirty));
         prop_assert_eq!(&ceiled, &fresh, "threads={}", threads);
     }
 
-    /// The plural search at topk = 1 is the singular search: same
-    /// rectangle, byte for byte, for any stripe and thread count.
+    /// The search at topk = 1 is the head of the search at any larger K:
+    /// same rectangle, byte for byte, for any stripe and thread count.
     #[test]
     fn topk1_plural_search_is_the_singular_search(
         funcs in prop::collection::vec(arb_sop(8, 4, 8), 1..4),
@@ -503,17 +453,17 @@ proptest! {
         threads in 0usize..3,
     ) {
         let (m, w) = build_matrix(&funcs);
-        let value_of = |id: pf_kcmatrix::CubeId| w[id as usize];
+        let value_of = |id: CubeId| w[id as usize];
         let cfg = SearchConfig {
             stripe: striped.then_some((proc % nprocs, nprocs)),
             par_threads: threads,
             topk: 1,
             ..SearchConfig::default()
         };
-        let (single, _) = best_rectangle(&m, &value_of, &cfg);
-        let (plural, _) = best_rectangles_seeded(&m, &value_of, &cfg, None);
-        prop_assert_eq!(plural.first(), single.as_ref());
-        prop_assert!(plural.len() <= 1);
+        let single = find(&m, &value_of, &cfg);
+        let plural = find(&m, &value_of, &SearchConfig { topk: 4, ..cfg });
+        prop_assert_eq!(single.first(), plural.first());
+        prop_assert!(single.len() <= 1);
     }
 
     /// A batch selected from top-K candidates is genuinely conflict-free
@@ -525,9 +475,9 @@ proptest! {
         topk in 2usize..12,
     ) {
         let (m, w) = build_matrix(&funcs);
-        let value_of = |id: pf_kcmatrix::CubeId| w[id as usize];
+        let value_of = |id: CubeId| w[id as usize];
         let cfg = SearchConfig { topk, ..SearchConfig::default() };
-        let (cands, _) = best_rectangles_seeded(&m, &value_of, &cfg, None);
+        let cands = find(&m, &value_of, &cfg);
         let selected = select_nonconflicting(&m, &cands, usize::MAX);
         for (i, a) in selected.iter().enumerate() {
             for b in &selected[i + 1..] {
@@ -605,7 +555,7 @@ proptest! {
     /// nothing else: the top-K search over the compacted matrix returns
     /// the same rectangles (values, columns, and rows through the
     /// order-preserving renumbering) in the same order, classic and
-    /// batched, scalar and tiled.
+    /// batched, at every tile width.
     #[test]
     fn compaction_preserves_search_results(
         funcs in prop::collection::vec(arb_sop(8, 4, 8), 2..4),
@@ -620,9 +570,9 @@ proptest! {
         for k in kills {
             m.tombstone_row(k % m.rows().len());
         }
-        let value_of = |id: pf_kcmatrix::CubeId| w[id as usize];
+        let value_of = |id: CubeId| w[id as usize];
         let cfg = SearchConfig { topk, tile_width, ..SearchConfig::default() };
-        let (before, _) = best_rectangles_seeded(&m, &value_of, &cfg, None);
+        let before = find(&m, &value_of, &cfg);
         // Old index → new index of every surviving row.
         let mut renumber = vec![usize::MAX; m.rows().len()];
         let mut next = 0;
@@ -642,7 +592,7 @@ proptest! {
                 prop_assert!(m.rows()[r].entry(ci).is_some());
             }
         }
-        let (after, _) = best_rectangles_seeded(&m, &value_of, &cfg, None);
+        let after = find(&m, &value_of, &cfg);
         let expect: Vec<_> = before
             .into_iter()
             .map(|mut r| {

@@ -43,6 +43,7 @@ use pf_core::{
     block_base_for, execute_sub_job, DistConfig, DistEvent, DistStats, DistTransport, FaultPlan,
     LocalTransport, SubJob, SubKind,
 };
+use pf_kcmatrix::SearchConfig;
 use pf_network::io::{read_network, write_network};
 use pf_network::SignalId;
 use pf_sop::fx::FxHashMap;
@@ -125,7 +126,7 @@ pub fn encode_sub_request(job: &SubJob, faults: Option<(&str, u64)>) -> Json {
         ),
         // Both search knobs always travel: a worker fills an absent one
         // with *its* default, which would silently turn an explicit
-        // classic job (`topk = 1`, `tile_width = 0`) into a batched one.
+        // classic job (`topk = 1`) into a batched one.
         (
             "batch_rects".to_string(),
             Json::u64(job.extract.search.topk as u64),
@@ -348,7 +349,7 @@ fn run_sub(request: &Json) -> Result<Json, String> {
         extract.search.topk = k as usize;
     }
     if let Some(w) = request.get("tile_width").and_then(Json::as_u64) {
-        extract.search.tile_width = w as usize;
+        extract.search.tile_width = SearchConfig::checked_tile_width(w)?;
     }
     if let Some(spec) = request.get("fault_plan").and_then(Json::as_str) {
         let seed = request
@@ -866,6 +867,36 @@ mod tests {
         }
     }
 
+    #[test]
+    fn sub_request_tile_width_is_bounded() {
+        let nw = test_network();
+        let targets: Vec<SignalId> = nw.node_ids().collect();
+        let job = sample_job(5, targets, nw);
+        let with_width = |w: u64| {
+            let Json::Obj(mut members) = encode_sub_request(&job, None) else {
+                unreachable!("a sub request is an object")
+            };
+            for (key, value) in &mut members {
+                if key == "tile_width" {
+                    *value = Json::u64(w);
+                }
+            }
+            handle_sub(&Json::Obj(members))
+        };
+        let response = with_width(1 << 40);
+        assert_eq!(response.get("status").and_then(Json::as_str), Some("error"));
+        assert_eq!(
+            response.get("error").and_then(Json::as_str),
+            Some(
+                SearchConfig::checked_tile_width(1 << 40)
+                    .unwrap_err()
+                    .as_str()
+            )
+        );
+        let widest = with_width(SearchConfig::MAX_TILE_WIDTH as u64);
+        assert_eq!(widest.get("status").and_then(Json::as_str), Some("ok"));
+    }
+
     fn start_worker_server() -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
         let server = Server::bind_with(
             "127.0.0.1:0",
@@ -913,10 +944,10 @@ mod tests {
     #[test]
     fn explicit_classic_job_stays_classic_on_remote_workers() {
         // A worker fills an absent search knob with its own default, so
-        // the request must carry both even at `topk = 1`, `tile_width =
-        // 0`: the classic job over two TCP workers ends at the network
-        // the same job reaches in process — which is not where the
-        // batched default ends on this circuit.
+        // the request must carry both, `topk = 1` included: the classic
+        // job over two TCP workers ends at the network the same job
+        // reaches in process — which is not where the batched default
+        // ends on this circuit.
         let base = generate(&pf_workloads::scale_profile(
             &pf_workloads::profile_by_name("misex3").expect("misex3 profile exists"),
             0.3,
@@ -949,7 +980,10 @@ mod tests {
         };
         let request = encode_sub_request(&job, None);
         assert_eq!(request.get("batch_rects").and_then(Json::as_u64), Some(1));
-        assert_eq!(request.get("tile_width").and_then(Json::as_u64), Some(0));
+        assert_eq!(
+            request.get("tile_width").and_then(Json::as_u64),
+            Some(classic.extract.search.tile_width as u64)
+        );
 
         let (a0, h0) = start_worker_server();
         let (a1, h1) = start_worker_server();

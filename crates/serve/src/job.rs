@@ -71,9 +71,9 @@ pub struct JobSpec {
     /// Processors / partitions for the parallel drivers (ignored by
     /// `seq`). Validated against the host's parallelism at submit time.
     pub procs: usize,
-    /// Intra-matrix rectangle-search threads per driver worker
-    /// (`SearchConfig::par_threads`). `0` keeps the classic sequential
-    /// search. Clamped to the host's parallelism at submit time.
+    /// Intra-matrix rectangle-search workers per driver worker
+    /// (`SearchConfig::par_threads`). `0` and `1` both search inline.
+    /// Clamped to the host's parallelism at submit time.
     pub par_threads: usize,
     /// Rectangles collected per search pass (`SearchConfig::topk`,
     /// whose default this field follows): conflict-aware batching.
@@ -81,11 +81,11 @@ pub struct JobSpec {
     /// Result-affecting, unlike `par_threads`, so it participates in
     /// the cache key.
     pub batch_rects: usize,
-    /// Tile width in u64 words for the cache-blocked rectangle-search
-    /// kernel (`SearchConfig::tile_width`, whose default this field
-    /// follows). `0` is the scalar intersection loop. Result-invariant
-    /// like `par_threads` (the tiled kernel is byte-identical by
-    /// construction), so it does NOT participate in the cache key.
+    /// Tile width in u64 words of the rectangle search's column panel
+    /// (`SearchConfig::tile_width`, whose default this field follows),
+    /// at most `SearchConfig::MAX_TILE_WIDTH`; `0` is read as 1.
+    /// Result-invariant like `par_threads`, so it does NOT participate
+    /// in the cache key.
     pub tile_width: usize,
     /// Per-job deadline; expiry (including time spent queued) turns the
     /// job into a structured timeout response.

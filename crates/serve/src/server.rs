@@ -42,6 +42,7 @@ use crate::job::{Algorithm, JobOutcome, JobSpec, Rejection};
 use crate::json::{parse, Json};
 use crate::service::{Client, Service, ServiceConfig};
 use parking_lot::Mutex;
+use pf_kcmatrix::SearchConfig;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -568,7 +569,10 @@ fn spec_from_json(request: &Json) -> Result<JobSpec, String> {
         }
     }
     if let Some(v) = request.get("tile_width") {
-        spec.tile_width = checked_count(v, "tile_width")?;
+        let w = v
+            .as_u64()
+            .ok_or("\"tile_width\" must be a non-negative integer")?;
+        spec.tile_width = SearchConfig::checked_tile_width(w)?;
     }
     spec.deadline = match request.get("deadline_ms") {
         None | Some(Json::Null) => None,

@@ -196,7 +196,7 @@ impl Client {
                 return Err(Rejection::Invalid(msg));
             }
         }
-        // 0 is meaningful (classic sequential search), so only clamp.
+        // 0 is valid (inline search), so only clamp.
         spec.par_threads = spec.par_threads.min(self.inner.max_procs.max(1));
         if spec.batch_rects == 0 {
             m.rejected_invalid.inc();

@@ -38,9 +38,9 @@ pub struct CacheOutcome {
 /// the cache activity it caused.
 ///
 /// `pool` is this worker thread's resident [`SearchPool`] slot: a
-/// `Seq` job with `par_threads ≥ 1` adopts the pool left by the
-/// previous job (warmed threads, retained scratch) and hands it back
-/// when done. Other algorithms own their pools per run (their engines
+/// `Seq` job adopts the pool left by the previous job (warmed threads,
+/// retained scratch; the previous job's panel and ceilings are dropped)
+/// and hands it back when done. Other algorithms own their pools per run (their engines
 /// live on driver-spawned threads), so the slot passes through
 /// untouched.
 ///

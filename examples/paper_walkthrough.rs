@@ -15,7 +15,8 @@
 
 use parafactor::core::{extract_kernels, ExtractConfig};
 use parafactor::kcmatrix::{
-    best_rectangle, CubeRegistry, CubeStates, KcMatrix, LabelGen, SearchConfig,
+    CeilingUpdate, CostModel, CubeRegistry, CubeStates, KcMatrix, LabelGen, SearchConfig,
+    SearchPool,
 };
 use parafactor::network::example::example_1_1;
 use parafactor::network::transform::extract_node;
@@ -79,20 +80,27 @@ fn main() {
         full.add_node_kernels(n, nw.func(n), &kc, &reg_full, &mut rl, &mut cl);
     }
     let w = reg_full.weights_snapshot();
+    let value_of = |id: u32| w[id as usize];
+    let model = CostModel::area(&value_of);
+    let mut search = SearchPool::new();
+    let mut best_rectangle = |cfg: &SearchConfig| {
+        let (rects, stats) = search.find(&full, &model, cfg, None, CeilingUpdate::Off);
+        (rects.into_iter().next(), stats)
+    };
     let nprocs = 3u32;
     for p in 0..nprocs {
         let cfg = SearchConfig {
             stripe: Some((p, nprocs)),
             ..SearchConfig::default()
         };
-        let (best, stats) = best_rectangle(&full, &|id| w[id as usize], &cfg);
+        let (best, stats) = best_rectangle(&cfg);
         println!(
             "  processor {p}: {:>4} column-sets explored, best value {}",
             stats.visited,
             best.as_ref().map_or(0, |r| r.value)
         );
     }
-    let (global, _) = best_rectangle(&full, &|id| w[id as usize], &SearchConfig::default());
+    let (global, _) = best_rectangle(&SearchConfig::default());
     let global = global.unwrap();
     println!(
         "  reduction picks value {} (kernel {}), as the sequential search would\n",

@@ -1,18 +1,16 @@
 //! `parafactor bench-json` — a machine-readable performance snapshot.
 //!
-//! Emits `BENCH_rect.json`: median nanoseconds per rectangle search for
-//! the legacy vec engine, the bitset engine, and the parallel engine at
-//! 1/2/4/8 threads, plus end-to-end extraction wall time per driver at
-//! dalu scale 0.35 and 1.0, plus the batched-extraction table (pass
-//! counts and end-to-end medians for `--batch-rects` K ∈ {1, 4, 16}).
-//! The checked-in copy at the repo root is the perf trajectory
-//! baseline; refresh it with `parafactor bench-json` after touching the
-//! search core. `--quick` shrinks scales and reps so CI can smoke the
-//! subcommand in seconds. `--assert-pass-reduction PCT` gates on K=16
-//! batching cutting the seq pass count by at least PCT percent, and
-//! `--assert-tile-speedup PCT` gates on the tiled panel kernel
-//! (`--tile-width`) beating the scalar word loop by at least PCT
-//! percent at the biggest measured scale (the `tiles` section).
+//! Emits `BENCH_rect.json`: nanoseconds per rectangle search for the
+//! reference vec engine and the search (`bitset_ns`), and for the search
+//! inline (`seq_ns`) and at 1/2/4/8 workers, plus end-to-end extraction
+//! wall time per driver at dalu scale 0.35 and 1.0, plus the
+//! batched-extraction table (pass counts and end-to-end medians for
+//! `--batch-rects` K ∈ {1, 4, 16}). The checked-in copy at the repo root
+//! is the perf trajectory baseline; refresh it with `parafactor
+//! bench-json` after touching the search core. `--quick` shrinks scales
+//! and reps so CI can smoke the subcommand in seconds.
+//! `--assert-pass-reduction PCT` gates on K=16 batching cutting the seq
+//! pass count by at least PCT percent.
 //!
 //! `--partition` switches to the distributed-extraction snapshot
 //! (`BENCH_partition.json`): per scale in the sweep (`--scales`,
@@ -26,8 +24,7 @@
 //! recovery's wall share at scales ≥ 2, where extraction must dominate.
 
 use pf_kcmatrix::{
-    best_rectangle, best_rectangle_pooled, reference, CeilingUpdate, CubeRegistry, KcMatrix,
-    LabelGen, SearchConfig, SearchPool,
+    reference, CeilingUpdate, CostModel, CubeRegistry, KcMatrix, LabelGen, SearchConfig, SearchPool,
 };
 use pf_serve::Json;
 use pf_workloads::{generate, profile_by_name, scale_profile};
@@ -39,11 +36,6 @@ pub struct BenchJsonOptions {
     pub quick: bool,
     /// Output path (`BENCH_rect.json` by default).
     pub out: String,
-    /// Fail (exit non-zero) when the pooled one-thread per-pass median
-    /// exceeds the sequential engine's by more than this many percent.
-    /// Skipped (with a logged warning) on a single-core host, where the
-    /// pooled pass has no parallelism to buy back its coordination cost.
-    pub assert_pooled_overhead: Option<f64>,
     /// Fail (exit non-zero) unless batching at K = 16 cuts the seq
     /// driver's pass count by at least this percentage versus K = 1 on
     /// every measured scale of gen:dalu.
@@ -51,9 +43,6 @@ pub struct BenchJsonOptions {
     /// Fail (exit non-zero) unless the warm cache-served network is
     /// byte-identical to the cold run's.
     pub assert_cache_identical: bool,
-    /// Fail (exit non-zero) unless the best tiled width beats the scalar
-    /// search by at least this percentage at the biggest measured scale.
-    pub assert_tile_speedup: Option<f64>,
     /// Measure the distributed-partition snapshot instead of the
     /// rectangle-search one (`BENCH_partition.json` by default).
     pub partition: bool,
@@ -80,10 +69,8 @@ impl Default for BenchJsonOptions {
         BenchJsonOptions {
             quick: false,
             out: "BENCH_rect.json".to_string(),
-            assert_pooled_overhead: None,
             assert_pass_reduction: None,
             assert_cache_identical: false,
-            assert_tile_speedup: None,
             partition: false,
             assert_gap_closed: None,
             scales: None,
@@ -133,9 +120,9 @@ fn median_ns(reps: usize, mut f: impl FnMut()) -> u64 {
 /// noise on a shared host is strictly additive, so the minimum is the
 /// robust estimator for pure-CPU search kernels — a median of a few
 /// dozen microsecond-scale samples can swing tens of percent run to
-/// run, which flaked the overhead and tile-speedup CI gates. Wall-time
-/// sections (end-to-end extraction, cache) keep the median: they
-/// allocate and fault pages, so their minimum is unrepresentative.
+/// run. Wall-time sections (end-to-end extraction, cache) keep the
+/// median: they allocate and fault pages, so their minimum is
+/// unrepresentative.
 fn min_ns(reps: usize, mut f: impl FnMut()) -> u64 {
     (0..reps.max(1))
         .map(|_| {
@@ -147,24 +134,21 @@ fn min_ns(reps: usize, mut f: impl FnMut()) -> u64 {
         .unwrap_or(0)
 }
 
-/// One full single-rectangle search over `m` with the given thread
-/// count (0 = classic sequential engine) and tile width (0 = scalar
-/// word loop). The kernel sections compare engines on the classic
-/// `topk = 1` pass, whatever the library default is.
-fn timed_search(
-    m: &KcMatrix,
-    w: &[u32],
-    par_threads: usize,
-    tile_width: usize,
-    reps: usize,
-) -> u64 {
+/// One full single-rectangle search over `m` with the given worker
+/// count, on a pool warmed before the clock with ceilings off, so every
+/// pass does identical work. The kernel sections compare engines on the
+/// classic `topk = 1` pass, whatever the library default is.
+fn timed_search(m: &KcMatrix, w: &[u32], par_threads: usize, reps: usize) -> u64 {
     let cfg = SearchConfig {
         par_threads,
-        tile_width,
         ..SearchConfig::classic()
     };
+    let value_of = |id: pf_kcmatrix::CubeId| w[id as usize];
+    let model = CostModel::area(&value_of);
+    let mut pool = SearchPool::new();
+    pool.warm(par_threads);
     min_ns(reps, || {
-        let (best, _) = best_rectangle(m, &|id| w[id as usize], &cfg);
+        let (best, _) = pool.find(m, &model, &cfg, None, CeilingUpdate::Off);
         std::hint::black_box(best);
     })
 }
@@ -228,7 +212,7 @@ pub fn run(opts: &BenchJsonOptions) -> Json {
     };
     let e2e_scales: &[f64] = if opts.quick { &[0.08] } else { &[0.35, 1.0] };
 
-    // Micro: one full search, legacy vec engine vs bitset engine.
+    // Micro: one full search, reference vec engine vs the search.
     eprintln!("bench-json: rect_search micro @ dalu scale {micro_scale}");
     let (m, w) = dalu_matrix(micro_scale);
     let cfg = SearchConfig::classic();
@@ -236,141 +220,20 @@ pub fn run(opts: &BenchJsonOptions) -> Json {
         let (best, _) = reference::best_rectangle(&m, &|id| w[id as usize], &cfg);
         std::hint::black_box(best);
     });
-    let bitset_ns = timed_search(&m, &w, 0, 0, micro_reps);
+    let bitset_ns = timed_search(&m, &w, 0, micro_reps);
     let speedup = vec_ns as f64 / bitset_ns.max(1) as f64;
-    eprintln!("bench-json:   vec {vec_ns} ns, bitset {bitset_ns} ns ({speedup:.2}x)");
+    eprintln!("bench-json:   vec {vec_ns} ns, search {bitset_ns} ns ({speedup:.2}x)");
 
-    // Threads: the parallel engine on the big matrix. The seq / pooled-t1
-    // pair backs the overhead gate, so it is measured *interleaved* —
-    // one seq sample, one pooled sample, repeat, minimum of each. Either
-    // side measured alone drifts with host load over the seconds the
-    // sections take, and the gate compares the two: a few percent of
-    // drift between separate measurement windows reads as pool overhead
-    // that is not there.
-    let overhead_reps = thread_reps.max(50);
+    // Threads: the search inline and at 1/2/4/8 workers on the big
+    // matrix.
     eprintln!("bench-json: parallel search @ dalu scale {big_scale}");
     let (mb, wb) = dalu_matrix(big_scale);
-    let (seq_ns, pooled_t1_ns) = {
-        let seq_cfg = SearchConfig::classic();
-        let t1_cfg = SearchConfig {
-            par_threads: 1,
-            ..SearchConfig::classic()
-        };
-        let mut pool = SearchPool::new();
-        pool.warm(1);
-        let (mut seq_min, mut pooled_min) = (u64::MAX, u64::MAX);
-        for _ in 0..overhead_reps {
-            let t = Instant::now();
-            let (best, _) = best_rectangle(&mb, &|id| wb[id as usize], &seq_cfg);
-            std::hint::black_box(best);
-            seq_min = seq_min.min(t.elapsed().as_nanos() as u64);
-            let t = Instant::now();
-            let (best, _) = best_rectangle_pooled(
-                &mb,
-                &|id| wb[id as usize],
-                &t1_cfg,
-                None,
-                &mut pool,
-                CeilingUpdate::Off,
-            );
-            std::hint::black_box(best);
-            pooled_min = pooled_min.min(t.elapsed().as_nanos() as u64);
-        }
-        (seq_min, pooled_min)
-    };
+    let seq_ns = timed_search(&mb, &wb, 0, thread_reps);
     let mut thread_members: Vec<(String, Json)> = vec![("seq_ns".to_string(), Json::u64(seq_ns))];
     for t in [1usize, 2, 4, 8] {
-        let ns = timed_search(&mb, &wb, t, 0, thread_reps);
+        let ns = timed_search(&mb, &wb, t, thread_reps);
         eprintln!("bench-json:   {t} thread(s): {ns} ns");
         thread_members.push((format!("t{t}_ns"), Json::u64(ns)));
-    }
-
-    // Pooled: the same engine through a resident SearchPool (warmed
-    // before the clock, ceilings off so every pass does identical work —
-    // this isolates pool overhead from cross-pass ceiling wins).
-    let mut pooled_members: Vec<(String, Json)> = Vec::new();
-    for t in [1usize, 2, 4, 8] {
-        // t = 1 comes from the interleaved gate pair above.
-        let ns = if t == 1 {
-            pooled_t1_ns
-        } else {
-            let cfg = SearchConfig {
-                par_threads: t,
-                ..SearchConfig::classic()
-            };
-            let mut pool = SearchPool::new();
-            pool.warm(t);
-            min_ns(thread_reps, || {
-                let (best, _) = best_rectangle_pooled(
-                    &mb,
-                    &|id| wb[id as usize],
-                    &cfg,
-                    None,
-                    &mut pool,
-                    CeilingUpdate::Off,
-                );
-                std::hint::black_box(best);
-            })
-        };
-        eprintln!("bench-json:   pooled {t} thread(s): {ns} ns");
-        pooled_members.push((format!("t{t}_ns"), Json::u64(ns)));
-    }
-    let pooled_overhead_t1_pct =
-        (pooled_t1_ns as f64 - seq_ns as f64) / seq_ns.max(1) as f64 * 100.0;
-    eprintln!(
-        "bench-json:   pooled t1 vs seq: {pooled_overhead_t1_pct:+.2}% \
-         ({pooled_t1_ns} vs {seq_ns} ns)"
-    );
-    pooled_members.push((
-        "pooled_overhead_t1_pct".to_string(),
-        Json::num(pooled_overhead_t1_pct),
-    ));
-
-    // Tiled kernel: the cache-blocked panel engine against the scalar
-    // word loop (sequential search, byte-identical results), per tile
-    // width. The last scale's best-width speedup backs the
-    // --assert-tile-speedup gate, so every row uses `overhead_reps`
-    // minima. Quick mode measures a dedicated dalu@0.35 matrix: the
-    // 0.08 smoke matrix is so small that panel setup dominates and the
-    // tiled kernel genuinely loses there, which would make the quick
-    // gate assert the wrong thing.
-    let tile_widths: [usize; 3] = [2, 4, 8];
-    let mut tiles_members: Vec<(String, Json)> = Vec::new();
-    let mut tile_speedup_pct = 0.0f64;
-    let quick_tile = if opts.quick {
-        Some(dalu_matrix(0.35))
-    } else {
-        None
-    };
-    let tile_tables: Vec<(f64, &KcMatrix, &[u32], u64, usize)> =
-        if let Some((qm, qw)) = quick_tile.as_ref() {
-            let scalar_ns = timed_search(qm, qw, 0, 0, overhead_reps);
-            vec![(0.35, qm, qw, scalar_ns, overhead_reps)]
-        } else {
-            vec![
-                (micro_scale, &m, &w, bitset_ns, overhead_reps),
-                (big_scale, &mb, &wb, seq_ns, overhead_reps),
-            ]
-        };
-    for (scale, tm, tw, scalar_ns, reps) in tile_tables {
-        eprintln!("bench-json: tiled search @ dalu scale {scale}");
-        let mut rows: Vec<(String, Json)> = vec![("scalar_ns".to_string(), Json::u64(scalar_ns))];
-        let mut best_pct = f64::NEG_INFINITY;
-        let mut best_width = 0usize;
-        for width in tile_widths {
-            let ns = timed_search(tm, tw, 0, width, reps);
-            let pct = (scalar_ns as f64 / ns.max(1) as f64 - 1.0) * 100.0;
-            eprintln!("bench-json:   w{width}: {ns} ns ({pct:+.1}% vs scalar)");
-            if pct > best_pct {
-                best_pct = pct;
-                best_width = width;
-            }
-            rows.push((format!("w{width}_ns"), Json::u64(ns)));
-        }
-        rows.push(("best_width".to_string(), Json::u64(best_width as u64)));
-        rows.push(("speedup_best_pct".to_string(), Json::num(best_pct)));
-        tile_speedup_pct = best_pct;
-        tiles_members.push((format!("scale_{scale}"), Json::Obj(rows)));
     }
 
     // Cache: one cold extraction vs an exact-hit replay through the
@@ -555,13 +418,8 @@ pub fn run(opts: &BenchJsonOptions) -> Json {
             Json::obj([
                 ("scale", Json::num(big_scale)),
                 ("threads", Json::Obj(thread_members)),
-                ("pooled", Json::Obj(pooled_members)),
             ]),
         ),
-        ("tiles", Json::Obj(tiles_members)),
-        // Best-width tiled speedup over scalar at the biggest measured
-        // scale, the --assert-tile-speedup gate value.
-        ("tile_speedup_pct", Json::num(tile_speedup_pct)),
         ("cache", cache_members),
         ("extract_e2e_ms", Json::Obj(e2e_members)),
         ("batch", Json::Obj(batch_members)),
@@ -827,16 +685,6 @@ pub fn cmd_bench_json(args: &[String]) -> Result<(), String> {
                 opts.partition = true;
                 i += 2;
             }
-            "--assert-pooled-overhead" => {
-                let pct = args
-                    .get(i + 1)
-                    .ok_or("--assert-pooled-overhead needs a percentage")?;
-                opts.assert_pooled_overhead = Some(
-                    pct.parse::<f64>()
-                        .map_err(|e| format!("bad --assert-pooled-overhead {pct:?}: {e}"))?,
-                );
-                i += 2;
-            }
             "--assert-pass-reduction" => {
                 let pct = args
                     .get(i + 1)
@@ -851,31 +699,15 @@ pub fn cmd_bench_json(args: &[String]) -> Result<(), String> {
                 opts.assert_cache_identical = true;
                 i += 1;
             }
-            "--assert-tile-speedup" => {
-                let pct = args
-                    .get(i + 1)
-                    .ok_or("--assert-tile-speedup needs a percentage")?;
-                opts.assert_tile_speedup = Some(
-                    pct.parse::<f64>()
-                        .map_err(|e| format!("bad --assert-tile-speedup {pct:?}: {e}"))?,
-                );
-                i += 2;
-            }
             other => return Err(format!("unknown bench-json option {other:?}")),
         }
     }
     if opts.partition && !out_set {
         opts.out = "BENCH_partition.json".to_string();
     }
-    if opts.partition
-        && (opts.assert_pooled_overhead.is_some()
-            || opts.assert_cache_identical
-            || opts.assert_pass_reduction.is_some()
-            || opts.assert_tile_speedup.is_some())
-    {
+    if opts.partition && (opts.assert_cache_identical || opts.assert_pass_reduction.is_some()) {
         return Err(
-            "--assert-pooled-overhead/--assert-cache-identical/--assert-pass-reduction/\
-             --assert-tile-speedup only apply without --partition"
+            "--assert-cache-identical/--assert-pass-reduction only apply without --partition"
                 .to_string(),
         );
     }
@@ -889,38 +721,6 @@ pub fn cmd_bench_json(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("cannot write {}: {e}", opts.out))?;
     println!("{text}");
     eprintln!("bench-json: wrote {}", opts.out);
-    if let Some(limit) = opts.assert_pooled_overhead {
-        // The one-thread overhead compares two single-threaded runs
-        // (pooled worker-0-inline vs the spawn-free sequential engine),
-        // so it is meaningful on any host, 1-core CI runners included —
-        // skipping there let a 25.9% pooled regression ship unnoticed.
-        // Only comparisons that need real parallel speedup may be
-        // host-gated on core count.
-        let got = doc
-            .get("par_search")
-            .and_then(|p| p.get("pooled"))
-            .and_then(|p| p.get("pooled_overhead_t1_pct"))
-            .and_then(Json::as_f64)
-            .ok_or("pooled_overhead_t1_pct missing from the document")?;
-        if got > limit {
-            return Err(format!(
-                "pooled one-thread overhead {got:.2}% exceeds the {limit}% limit"
-            ));
-        }
-        eprintln!("bench-json: pooled t1 overhead {got:.2}% within {limit}% limit");
-    }
-    if let Some(min) = opts.assert_tile_speedup {
-        let got = doc
-            .get("tile_speedup_pct")
-            .and_then(Json::as_f64)
-            .ok_or("tile_speedup_pct missing from the document")?;
-        if got < min {
-            return Err(format!(
-                "tiled search beat scalar by only {got:.1}%, below the {min}% floor"
-            ));
-        }
-        eprintln!("bench-json: tiled search beat scalar by {got:.1}% (floor {min}%)");
-    }
     if let Some(min) = opts.assert_pass_reduction {
         let got = doc
             .get("pass_reduction_k16_pct_min")
@@ -1022,38 +822,6 @@ mod tests {
                 "{key}"
             );
         }
-        let pooled = doc
-            .get("par_search")
-            .and_then(|p| p.get("pooled"))
-            .expect("pooled table");
-        for key in ["t1_ns", "t2_ns", "t4_ns", "t8_ns"] {
-            assert!(pooled.get(key).and_then(Json::as_u64).unwrap() > 0, "{key}");
-        }
-        assert!(pooled
-            .get("pooled_overhead_t1_pct")
-            .and_then(Json::as_f64)
-            .unwrap()
-            .is_finite());
-        // Tiles section: scalar + per-width minima. Quick mode measures
-        // a dedicated dalu@0.35 matrix (0.08 is too small for tiling).
-        let tiles = doc
-            .get("tiles")
-            .and_then(|t| t.get("scale_0.35"))
-            .expect("tiles section present");
-        for key in ["scalar_ns", "w2_ns", "w4_ns", "w8_ns"] {
-            assert!(tiles.get(key).and_then(Json::as_u64).unwrap() > 0, "{key}");
-        }
-        assert!(tiles.get("best_width").and_then(Json::as_u64).unwrap() > 0);
-        assert!(tiles
-            .get("speedup_best_pct")
-            .and_then(Json::as_f64)
-            .unwrap()
-            .is_finite());
-        assert!(doc
-            .get("tile_speedup_pct")
-            .and_then(Json::as_f64)
-            .unwrap()
-            .is_finite());
         let cache = doc.get("cache").expect("cache section present");
         assert!(cache.get("cold_ms").and_then(Json::as_f64).unwrap() > 0.0);
         assert!(cache.get("warm_ms").and_then(Json::as_f64).unwrap() >= 0.0);

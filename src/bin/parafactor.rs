@@ -15,9 +15,7 @@
 //!                   [--lease-timeout-ms N]
 //!                   [--fault-plan SPEC] [--fault-seed N] <WORKLOAD>
 //! parafactor bench-json [--quick] [--out FILE]
-//!                   [--assert-pooled-overhead PCT]
 //!                   [--assert-pass-reduction PCT]
-//!                   [--assert-tile-speedup PCT]
 //!                   [--assert-cache-identical]
 //!                   [--partition] [--scales F,F,…]
 //!                   [--assert-gap-closed PCT]
@@ -32,18 +30,20 @@
 //!                       lshaped-seq | lshaped-cx | iterative | script
 //!                       [default: seq]
 //! -p, --procs N         processors / partitions            [default: 4]
-//!     --par-threads N   intra-matrix search threads per worker; 0 keeps
-//!                       the sequential search              [default: 0]
+//!     --par-threads N   search workers per matrix; 0 and 1 both search
+//!                       inline on the calling thread, N >= 2 adds N-1
+//!                       parked threads (same result)       [default: 0]
 //!     --batch-rects K   rectangles collected per search pass; conflict-
 //!                       free subsets are applied in one batch
 //!                                                         [default: 16]
-//!     --tile-width W    u64 words per tile in the cache-blocked search
-//!                       kernel (byte-identical results); 0 is the
-//!                       scalar word loop                   [default: 4]
-//!                       The two defaults are the library's
+//!     --tile-width W    u64 words per tile of the search's column
+//!                       panel, 0..=64 with 0 read as 1 (same result)
+//!                                                          [default: 4]
+//!                       The defaults are the library's
 //!                       (SearchConfig::default()), on run, profile and
-//!                       submit alike; --batch-rects 1 --tile-width 0 is
-//!                       the classic one-rectangle-per-pass engine.
+//!                       submit alike; --batch-rects 1 is the classic
+//!                       one-rectangle-per-pass cover
+//!                       (SearchConfig::classic()).
 //! -o, --output FILE     write the optimized circuit (format by extension:
 //!                       .blif or anything else = native text)
 //!     --objective OBJ   area | timing | power               [default: area]
@@ -74,17 +74,15 @@
 //! (e.g. seq/gen:misex3@0.25): the service re-extracts only the cones
 //! whose functions changed and splices the rest from the cached base
 //! (details in docs/SERVICE.md "Caching & delta-submit"). bench-json
-//! measures the rectangle-search engines (spawn-per-pass and pooled) and
-//! the four drivers end to end and writes BENCH_rect.json (--quick
-//! shrinks scales/reps for CI; --assert-pooled-overhead PCT exits
-//! non-zero when the pooled one-thread median exceeds the sequential
-//! engine's by more than PCT percent, skipped with a warning on a
-//! single-core host; --assert-pass-reduction PCT exits non-zero when
-//! batching at K=16 cuts the seq driver's pass count by less than PCT
-//! percent; --assert-cache-identical exits non-zero unless the warm
-//! cache-served network is byte-identical to
-//! the cold run's). bench-json --partition instead measures distributed
-//! partition extraction and writes BENCH_partition.json: per workload
+//! measures the rectangle search (against the reference engine, and at
+//! 1/2/4/8 workers) and the four drivers end to end and writes
+//! BENCH_rect.json (--quick shrinks scales/reps for CI;
+//! --assert-pass-reduction PCT exits non-zero when batching at K=16
+//! cuts the seq driver's pass count by less than PCT percent;
+//! --assert-cache-identical exits non-zero unless the warm cache-served
+//! network is byte-identical to the cold run's). bench-json --partition
+//! instead measures distributed partition extraction and writes
+//! BENCH_partition.json: per workload
 //! scale (--scales, default 0.5,2,4) the sequential oracle's literal
 //! count against the recovery-off (Algorithm-I quality) and recovery-on
 //! distributed runs at 1/2/4 workers; --assert-gap-closed PCT exits
@@ -182,6 +180,14 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
+/// `--tile-width`'s value: an integer in the search's accepted range.
+fn parse_tile_width(value: Option<&String>) -> Result<usize, String> {
+    let width = value
+        .and_then(|v| v.parse::<u64>().ok())
+        .ok_or("--tile-width must be a non-negative integer")?;
+    SearchConfig::checked_tile_width(width)
+}
+
 fn parse_args() -> Options {
     let mut opts = Options::new();
     let mut args = std::env::args().skip(1);
@@ -217,10 +223,11 @@ fn parse_args() -> Options {
                     })
             }
             "--tile-width" => {
-                opts.tile_width = need("--tile-width").parse().unwrap_or_else(|_| {
-                    eprintln!("error: --tile-width must be a non-negative integer");
-                    usage()
-                })
+                opts.tile_width =
+                    parse_tile_width(Some(&need("--tile-width"))).unwrap_or_else(|e| {
+                        eprintln!("error: {e}");
+                        usage()
+                    })
             }
             "-o" | "--output" => opts.output = Some(need("--output")),
             "--objective" => opts.objective = need("--objective"),
@@ -419,9 +426,9 @@ fn cmd_submit(args: &[String]) -> ExitCode {
                 Some(n) if n >= 1 => batch_rects = n,
                 _ => return bad("--batch-rects must be a positive integer".into()),
             },
-            "--tile-width" => match value(i).and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => tile_width = n,
-                None => return bad("--tile-width must be a non-negative integer".into()),
+            "--tile-width" => match parse_tile_width(value(i)) {
+                Ok(n) => tile_width = n,
+                Err(e) => return bad(e),
             },
             "--deadline-ms" => match value(i).and_then(|v| v.parse::<u64>().ok()) {
                 Some(n) => deadline_ms = Some(n),
@@ -678,9 +685,9 @@ fn cmd_profile(args: &[String]) -> ExitCode {
                 Some(n) if n >= 1 => opts.batch_rects = n,
                 _ => return bad("--batch-rects must be a positive integer".into()),
             },
-            "--tile-width" => match value(i).and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => opts.tile_width = n,
-                None => return bad("--tile-width must be a non-negative integer".into()),
+            "--tile-width" => match parse_tile_width(value(i)) {
+                Ok(n) => opts.tile_width = n,
+                Err(e) => return bad(e),
             },
             "-o" | "--output" => match value(i) {
                 Some(v) => opts.output = Some(v.clone()),
@@ -923,7 +930,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    // 0 is meaningful for --par-threads (sequential search), so only cap.
+    // 0 is valid for --par-threads (inline search), so only cap.
     opts.par_threads = opts.par_threads.min(default_max_procs());
     let nw = match load_circuit(&opts) {
         Ok(nw) => nw,

@@ -149,6 +149,50 @@ fn deadline_expiry_is_a_structured_timeout_and_the_pool_survives() {
 }
 
 #[test]
+fn oversized_tile_width_is_rejected_and_the_service_survives() {
+    let (addr, handle) = start(ServiceConfig {
+        workers: 1,
+        queue_capacity: 8,
+        ..ServiceConfig::default()
+    });
+    // A tile width of 2^40 words would ask the search for a panel of
+    // terabytes; one such request must not take the process down.
+    let responses = request_lines(
+        addr,
+        &[
+            r#"{"op":"submit","algorithm":"seq","workload":"gen:misex3@0.05","tile_width":1099511627776}"#
+                .to_string(),
+            r#"{"op":"submit","algorithm":"seq","workload":"gen:misex3@0.05"}"#.to_string(),
+        ],
+    )
+    .expect("protocol round-trip");
+    let rejected = parse(&responses[0]).unwrap();
+    assert_eq!(
+        rejected.get("status").and_then(Json::as_str),
+        Some("rejected"),
+        "{rejected}"
+    );
+    assert_eq!(
+        rejected.get("reason").and_then(Json::as_str),
+        Some("invalid")
+    );
+    let next = parse(&responses[1]).unwrap();
+    assert_eq!(
+        next.get("status").and_then(Json::as_str),
+        Some("completed"),
+        "{next}"
+    );
+    let metrics = shutdown(addr);
+    let metrics = metrics.get("metrics").unwrap();
+    assert_eq!(
+        metrics.get("rejected_invalid").and_then(Json::as_u64),
+        Some(1)
+    );
+    assert_balanced(metrics);
+    handle.join().unwrap();
+}
+
+#[test]
 fn queue_full_burst_gets_backpressure_rejections() {
     let (addr, handle) = start(ServiceConfig {
         workers: 1,
