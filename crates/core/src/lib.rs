@@ -10,9 +10,9 @@
 //!   the baseline every speedup in the paper is measured against.
 //! * [`replicated`] — **Algorithm R** (§3): every worker holds a replica
 //!   of the circuit and matrix; the rectangle search is divided by
-//!   leftmost column; a reduction picks the global best; every replica
-//!   applies it; barrier; repeat. Same search path as sequential ⇒ same
-//!   quality, poor scalability.
+//!   leftmost column; after one barrier every replica reduces the same
+//!   per-stripe candidates to the global wave and applies it to its own
+//!   copy; repeat. Same extractions as sequential, poor scalability.
 //! * [`independent`] — **Algorithm I** (§4): min-cut partition the
 //!   circuit, extract on each part independently, merge. Fast and
 //!   memory-scalable, loses the rectangles that span partitions.

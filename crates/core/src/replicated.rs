@@ -2,23 +2,25 @@
 //! (paper §3, after ProperMIS [4]).
 //!
 //! Every worker holds its own replica of the network and the full KC
-//! matrix. Concurrency comes only from subdividing the rectangle search:
-//! worker `p` of `n` explores the rectangles whose **leftmost column**
-//! falls in its stripe (Figure 1). Each iteration then reduces the
-//! per-worker candidates to one global best rectangle — picked
-//! deterministically so every replica follows the exact sequential
-//! search path — and every worker applies the same extraction to its own
-//! copy. The per-step barrier and the redundant replica maintenance are
-//! the paper's explanation for this algorithm's poor speedup; both are
+//! matrix. The kernels are generated once: worker `p` of `n` enumerates
+//! every `n`-th node's kernels, and every replica builds its matrix from
+//! all `n` shares. Concurrency then comes from subdividing the rectangle
+//! search: worker `p` explores the rectangles whose **leftmost column**
+//! falls in its stripe (Figure 1). After one barrier per pass every
+//! replica reads all per-stripe candidates, reduces them to the same
+//! canonical wave — so every replica follows the exact sequential search
+//! path — and applies that wave to its own copy, all replicas at once.
+//! The per-pass barrier and the redundant replica maintenance are the
+//! paper's explanation for this algorithm's poor speedup; both are
 //! reproduced faithfully here.
 
 use crate::ctl::StopReason;
 use crate::report::{ExtractReport, PhaseTiming};
-use crate::seq::{Engine, ExtractConfig};
-use pf_kcmatrix::Rectangle;
+use crate::seq::{drain_wave, end_search_span, Engine, ExtractConfig, KernelShare};
+use crate::trace::{Lane, Span};
+use pf_kcmatrix::{canonical_top_k, Rectangle};
 use pf_network::{Network, SignalId};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Barrier, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Options for [`replicated_extract`].
@@ -47,243 +49,161 @@ impl Default for ReplicatedConfig {
     }
 }
 
-/// Deterministic choice among per-stripe candidates: maximum value, ties
-/// broken on the lexicographically smallest (cols, rows). Mirrors "the
-/// processor which owns the root of the search tree identifies the best
-/// rectangle and broadcasts it".
-fn pick_best(candidates: &[Vec<Rectangle>]) -> Option<Rectangle> {
-    let mut best: Option<&Rectangle> = None;
-    for r in candidates.iter().flatten() {
-        best = Some(match best {
-            None => r,
-            Some(b) => {
-                if (r.value, &b.cols, &b.rows) > (b.value, &r.cols, &r.rows) {
-                    r
-                } else {
-                    b
-                }
-            }
-        });
-    }
-    best.cloned()
+/// What one replica publishes after its striped search of a pass.
+#[derive(Clone, Debug, Default)]
+struct Post {
+    /// The stripe's canonical top-K (the single best when `topk = 1`).
+    rects: Vec<Rectangle>,
+    /// The stripe's search ran out of budget.
+    exhausted: bool,
+    /// Why this replica wants the cover to end here, if it does.
+    stop: Option<StopReason>,
+}
+
+/// The pass's global wave: the canonical top-`k` of every stripe's list.
+/// Every global top-`k` member is in its own stripe's list, so this is
+/// independent of the stripe count. Mirrors "the processor which owns the
+/// root of the search tree identifies the best rectangle and broadcasts
+/// it", except that every replica is that processor.
+fn global_wave(posts: &[Post], k: usize) -> Vec<Rectangle> {
+    let all: Vec<Rectangle> = posts.iter().flat_map(|p| p.rects.iter().cloned()).collect();
+    canonical_top_k(&all, k)
+}
+
+/// What the replicas of one run share.
+struct Run<'a> {
+    cfg: &'a ReplicatedConfig,
+    nw: &'a Network,
+    targets: Vec<SignalId>,
+    procs: usize,
+    start: Instant,
+    barrier: Barrier,
+    /// `shares[pid]`: worker `pid`'s kernel generation share.
+    shares: Vec<OnceLock<KernelShare>>,
+    /// Per-pass posts, double-buffered by pass parity: a replica can
+    /// write pass n + 1's post while a slower one still reads pass n's,
+    /// but not pass n + 2's before everyone is past pass n + 1's barrier.
+    posts: [Mutex<Vec<Post>>; 2],
 }
 
 /// Runs Algorithm R on the network, in place. Returns the report.
 pub fn replicated_extract(nw: &mut Network, cfg: &ReplicatedConfig) -> ExtractReport {
     let start = Instant::now();
-    let p = cfg.procs.max(1);
     let lc_before = nw.literal_count();
-    let targets: Vec<SignalId> = nw.node_ids().collect();
-
-    let barrier = Barrier::new(p);
-    // Per-stripe candidate lists: one rectangle each classically, up to
-    // `search.topk` with batching. The decision broadcast is likewise a
-    // list — empty means stop.
-    let candidates: Mutex<Vec<Vec<Rectangle>>> = Mutex::new(vec![Vec::new(); p]);
-    let decision: Mutex<Vec<Rectangle>> = Mutex::new(Vec::new());
-    let timed_out = AtomicBool::new(false);
-    let cancelled = AtomicBool::new(false);
-    let exhausted_any = AtomicBool::new(false);
-    let passes = AtomicUsize::new(0);
-    let batch_candidates = AtomicUsize::new(0);
-    let batch_accepted = AtomicUsize::new(0);
-    let batch_rejected = AtomicUsize::new(0);
-    let outcome: Mutex<Option<(Network, usize, i64)>> = Mutex::new(None);
-    let replicate_elapsed: Mutex<Duration> = Mutex::new(Duration::default());
-    let batching = cfg.extract.search.topk > 1;
-    let nw_ref: &Network = nw;
-
-    std::thread::scope(|s| {
-        for pid in 0..p {
-            let barrier = &barrier;
-            let candidates = &candidates;
-            let decision = &decision;
-            let timed_out = &timed_out;
-            let cancelled = &cancelled;
-            let exhausted_any = &exhausted_any;
-            let passes = &passes;
-            let batch_candidates = &batch_candidates;
-            let batch_accepted = &batch_accepted;
-            let batch_rejected = &batch_rejected;
-            let outcome = &outcome;
-            let replicate_elapsed = &replicate_elapsed;
-            let targets = &targets;
-            let cfg = &cfg;
-            // Lane opened (and the replicate span started) driver-side,
-            // so the span covers thread-spawn latency — which the report
-            // attributes to the replicate phase too.
-            let mut lane = cfg.extract.trace.lane(&format!("r{pid}"));
-            let replicate_span = lane.start("replicate");
-            s.spawn(move || {
-                // The replica: full circuit and full matrix per worker.
-                // Matrix generation itself uses the §3 parallel scheme
-                // (processor-offset row labels merged in label order),
-                // so all replicas are bit-identical by construction.
-                let mut replica = nw_ref.clone();
-                let mut engine = Engine::new_parallel(&replica, targets, cfg.extract.clone(), p);
-                // Pre-spawn the replica's search threads (if
-                // `search.par_threads ≥ 2`) inside the replicate span so
-                // no cover pass pays spawn cost. The per-replica stripe
-                // is constant, so the pool's cross-pass ceilings stay
-                // valid between iterations.
-                engine.warm_pool();
-                lane.end(replicate_span);
-                if pid == 0 {
-                    *replicate_elapsed.lock().unwrap() = start.elapsed();
-                }
-                let cover_span = lane.start("cover");
-                let mut extractions = 0usize;
-                let mut total_value = 0i64;
-                loop {
-                    let pass = lane.start("search");
-                    // The per-stripe canonical top-K (the single
-                    // candidate when `topk = 1`).
-                    let (rects, stats) = engine.search_batch(Some((pid as u32, p as u32)));
-                    if stats.budget_exhausted {
-                        exhausted_any.store(true, Ordering::Relaxed);
-                    }
-                    crate::seq::end_search_span(&mut lane, pass, rects.first(), &stats);
-                    candidates.lock().unwrap()[pid] = rects;
-                    barrier.wait();
-                    if pid == 0 {
-                        // Reduction at the root of the search tree — the
-                        // per-iteration barrier, and so the natural spot
-                        // for every stop check. Fault site too: inject
-                        // latency or cancel here (a panic would strand
-                        // the sibling replicas at the barrier).
-                        cfg.extract.ctl.fault_point("replicated:reduce");
-                        passes.fetch_add(1, Ordering::Relaxed);
-                        let mut stop = false;
-                        if let Some(deadline) = cfg.deadline {
-                            if start.elapsed() > deadline {
-                                stop = true;
-                                timed_out.store(true, Ordering::Relaxed);
-                            }
-                        }
-                        match cfg.extract.ctl.stop_reason() {
-                            Some(StopReason::DeadlineExpired) => {
-                                stop = true;
-                                timed_out.store(true, Ordering::Relaxed);
-                            }
-                            Some(StopReason::Cancelled) => {
-                                stop = true;
-                                cancelled.store(true, Ordering::Relaxed);
-                            }
-                            None => {}
-                        }
-                        let d: Vec<Rectangle> = if stop {
-                            Vec::new()
-                        } else if batching {
-                            // Merge the per-stripe top-K lists into the
-                            // canonical global top-K (every global
-                            // member is in its own stripe's list, so
-                            // the merge is stripe-count independent),
-                            // then run the same select→apply→revalidate
-                            // drain the sequential engine uses — on pid
-                            // 0's own replica, whose matrix all other
-                            // replicas mirror. The full drained
-                            // sequence is broadcast; the siblings
-                            // replay it verbatim.
-                            let all: Vec<Rectangle> = {
-                                let cands = candidates.lock().unwrap();
-                                cands.iter().flatten().cloned().collect()
-                            };
-                            batch_candidates.fetch_add(all.len(), Ordering::Relaxed);
-                            let mut wave =
-                                pf_kcmatrix::canonical_top_k(&all, cfg.extract.search.topk);
-                            let mut sequence: Vec<Rectangle> = Vec::new();
-                            while !wave.is_empty() {
-                                let remaining = cfg
-                                    .extract
-                                    .max_extractions
-                                    .saturating_sub(extractions + sequence.len());
-                                if remaining == 0 {
-                                    break;
-                                }
-                                let sel = engine.select_batch(&wave, remaining);
-                                for rect in &sel {
-                                    let apply_span = lane.start("apply");
-                                    engine.apply(&mut replica, rect);
-                                    lane.end_with(apply_span, || vec![("value", rect.value)]);
-                                }
-                                wave = wave
-                                    .into_iter()
-                                    .filter(|c| !sel.contains(c))
-                                    .filter_map(|c| engine.revalidate(&c))
-                                    .collect();
-                                sequence.extend(sel);
-                            }
-                            batch_accepted.fetch_add(sequence.len(), Ordering::Relaxed);
-                            batch_rejected.fetch_add(
-                                all.len().saturating_sub(sequence.len()),
-                                Ordering::Relaxed,
-                            );
-                            sequence
-                        } else {
-                            pick_best(&candidates.lock().unwrap()).into_iter().collect()
-                        };
-                        *decision.lock().unwrap() = d;
-                    }
-                    barrier.wait();
-                    let chosen = decision.lock().unwrap().clone();
-                    if chosen.is_empty() {
-                        break;
-                    }
-                    // Every replica applies the same extraction(s), in
-                    // the same order — identical deterministic state on
-                    // all workers. Pid 0 already applied them during the
-                    // drain above (batching only), so it just accounts.
-                    for rect in &chosen {
-                        total_value += rect.value;
-                        if !(batching && pid == 0) {
-                            let apply_span = lane.start("apply");
-                            engine.apply(&mut replica, rect);
-                            lane.end_with(apply_span, || vec![("value", rect.value)]);
-                        }
-                        extractions += 1;
-                    }
-                    barrier.wait();
-                }
-                lane.end(cover_span);
-                if pid == 0 {
-                    *outcome.lock().unwrap() = Some((replica, extractions, total_value));
-                }
-            });
-        }
+    let procs = cfg.procs.max(1);
+    let run = Run {
+        cfg,
+        nw,
+        targets: nw.node_ids().collect(),
+        procs,
+        start,
+        barrier: Barrier::new(procs),
+        shares: (0..procs).map(|_| OnceLock::new()).collect(),
+        posts: std::array::from_fn(|_| Mutex::new(vec![Post::default(); procs])),
+    };
+    let (result, mut report, setup) = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..procs)
+            .map(|pid| {
+                // Lane opened (and the replicate span started) driver-side,
+                // so the span covers thread-spawn latency — which the report
+                // attributes to the replicate phase too.
+                let lane = cfg.extract.trace.lane(&format!("r{pid}"));
+                let replicate_span = lane.start("replicate");
+                let run = &run;
+                s.spawn(move || replica(run, pid, lane, replicate_span))
+            })
+            .collect();
+        let mut outcomes = handles.into_iter().map(|h| h.join().unwrap());
+        outcomes.next().expect("worker 0 publishes its replica")
     });
 
-    let (result, extractions, total_value) = outcome
-        .into_inner()
-        .unwrap()
-        .expect("worker 0 publishes its replica");
     *nw = result;
     let elapsed = start.elapsed();
-    let setup = *replicate_elapsed.lock().unwrap();
-    ExtractReport {
-        lc_before,
-        lc_after: nw.literal_count(),
-        extractions,
-        total_value,
-        elapsed,
-        budget_exhausted: exhausted_any.load(Ordering::Relaxed),
-        shipped_rectangles: 0,
-        timed_out: timed_out.load(Ordering::Relaxed),
-        cancelled: cancelled.load(Ordering::Relaxed),
-        degraded: false,
-        recovery_rects: 0,
-        passes: passes.load(Ordering::Relaxed),
-        batch_candidates: batch_candidates.load(Ordering::Relaxed),
-        batch_accepted: batch_accepted.load(Ordering::Relaxed),
-        batch_rejected: batch_rejected.load(Ordering::Relaxed),
-        resub_pairs_considered: 0,
-        resub_pairs_divided: 0,
-        resub_worklist_rounds: 0,
-        setup,
-        phases: vec![
-            PhaseTiming::new("replicate", setup),
-            PhaseTiming::new("cover", elapsed.saturating_sub(setup)),
-        ],
+    report.lc_before = lc_before;
+    report.lc_after = nw.literal_count();
+    report.elapsed = elapsed;
+    report.setup = setup;
+    report.phases = vec![
+        PhaseTiming::new("replicate", setup),
+        PhaseTiming::new("cover", elapsed.saturating_sub(setup)),
+    ];
+    report
+}
+
+/// Worker `pid`: builds its replica, then runs the striped cover on it.
+/// Returns the replica's network, its report (identical on every worker
+/// apart from the timings the driver fills in) and its setup time.
+fn replica(
+    run: &Run,
+    pid: usize,
+    mut lane: Lane,
+    replicate_span: Span,
+) -> (Network, ExtractReport, Duration) {
+    let cfg = &run.cfg.extract;
+    // The replica: full circuit and full matrix per worker. Generation is
+    // the §3 parallel scheme, run once: this worker enumerates its share,
+    // and every replica merges all shares into the identical matrix.
+    let mut nw = run.nw.clone();
+    let share = KernelShare::generate(run.nw, &run.targets, &cfg.kernel, pid, run.procs);
+    assert!(run.shares[pid].set(share).is_ok(), "one share per worker");
+    run.barrier.wait();
+    let shares: Vec<&KernelShare> = run.shares.iter().map(|s| s.get().unwrap()).collect();
+    let mut engine = Engine::from_shares(&nw, &run.targets, cfg.clone(), &shares);
+    // Pre-spawn the replica's search threads (if `search.par_threads ≥
+    // 2`) inside the replicate span so no cover pass pays spawn cost. The
+    // per-replica stripe is constant, so the pool's cross-pass ceilings
+    // stay valid between iterations.
+    engine.warm_pool();
+    lane.end(replicate_span);
+    let setup = run.start.elapsed();
+
+    let cover_span = lane.start("cover");
+    let mut report = ExtractReport::default();
+    let stripe = Some((pid as u32, run.procs as u32));
+    loop {
+        let pass = lane.start("search");
+        let (rects, stats) = engine.search_batch(stripe);
+        end_search_span(&mut lane, pass, rects.first(), &stats);
+        // Stop checks ride the per-pass barrier. Fault site too, on
+        // worker 0 only: inject latency or cancel here (a panic would
+        // strand the siblings at the barrier).
+        if pid == 0 {
+            cfg.ctl.fault_point("replicated:reduce");
+        }
+        let stop = match run.cfg.deadline {
+            Some(d) if run.start.elapsed() > d => Some(StopReason::DeadlineExpired),
+            _ => cfg.ctl.stop_reason(),
+        };
+        let slot = &run.posts[report.passes % 2];
+        slot.lock().unwrap()[pid] = Post {
+            rects,
+            exhausted: stats.budget_exhausted,
+            stop,
+        };
+        run.barrier.wait();
+        report.passes += 1;
+        // Every replica reads the same posts, so every replica takes the
+        // same decisions from here on.
+        let (wave, stop) = {
+            let posts = slot.lock().unwrap();
+            report.budget_exhausted |= posts.iter().any(|p| p.exhausted);
+            let stop = posts.iter().find_map(|p| p.stop);
+            (global_wave(&posts, cfg.search.topk), stop)
+        };
+        match stop {
+            Some(StopReason::DeadlineExpired) => report.timed_out = true,
+            Some(StopReason::Cancelled) => report.cancelled = true,
+            None => {}
+        }
+        if stop.is_some() {
+            break;
+        }
+        if drain_wave(&mut engine, &mut nw, wave, &mut lane, &mut report) == 0 {
+            break;
+        }
     }
+    lane.end(cover_span);
+    (nw, report, setup)
 }
 
 #[cfg(test)]
@@ -342,8 +262,7 @@ mod tests {
         // sequential engine. The second circuit is large enough for the
         // replicas to compact their matrices mid-cover: each decides
         // that from its own (replicated) matrix alone, so the row
-        // indices of a broadcast rectangle keep naming the same rows on
-        // every replica.
+        // indices of a wave keep naming the same rows on every replica.
         let dalu = pf_workloads::profile_by_name("dalu").expect("dalu profile exists");
         for (profile, topk, compacts) in [
             (pf_workloads::CircuitProfile::small("rbatch", 11), 8, false),
@@ -434,8 +353,56 @@ mod tests {
         assert_eq!(report.phase("replicate"), Some(report.setup));
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+
+        /// R is the sequential cover run on replicas: for every paper
+        /// profile and input labelling, every worker count extracts the
+        /// byte-identical network `extract_kernels` does, in the same
+        /// passes.
+        #[test]
+        fn replicated_is_byte_identical_to_sequential(labelling in 1u64..u64::MAX) {
+            use crate::seq::tests::{relabel, PROFILES};
+            for (name, scale) in PROFILES {
+                let profile = pf_workloads::profile_by_name(name).unwrap();
+                let base = pf_workloads::generate(&pf_workloads::scale_profile(&profile, scale));
+                let input = relabel(&base, labelling);
+                let mut seq_nw = input.clone();
+                let seq = extract_kernels(&mut seq_nw, &[], &ExtractConfig::default());
+                for procs in [1usize, 2, 3] {
+                    let mut nw = input.clone();
+                    let r = replicated_extract(
+                        &mut nw,
+                        &ReplicatedConfig {
+                            procs,
+                            extract: ExtractConfig::default(),
+                            deadline: None,
+                        },
+                    );
+                    proptest::prop_assert_eq!(
+                        pf_kcmatrix::network_digest(&nw),
+                        pf_kcmatrix::network_digest(&seq_nw),
+                        "{} procs {}", name, procs
+                    );
+                    proptest::prop_assert_eq!(
+                        (r.extractions, r.passes, r.batch_candidates, r.batch_accepted),
+                        (seq.extractions, seq.passes, seq.batch_candidates, seq.batch_accepted),
+                        "{} procs {}", name, procs
+                    );
+                }
+            }
+        }
+    }
+
+    fn post(rects: Vec<Rectangle>) -> Post {
+        Post {
+            rects,
+            ..Post::default()
+        }
+    }
+
     #[test]
-    fn pick_best_is_deterministic_on_ties() {
+    fn global_wave_is_deterministic_on_ties() {
         let a = Rectangle {
             rows: vec![1, 2],
             cols: vec![0, 3],
@@ -446,14 +413,18 @@ mod tests {
             cols: vec![1, 2],
             value: 5,
         };
-        let got1 = pick_best(&[vec![a.clone()], vec![b.clone()]]).unwrap();
-        let got2 = pick_best(&[vec![b.clone()], vec![a.clone()]]).unwrap();
+        let got1 = global_wave(&[post(vec![a.clone()]), post(vec![b.clone()])], 1);
+        let got2 = global_wave(&[post(vec![b.clone()]), post(vec![a.clone()])], 1);
         assert_eq!(got1, got2);
-        assert_eq!(got1.cols, vec![0, 3]); // smaller cols wins the tie
+        assert_eq!(got1[0].cols, vec![0, 3]); // smaller cols wins the tie
+        assert_eq!(
+            global_wave(&[post(vec![b.clone()]), post(vec![a.clone()])], 2),
+            vec![a, b]
+        );
     }
 
     #[test]
-    fn pick_best_prefers_value() {
+    fn global_wave_prefers_value() {
         let small = Rectangle {
             rows: vec![0],
             cols: vec![0, 1],
@@ -464,10 +435,8 @@ mod tests {
             cols: vec![8, 9],
             value: 7,
         };
-        assert_eq!(
-            pick_best(&[vec![small], vec![big.clone()], vec![]]).unwrap(),
-            big
-        );
-        assert!(pick_best(&[vec![], vec![]]).is_none());
+        let posts = [post(vec![small]), post(vec![big.clone()]), post(vec![])];
+        assert_eq!(global_wave(&posts, 1), vec![big]);
+        assert!(global_wave(&[post(vec![]), post(vec![])], 1).is_empty());
     }
 }

@@ -18,7 +18,7 @@ use pf_kcmatrix::{
 };
 use pf_network::{Network, SignalId};
 use pf_sop::fx::{FxHashMap, FxHashSet};
-use pf_sop::kernel::KernelConfig;
+use pf_sop::kernel::{kernels_config, CoKernelPair, KernelConfig};
 use pf_sop::{Cube, Sop};
 use std::time::Instant;
 
@@ -112,6 +112,40 @@ fn counter_past_existing(nw: &Network, prefix: &str) -> usize {
     next
 }
 
+/// One generator's share of the §3 *parallel generation* scheme: the
+/// kernels of every `procs`-th target, starting at target `pid`, with
+/// rows labelled from generator `pid`'s [`LabelGen`] block.
+pub struct KernelShare {
+    /// Per owned target, in target order: its `(label, co-kernel pair)`
+    /// rows in enumeration order.
+    per_target: Vec<Vec<(u64, CoKernelPair)>>,
+}
+
+impl KernelShare {
+    /// Enumerates the kernels of generator `pid` of `procs`.
+    pub fn generate(
+        nw: &Network,
+        targets: &[SignalId],
+        kernel: &KernelConfig,
+        pid: usize,
+        procs: usize,
+    ) -> Self {
+        let mut labels = LabelGen::new(pid as u16, LabelGen::DEFAULT_OFFSET);
+        let per_target = targets
+            .iter()
+            .skip(pid)
+            .step_by(procs.max(1))
+            .map(|&t| {
+                kernels_config(nw.func(t), kernel)
+                    .into_iter()
+                    .map(|pair| (labels.next(), pair))
+                    .collect()
+            })
+            .collect();
+        KernelShare { per_target }
+    }
+}
+
 impl Engine {
     /// Builds the matrix over `targets` (internal nodes of `nw`).
     pub fn new(nw: &Network, targets: &[SignalId], cfg: ExtractConfig) -> Self {
@@ -129,93 +163,53 @@ impl Engine {
                 &mut col_labels,
             );
         }
-        let weights = registry.weights_snapshot();
-        let counter = counter_past_existing(nw, &cfg.name_prefix);
-        let mut engine = Engine {
-            matrix,
-            registry,
-            weights,
-            row_labels,
-            col_labels,
-            targets: targets.to_vec(),
-            cfg,
-            counter,
-            applied: 0,
-            wvals: Vec::new(),
-            prev_best: None,
-            pool: SearchPool::new(),
-            dirty_cols: Vec::new(),
-            compact_dead_per_alive: 1,
-        };
-        engine.refresh_wvals();
-        engine
+        Engine::assemble(nw, targets, cfg, matrix, registry, row_labels, col_labels)
     }
 
-    /// Builds the matrix with the §3 *parallel generation* scheme: the
-    /// nodes are conceptually partitioned among `procs` generators, each
-    /// enumerating the kernels of its share and labeling the rows with
-    /// its processor-offset [`LabelGen`] block; the shares are then
-    /// merged **in label order**, which — exactly as the paper's
-    /// labeling argument goes — yields the same matrix on every replica
-    /// irrespective of generation interleaving.
-    ///
-    /// Functionally identical to [`Engine::new`] apart from row labels;
-    /// rows and columns appear in the same deterministic order.
-    pub fn new_parallel(
+    /// Builds the matrix from the [`KernelShare`]s of the §3 parallel
+    /// generation, `shares[pid]` being generator `pid`'s. The rows are
+    /// merged in target order, so every replica that merges the same
+    /// shares holds the same matrix, and that matrix is [`Engine::new`]'s
+    /// row for row and column for column: only the row labels differ,
+    /// and no search or apply reads a label. Algorithm R therefore makes
+    /// exactly the extractions the sequential cover makes.
+    pub fn from_shares(
         nw: &Network,
         targets: &[SignalId],
         cfg: ExtractConfig,
-        procs: usize,
+        shares: &[&KernelShare],
     ) -> Self {
-        use pf_sop::kernel::kernels_config;
-        let procs = procs.max(1);
-        // Phase 1 (parallel): each generator enumerates kernels for the
-        // targets assigned round-robin to it.
-        type Generated = Vec<(u64, SignalId, pf_sop::kernel::CoKernelPair)>;
-        let shares: Vec<Generated> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..procs)
-                .map(|pid| {
-                    let cfg = &cfg;
-                    s.spawn(move || {
-                        let mut labels = LabelGen::new(pid as u16, LabelGen::DEFAULT_OFFSET);
-                        let mut out: Generated = Vec::new();
-                        for (k, &t) in targets.iter().enumerate() {
-                            if k % procs != pid {
-                                continue;
-                            }
-                            for pair in kernels_config(nw.func(t), &cfg.kernel) {
-                                out.push((labels.next(), t, pair));
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-
-        // Phase 2 (the "broadcast"): merge all shares in label order so
-        // every replica builds the identical matrix.
-        let mut rows: Vec<(u64, SignalId, pf_sop::kernel::CoKernelPair)> =
-            shares.into_iter().flatten().collect();
-        rows.sort_by_key(|(label, _, _)| *label);
-
+        let procs = shares.len();
         let registry = CubeRegistry::new();
         let mut matrix = KcMatrix::new();
         // Fresh kernels after extraction get labels from a dedicated
         // high block so they never collide with the generators'.
         let row_labels = LabelGen::new(procs as u16 + 1, LabelGen::DEFAULT_OFFSET);
         let mut col_labels = LabelGen::new(procs as u16 + 1, LabelGen::DEFAULT_OFFSET);
-        for (label, node, pair) in rows {
-            matrix.add_row(
-                label,
-                node,
-                pair.cokernel,
-                &pair.kernel,
-                &registry,
-                &mut col_labels,
-            );
+        for (k, &node) in targets.iter().enumerate() {
+            for (label, pair) in &shares[k % procs].per_target[k / procs] {
+                matrix.add_row(
+                    *label,
+                    node,
+                    pair.cokernel.clone(),
+                    &pair.kernel,
+                    &registry,
+                    &mut col_labels,
+                );
+            }
         }
+        Engine::assemble(nw, targets, cfg, matrix, registry, row_labels, col_labels)
+    }
+
+    fn assemble(
+        nw: &Network,
+        targets: &[SignalId],
+        cfg: ExtractConfig,
+        matrix: KcMatrix,
+        registry: CubeRegistry,
+        row_labels: LabelGen,
+        col_labels: LabelGen,
+    ) -> Self {
         let weights = registry.weights_snapshot();
         let counter = counter_past_existing(nw, &cfg.name_prefix);
         let mut engine = Engine {
@@ -567,6 +561,67 @@ pub(crate) fn end_search_span(
     });
 }
 
+/// Applies one pass's canonical candidates (`wave`, best first) without
+/// another search: select the canonical non-conflicting *prefix*, apply
+/// it, *re-validate* the survivors against the updated matrix (their
+/// column sets survive; supports and values are recomputed exactly), and
+/// select again until none is left or the engine reaches
+/// `max_extractions`. Each round applies at least one rectangle, because
+/// the canonical best never conflicts with the empty selection. Returns
+/// the number applied; their values and count go into `report`, and
+/// with batching (K > 1) so do the batch counters and the `batch` event.
+///
+/// The prefix rule (stop at the first conflict instead of skipping over
+/// it) keeps the extraction count honest: the conflict winner's apply
+/// rewrites the loser's rows, which can shrink every candidate ranked
+/// below it, so applying post-conflict candidates blind re-extracts
+/// already-covered kernels as small flat extractions the one-per-pass
+/// cover never makes. With the prefix rule every round is ranked against
+/// a fully re-validated wave, and the batched cover reproduces the
+/// one-per-pass trajectory while applying several rectangles per search.
+pub(crate) fn drain_wave(
+    engine: &mut Engine,
+    nw: &mut Network,
+    mut wave: Vec<Rectangle>,
+    lane: &mut Lane,
+    report: &mut ExtractReport,
+) -> usize {
+    let max_extractions = engine.cfg.max_extractions;
+    let candidates = wave.len();
+    let mut applied = 0;
+    while !wave.is_empty() && engine.extractions() < max_extractions {
+        let selected = engine.select_batch(&wave, max_extractions - engine.extractions());
+        for rect in &selected {
+            let apply_span = lane.start("apply");
+            engine.apply(nw, rect);
+            lane.end_with(apply_span, || vec![("value", rect.value)]);
+            report.total_value += rect.value;
+            report.extractions += 1;
+        }
+        applied += selected.len();
+        wave = wave
+            .into_iter()
+            .filter(|c| !selected.contains(c))
+            .filter_map(|c| engine.revalidate(&c))
+            .collect();
+    }
+    if engine.cfg.search.topk > 1 {
+        report.batch_candidates += candidates;
+        report.batch_accepted += applied;
+        // A drained wave can apply more rectangles than the search
+        // returned candidates (a re-validated candidate applies under a
+        // fresh support), so the rejected count saturates.
+        report.batch_rejected += candidates.saturating_sub(applied);
+        lane.event("batch", || {
+            vec![
+                ("candidates", candidates as i64),
+                ("accepted", applied as i64),
+            ]
+        });
+    }
+    applied
+}
+
 /// Runs kernel extraction to completion on `targets` (or on all internal
 /// nodes when `targets` is empty). Returns the report.
 ///
@@ -667,119 +722,34 @@ pub(crate) fn extract_kernels_warm(
     lane.end(pool_span);
     let pool_elapsed = start.elapsed().saturating_sub(matrix_elapsed);
     let cover_span = lane.start("cover");
-    let mut first_pass = true;
-    if cfg.search.topk > 1 {
-        // Batched cover: each pass collects the canonical top-K
-        // rectangles, applies the greedy maximal non-conflicting subset
-        // (in canonical order, so quality-ordering is preserved within
-        // the batch), and only then searches again. Fewer passes, same
-        // greedy-first guarantee: the canonical best of each pass is
-        // always selected and applied.
-        while engine.extractions() < cfg.max_extractions {
-            cfg.ctl.fault_point("seq:cover");
-            if report.note_stop(&cfg.ctl) {
-                break;
-            }
-            report.passes += 1;
-            let pass = lane.start("search");
-            let (cands, stats) = engine.search_batch(None);
-            report.budget_exhausted |= stats.budget_exhausted;
-            end_search_span(&mut lane, pass, cands.first(), &stats);
-            if first_pass {
-                first_pass = false;
-                if let (Some(cap), Some(r)) = (capture.as_deref_mut(), cands.first()) {
-                    *cap = Some(WarmStart {
-                        ceilings: engine.export_warm_ceilings(),
-                        best: r.clone(),
-                    });
-                }
-            }
-            if cands.is_empty() {
-                break;
-            }
-            report.batch_candidates += cands.len();
-            let cands_len = cands.len();
-            let mut accepted_this_pass = 0usize;
-            // Apply in waves: select the canonical non-conflicting
-            // *prefix*, apply it, then *re-validate* the surviving
-            // candidates against the updated matrix (their column sets
-            // survive; supports and values are recomputed exactly) and
-            // select again — all without paying another search. The
-            // wave loop terminates because each wave applies at least
-            // one rectangle and removes it from the pool.
-            //
-            // The prefix rule (stop at the first conflict, instead of
-            // skipping over it) is what keeps the extraction count
-            // honest: the conflict winner's apply rewrites the loser's
-            // rows, which can shrink every candidate ranked below it, so
-            // applying post-conflict candidates blind re-extracts
-            // already-covered kernels as small flat extractions the
-            // one-per-pass engine never makes. With the prefix rule each
-            // wave's applies are ranked against a fully re-validated
-            // pool, and the batched cover reproduces the one-per-pass
-            // trajectory while still applying several rectangles per
-            // search.
-            let mut wave = cands;
-            while !wave.is_empty() && engine.extractions() < cfg.max_extractions {
-                let remaining = cfg.max_extractions - engine.extractions();
-                let selected = engine.select_batch(&wave, remaining);
-                // The canonical best never conflicts with the empty
-                // selection, so `selected` is non-empty here.
-                for rect in &selected {
-                    report.total_value += rect.value;
-                    let apply_span = lane.start("apply");
-                    engine.apply(nw, rect);
-                    lane.end_with(apply_span, || vec![("value", rect.value)]);
-                    report.extractions += 1;
-                    accepted_this_pass += 1;
-                }
-                wave = wave
-                    .into_iter()
-                    .filter(|c| !selected.contains(c))
-                    .filter_map(|c| engine.revalidate(&c))
-                    .collect();
-            }
-            report.batch_accepted += accepted_this_pass;
-            // A drained wave can apply more rectangles than the search
-            // returned candidates (a re-validated candidate applies
-            // under a fresh support), so the rejected count saturates.
-            report.batch_rejected += cands_len.saturating_sub(accepted_this_pass);
-            lane.event("batch", || {
-                vec![
-                    ("candidates", cands_len as i64),
-                    ("accepted", accepted_this_pass as i64),
-                ]
-            });
+    // Each pass collects the canonical top-K rectangles and drains them
+    // (see [`drain_wave`]) before searching again. Fewer passes than the
+    // one-per-pass cover (K = 1), same greedy-first guarantee: the
+    // canonical best of each pass is always applied first.
+    while engine.extractions() < cfg.max_extractions {
+        // The cover-loop head is the driver's barrier checkpoint, and
+        // therefore also its fault-injection site.
+        cfg.ctl.fault_point("seq:cover");
+        if report.note_stop(&cfg.ctl) {
+            break;
         }
-    } else {
-        while engine.extractions() < cfg.max_extractions {
-            // The cover-loop head is the driver's barrier checkpoint, and
-            // therefore also its fault-injection site.
-            cfg.ctl.fault_point("seq:cover");
-            if report.note_stop(&cfg.ctl) {
-                break;
+        report.passes += 1;
+        let pass = lane.start("search");
+        let (cands, stats) = engine.search_batch(None);
+        report.budget_exhausted |= stats.budget_exhausted;
+        end_search_span(&mut lane, pass, cands.first(), &stats);
+        if report.passes == 1 {
+            if let (Some(cap), Some(r)) = (capture.as_deref_mut(), cands.first()) {
+                *cap = Some(WarmStart {
+                    ceilings: engine.export_warm_ceilings(),
+                    best: r.clone(),
+                });
             }
-            report.passes += 1;
-            let pass = lane.start("search");
-            let (rect, stats) = engine.search(None);
-            report.budget_exhausted |= stats.budget_exhausted;
-            end_search_span(&mut lane, pass, rect.as_ref(), &stats);
-            if first_pass {
-                first_pass = false;
-                if let (Some(cap), Some(r)) = (capture.as_deref_mut(), rect.as_ref()) {
-                    *cap = Some(WarmStart {
-                        ceilings: engine.export_warm_ceilings(),
-                        best: r.clone(),
-                    });
-                }
-            }
-            let Some(rect) = rect else { break };
-            report.total_value += rect.value;
-            let apply_span = lane.start("apply");
-            engine.apply(nw, &rect);
-            lane.end_with(apply_span, || vec![("value", rect.value)]);
-            report.extractions += 1;
         }
+        if cands.is_empty() {
+            break;
+        }
+        drain_wave(&mut engine, nw, cands, &mut lane, &mut report);
     }
     lane.end(cover_span);
     // `tile` phase counters: how the resident panel mirror was kept in
@@ -815,30 +785,22 @@ pub(crate) fn extract_kernels_warm(
 /// extractions applied and the search heads that compacted the matrix.
 #[cfg(test)]
 pub(crate) fn stepwise_cover(engine: &mut Engine, nw: &mut Network) -> (usize, usize) {
+    let mut lane = Tracer::disarmed().lane("stepwise");
+    let mut report = ExtractReport::default();
     let mut compactions = 0;
     loop {
         let rows_before = engine.matrix().rows().len();
-        let (mut wave, _) = engine.search_batch(None);
+        let (wave, _) = engine.search_batch(None);
         compactions += usize::from(engine.matrix().rows().len() < rows_before);
         if wave.is_empty() {
             return (engine.extractions(), compactions);
         }
-        while !wave.is_empty() {
-            let selected = engine.select_batch(&wave, usize::MAX);
-            for rect in &selected {
-                engine.apply(nw, rect);
-            }
-            wave = wave
-                .into_iter()
-                .filter(|c| !selected.contains(c))
-                .filter_map(|c| engine.revalidate(&c))
-                .collect();
-        }
+        drain_wave(engine, nw, wave, &mut lane, &mut report);
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use pf_network::example::example_1_1;
     use pf_network::sim::{equivalent_random, EquivConfig};
@@ -1192,45 +1154,43 @@ mod tests {
         assert!(report.extractions <= 2);
     }
 
+    /// The §3 parallel generation, its `procs` generators run in turn.
+    fn generated_engine(nw: &Network, targets: &[SignalId], procs: usize) -> Engine {
+        let cfg = ExtractConfig::default();
+        let shares: Vec<KernelShare> = (0..procs)
+            .map(|pid| KernelShare::generate(nw, targets, &cfg.kernel, pid, procs))
+            .collect();
+        Engine::from_shares(nw, targets, cfg, &shares.iter().collect::<Vec<_>>())
+    }
+
     #[test]
     fn parallel_generation_matches_sequential_matrix() {
-        // §3's labeled parallel generation must produce the same rows
-        // and columns as the serial build, for any generator count.
-        let (nw, _) = example_1_1();
-        let targets: Vec<SignalId> = nw.node_ids().collect();
-        let serial = Engine::new(&nw, &targets, ExtractConfig::default());
-        for procs in [1usize, 2, 3, 7] {
-            let par = Engine::new_parallel(&nw, &targets, ExtractConfig::default(), procs);
-            assert_eq!(
-                par.matrix().num_alive_rows(),
-                serial.matrix().num_alive_rows(),
-                "procs={procs}"
-            );
-            assert_eq!(par.matrix().cols().len(), serial.matrix().cols().len());
-            assert_eq!(par.matrix().num_entries(), serial.matrix().num_entries());
-            // Same multiset of (node, co-kernel, kernel-cube) triples.
-            let sig = |e: &Engine| {
-                let mut v: Vec<(u32, Cube, Cube)> = e
-                    .matrix()
+        // §3's labeled parallel generation must produce the serial
+        // build's rows and columns, in the serial order, for any
+        // generator count.
+        let base = pf_workloads::generate(&pf_workloads::CircuitProfile::small("gen", 5));
+        let (paper, _) = example_1_1();
+        for nw in [paper, base] {
+            let targets: Vec<SignalId> = nw.node_ids().collect();
+            let serial = Engine::new(&nw, &targets, ExtractConfig::default());
+            let rows = |e: &Engine| -> Vec<(u32, Cube, Vec<ColIdx>)> {
+                e.matrix()
                     .rows()
                     .iter()
-                    .flat_map(|r| {
-                        r.entries
-                            .iter()
-                            .map(|&(c, _)| {
-                                (
-                                    r.node,
-                                    r.cokernel.clone(),
-                                    e.matrix().cols()[c].cube.clone(),
-                                )
-                            })
-                            .collect::<Vec<_>>()
+                    .map(|r| {
+                        let cols = r.entries.iter().map(|&(c, _)| c).collect();
+                        (r.node, r.cokernel.clone(), cols)
                     })
-                    .collect();
-                v.sort();
-                v
+                    .collect()
             };
-            assert_eq!(sig(&par), sig(&serial), "procs={procs}");
+            let cols = |e: &Engine| -> Vec<Cube> {
+                e.matrix().cols().iter().map(|c| c.cube.clone()).collect()
+            };
+            for procs in [1usize, 2, 3, 7] {
+                let par = generated_engine(&nw, &targets, procs);
+                assert_eq!(rows(&par), rows(&serial), "procs={procs}");
+                assert_eq!(cols(&par), cols(&serial), "procs={procs}");
+            }
         }
     }
 
@@ -1238,7 +1198,7 @@ mod tests {
     fn parallel_generation_extraction_reaches_same_quality() {
         let (mut nw, _) = example_1_1();
         let targets: Vec<SignalId> = nw.node_ids().collect();
-        let mut engine = Engine::new_parallel(&nw, &targets, ExtractConfig::default(), 3);
+        let mut engine = generated_engine(&nw, &targets, 3);
         while let (Some(rect), _) = engine.search(None) {
             engine.apply(&mut nw, &rect);
         }
@@ -1250,7 +1210,7 @@ mod tests {
         // Rows generated by processor p carry labels in p's block.
         let (nw, _) = example_1_1();
         let targets: Vec<SignalId> = nw.node_ids().collect();
-        let par = Engine::new_parallel(&nw, &targets, ExtractConfig::default(), 2);
+        let par = generated_engine(&nw, &targets, 2);
         let blocks: std::collections::BTreeSet<u64> = par
             .matrix()
             .rows()
@@ -1261,7 +1221,7 @@ mod tests {
     }
 
     /// The six paper profiles at unit-test scale.
-    const PROFILES: [(&str, f64); 6] = [
+    pub(crate) const PROFILES: [(&str, f64); 6] = [
         ("misex3", 0.3),
         ("dalu", 0.3),
         ("des", 0.1),
@@ -1274,7 +1234,7 @@ mod tests {
     /// (seed 0 keeps it): same functions, other signal ids — and with
     /// them another kernel enumeration order, column order and set of
     /// tie-breaks.
-    fn relabel(base: &Network, seed: u64) -> Network {
+    pub(crate) fn relabel(base: &Network, seed: u64) -> Network {
         let slots: Vec<SignalId> = base.input_ids().collect();
         let mut shuffled = slots.clone();
         let mut state = seed;
