@@ -135,7 +135,7 @@ pub fn independent_extract_cubes(
     let lc_before = nw.literal_count();
     let n0 = nw.num_signals() as u32;
     let partition = partition_network(nw, p, pcfg);
-    let parts: Vec<Vec<SignalId>> = (0..p).map(|q| partition.part_nodes(q)).collect();
+    let parts = partition.parts();
     let partition_elapsed = start.elapsed();
 
     let results: Mutex<Vec<(WorkerResult, ExtractReport)>> = Mutex::new(Vec::new());

@@ -989,7 +989,7 @@ pub fn distributed_extract(
 
     let span = lane.start("partition");
     let partition = partition_network(nw, parts_n, &cfg.partition);
-    let parts: Vec<Vec<SignalId>> = (0..parts_n).map(|q| partition.part_nodes(q)).collect();
+    let parts = partition.parts();
     lane.end_with(span, || vec![("parts", parts_n as i64)]);
     let partition_elapsed = start.elapsed();
 

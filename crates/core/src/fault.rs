@@ -26,6 +26,7 @@
 //! | `replicated:reduce` | Algorithm R's reduction step (root only) |
 //! | `independent:merge` | Algorithm I, before merging worker results |
 //! | `lshaped:step` | Algorithm L's worker step loop |
+//! | `lshaped:recv` | Algorithm L, between popping a shipped rectangle and applying it |
 //! | `serve:pickup:FP` | pf-serve worker, job pickup (outside panic isolation) |
 //! | `dist:pickup:LEASE` | dist worker, sub-job pickup (outside panic isolation) |
 //! | `dist:send:wW` | dist transport, sub-job dispatch to worker `W` |
@@ -34,8 +35,9 @@
 //! A panic injected at `seq:cover`, `independent:merge`,
 //! `serve:pickup`, or `dist:pickup` is safe: it either stays on one
 //! thread or propagates cleanly through a scope join. Panics at
-//! `replicated:reduce` or `lshaped:step` can strand sibling threads at
-//! a barrier — inject latency or cancellation there instead.
+//! `replicated:reduce`, `lshaped:step` or `lshaped:recv` can strand
+//! sibling threads at a barrier — inject latency or cancellation there
+//! instead.
 //!
 //! The message-plane kinds (`drop` / `dup` / `stall:MS`) are interpreted
 //! by the dist transports at their `dist:send` / `dist:recv` boundaries:

@@ -13,7 +13,7 @@
 use crate::merge::{merge_worker_results, NewNode, WorkerResult};
 use crate::report::{ExtractReport, PhaseTiming};
 use crate::seq::{extract_kernels, ExtractConfig};
-use pf_network::{Network, SignalId};
+use pf_network::Network;
 use pf_partition::{partition_network, PartitionConfig};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -54,7 +54,7 @@ pub fn independent_extract(nw: &mut Network, cfg: &IndependentConfig) -> Extract
 
     let partition_span = lane.start("partition");
     let partition = partition_network(nw, p, &cfg.partition);
-    let parts: Vec<Vec<SignalId>> = (0..p).map(|q| partition.part_nodes(q)).collect();
+    let parts = partition.parts();
     lane.end_with(partition_span, || vec![("parts", p as i64)]);
     let partition_elapsed = start.elapsed();
 

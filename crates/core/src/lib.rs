@@ -55,6 +55,7 @@ pub mod independent;
 pub mod iterative;
 pub mod lshaped;
 pub mod lshaped_cx;
+mod mailbox;
 pub mod merge;
 pub mod model;
 pub mod replicated;

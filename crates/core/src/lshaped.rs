@@ -34,6 +34,7 @@
 //! processor is a real thread (Table 6).
 
 use crate::ctl::StopReason;
+use crate::mailbox::{Mailboxes, Step};
 use crate::merge::{merge_worker_results, NewNode, WorkerResult};
 use crate::report::{ExtractReport, PhaseTiming};
 use crate::seq::ExtractConfig;
@@ -48,7 +49,6 @@ use pf_network::{Network, SignalId};
 use pf_partition::{partition_network, PartitionConfig};
 use pf_sop::fx::FxHashMap;
 use pf_sop::{divide, Cube, Sop};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -95,17 +95,6 @@ impl Default for LShapedConfig {
 /// entry and per-read locking would serialize the processors.
 type SharedStates = ConcurrentCubeStates;
 
-/// Result of one extraction attempt.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum StepOutcome {
-    /// A rectangle was committed.
-    Extracted,
-    /// The claim race was lost; the search must be retried.
-    Conflicted,
-    /// No positive rectangle exists right now.
-    Nothing,
-}
-
 /// One row of a cross-partition rectangle, shipped to the node's owner.
 #[derive(Clone, Debug)]
 struct ShippedRow {
@@ -127,12 +116,9 @@ struct ShippedRect {
     rows: Vec<ShippedRow>,
 }
 
-/// Mailboxes + termination counters shared by all processors.
+/// Mailboxes + the release epoch shared by all processors.
 struct Transport {
-    queues: Vec<Mutex<VecDeque<ShippedRect>>>,
-    sent: AtomicUsize,
-    processed: AtomicUsize,
-    idle: AtomicUsize,
+    mail: Mailboxes<ShippedRect>,
     /// Bumped whenever a processor releases claimed cubes. Divides and
     /// claims only ever *lower* the values other processors see, so a
     /// worker whose last search found nothing need not re-search until a
@@ -144,29 +130,17 @@ struct Transport {
 impl Transport {
     fn new(p: usize) -> Self {
         Transport {
-            queues: (0..p).map(|_| Mutex::new(VecDeque::new())).collect(),
-            sent: AtomicUsize::new(0),
-            processed: AtomicUsize::new(0),
-            idle: AtomicUsize::new(0),
+            mail: Mailboxes::new(p),
             releases: AtomicUsize::new(0),
         }
     }
 
-    fn send(&self, to: ProcId, rect: ShippedRect) {
-        self.sent.fetch_add(1, Ordering::SeqCst);
-        self.queues[to as usize].lock().push_back(rect);
-    }
-
-    fn try_recv(&self, me: ProcId) -> Option<ShippedRect> {
-        let msg = self.queues[me as usize].lock().pop_front();
-        if msg.is_some() {
-            self.processed.fetch_add(1, Ordering::SeqCst);
-        }
-        msg
-    }
-
-    fn all_drained(&self) -> bool {
-        self.sent.load(Ordering::SeqCst) == self.processed.load(Ordering::SeqCst)
+    /// Records that `me` released claimed cubes: bumps the epoch, then
+    /// wakes every other worker, so none of them can finish the run
+    /// before it has searched under the new epoch.
+    fn release(&self, me: ProcId) {
+        self.releases.fetch_add(1, Ordering::SeqCst);
+        self.mail.wake_others(me as usize);
     }
 }
 
@@ -334,17 +308,20 @@ impl Worker<'_> {
         }
     }
 
-    /// One extraction attempt.
-    fn try_extract(&mut self) -> StepOutcome {
+    /// One extraction attempt: [`Step::Progress`] when a rectangle was
+    /// committed, [`Step::Conflicted`] when the claim race was lost and
+    /// the search must be retried, [`Step::Nothing`] when no positive
+    /// rectangle exists right now.
+    fn try_extract(&mut self) -> Step {
         if self.extractions >= self.cfg.extract.max_extractions {
-            return StepOutcome::Nothing;
+            return Step::Nothing;
         }
         // Nothing can have appeared since the last fruitless search
         // unless the local matrix changed or some processor released
         // cubes (divides/claims only lower values).
         let releases_now = self.transport.releases.load(Ordering::SeqCst);
         if !self.dirty && releases_now == self.seen_releases {
-            return StepOutcome::Nothing;
+            return Step::Nothing;
         }
         let search_cfg = SearchConfig {
             ..self.cfg.extract.search.clone()
@@ -372,7 +349,7 @@ impl Worker<'_> {
         if rects.is_empty() {
             self.dirty = false;
             self.seen_releases = releases_now;
-            return StepOutcome::Nothing;
+            return Step::Nothing;
         }
 
         // Local conflict-free selection (trivially the single winner
@@ -408,11 +385,11 @@ impl Worker<'_> {
         // batch) count as rejected, so candidates = accepted + rejected.
         self.batch_rejected += selected_len - committed;
         if committed > 0 {
-            StepOutcome::Extracted
+            Step::Progress
         } else if conflicted {
-            StepOutcome::Conflicted
+            Step::Conflicted
         } else {
-            StepOutcome::Nothing
+            Step::Nothing
         }
     }
 
@@ -449,7 +426,7 @@ impl Worker<'_> {
                 self.states.release(id, self.pid);
             }
             if !claimed.is_empty() {
-                self.transport.releases.fetch_add(1, Ordering::SeqCst);
+                self.transport.release(self.pid);
             }
             // Another processor banked some of these cubes between the
             // search and the claim (Example 5.2's race). Not idle — the
@@ -569,8 +546,8 @@ impl Worker<'_> {
         // Ship partial rectangles to the owners of foreign rows.
         for (owner, rows) in foreign {
             self.shipped += rows.len();
-            self.transport.send(
-                owner,
+            self.transport.mail.send(
+                owner as usize,
                 ShippedRect {
                     initiator: self.pid,
                     x_var,
@@ -599,11 +576,15 @@ impl Worker<'_> {
         self.lane.end_with(apply_span, || vec![("value", value)]);
     }
 
-    /// Drains the mailbox; returns whether anything was processed.
+    /// Drains the mailbox; returns whether anything was processed. A
+    /// message stays in flight, holding the run open, until it has been
+    /// applied.
     fn drain_queue(&mut self) -> bool {
         let mut any = false;
-        while let Some(rect) = self.transport.try_recv(self.pid) {
+        while let Some(rect) = self.transport.mail.pop(self.pid as usize) {
+            self.cfg.extract.ctl.fault_point("lshaped:recv");
             self.apply_shipped(rect);
+            self.transport.mail.applied();
             any = true;
         }
         any
@@ -791,7 +772,7 @@ pub fn lshaped_extract(nw: &mut Network, cfg: &LShapedConfig) -> ExtractReport {
 
     let setup_span = lane.start("setup");
     let partition = partition_network(nw, p, &cfg.partition);
-    let parts: Vec<Vec<SignalId>> = (0..p).map(|q| partition.part_nodes(q)).collect();
+    let parts = partition.parts();
     let node_owner: FxHashMap<SignalId, ProcId> = parts
         .iter()
         .enumerate()
@@ -809,7 +790,7 @@ pub fn lshaped_extract(nw: &mut Network, cfg: &LShapedConfig) -> ExtractReport {
     let (results, stopped) = if cfg.sequential {
         run_sequential(workers, &transport)
     } else {
-        run_threaded(workers, &transport, p)
+        run_threaded(workers)
     };
     lane.end_with(extract_span, || vec![("parts", p as i64)]);
     let extract_elapsed = start.elapsed().saturating_sub(setup_elapsed);
@@ -905,10 +886,10 @@ fn run_sequential(mut workers: Vec<Worker<'_>>, transport: &Transport) -> (Vec<W
         for w in &mut workers {
             progress |= w.drain_queue();
             // Conflicts cannot happen round-robin (claims are never held
-            // across steps), so Extracted is the only progress signal.
-            progress |= w.try_extract() == StepOutcome::Extracted;
+            // across steps), so a commit is the only progress signal.
+            progress |= w.try_extract() == Step::Progress;
         }
-        if !progress && transport.all_drained() {
+        if !progress && transport.mail.all_empty() {
             break;
         }
     }
@@ -920,11 +901,7 @@ fn run_sequential(mut workers: Vec<Worker<'_>>, transport: &Transport) -> (Vec<W
 
 /// Threaded driver (Table 6 mode). The second return is whether the run
 /// was stopped early by its [`RunCtl`](crate::ctl::RunCtl).
-fn run_threaded(
-    workers: Vec<Worker<'_>>,
-    _transport: &Transport,
-    p: usize,
-) -> (Vec<WorkerDone>, bool) {
+fn run_threaded(workers: Vec<Worker<'_>>) -> (Vec<WorkerDone>, bool) {
     let out: Mutex<Vec<(usize, WorkerDone)>> = Mutex::new(Vec::new());
     let any_stopped = std::sync::atomic::AtomicBool::new(false);
     std::thread::scope(|s| {
@@ -933,48 +910,28 @@ fn run_threaded(
             let any_stopped = &any_stopped;
             s.spawn(move || {
                 let pid = w.pid as usize;
-                let mut is_idle = false;
-                loop {
-                    // Stop check first: every worker shares the handle,
-                    // so all of them break here together and the
-                    // idle-count termination protocol is never left
-                    // waiting on a departed thread. Fault site: latency
-                    // and cancel are safe here; a panic would leave the
-                    // idle-count protocol waiting on a departed thread.
-                    w.cfg.extract.ctl.fault_point("lshaped:step");
-                    if w.cfg.extract.ctl.should_stop() {
+                let (cfg, transport) = (w.cfg, w.transport);
+                let stop = || {
+                    // Every worker shares the handle, so all of them
+                    // stop together and none is left waiting on a
+                    // departed thread. Fault site: latency and cancel
+                    // are safe here; a panic would strand the others.
+                    cfg.extract.ctl.fault_point("lshaped:step");
+                    let stop = cfg.extract.ctl.should_stop();
+                    if stop {
                         any_stopped.store(true, Ordering::SeqCst);
-                        break;
                     }
+                    stop
+                };
+                transport.mail.drive(pid, stop, || {
                     let drained_any = w.drain_queue();
                     let outcome = w.try_extract();
-                    if drained_any || outcome == StepOutcome::Extracted {
-                        if is_idle {
-                            is_idle = false;
-                            w.transport.idle.fetch_sub(1, Ordering::SeqCst);
-                        }
-                        continue;
+                    if drained_any {
+                        Step::Progress
+                    } else {
+                        outcome
                     }
-                    if outcome == StepOutcome::Conflicted {
-                        // Work remains but another processor holds the
-                        // cubes; back off (staggered by pid) and retry
-                        // without ever counting as idle.
-                        if is_idle {
-                            is_idle = false;
-                            w.transport.idle.fetch_sub(1, Ordering::SeqCst);
-                        }
-                        std::thread::sleep(std::time::Duration::from_micros(50 * (pid as u64 + 1)));
-                        continue;
-                    }
-                    if !is_idle {
-                        is_idle = true;
-                        w.transport.idle.fetch_add(1, Ordering::SeqCst);
-                    }
-                    if w.transport.idle.load(Ordering::SeqCst) == p && w.transport.all_drained() {
-                        break;
-                    }
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                }
+                });
                 out.lock().push((pid, w.into_result()));
             });
         }
@@ -1086,6 +1043,52 @@ mod tests {
     }
 
     #[test]
+    fn slow_apply_of_a_shipped_rectangle_does_not_end_the_run_early() {
+        // A worker that pops a shipped rectangle keeps the run open until
+        // it has applied it. If a peer could leave while the apply is
+        // still running, the receiver might then ship rows back to the
+        // departed peer and wait forever for them to be processed. The
+        // run is watched from outside so that a hang fails the test.
+        use crate::ctl::RunCtl;
+        use crate::fault::{FaultPlan, FaultRule};
+        use std::sync::{mpsc, Arc};
+        use std::time::Duration;
+        let plan = Arc::new(FaultPlan::new(3).with_rule(FaultRule::latency_at(
+            "lshaped:recv",
+            Duration::from_millis(15),
+        )));
+        let (tx, rx) = mpsc::channel();
+        let worker_plan = Arc::clone(&plan);
+        std::thread::spawn(move || {
+            for (seed, procs) in [(13, 2), (17, 2), (13, 3), (21, 4)] {
+                let profile = pf_workloads::CircuitProfile::small("lrecv", seed);
+                let mut nw = pf_workloads::generate(&profile);
+                let original = nw.clone();
+                let mut cfg = LShapedConfig {
+                    procs,
+                    sequential: false,
+                    ..LShapedConfig::default()
+                };
+                cfg.extract.ctl = RunCtl::new().with_faults(Arc::clone(&worker_plan));
+                let report = lshaped_extract(&mut nw, &cfg);
+                let _ = tx.send((seed, procs, report, original, nw));
+            }
+        });
+        for _ in 0..4 {
+            let (seed, procs, report, original, nw) = rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("threaded Algorithm L did not terminate");
+            assert!(!report.timed_out && !report.cancelled);
+            assert!(report.lc_after <= report.lc_before);
+            assert!(
+                equivalent_random(&original, &nw, &EquivConfig::default()).unwrap(),
+                "seed={seed} procs={procs}"
+            );
+        }
+        assert!(plan.hits("lshaped:recv") >= 1, "no rectangle was shipped");
+    }
+
+    #[test]
     fn quality_at_least_as_good_as_independent_on_average_case() {
         // The L-shape sees cross-partition rectangles that Algorithm I
         // cannot; on the paper's example it must not do worse.
@@ -1133,7 +1136,7 @@ mod tests {
             ..LShapedConfig::default()
         };
         let partition = partition_network(&nw, 2, &cfg.partition);
-        let parts: Vec<Vec<SignalId>> = (0..2).map(|q| partition.part_nodes(q)).collect();
+        let parts = partition.parts();
         let node_owner: FxHashMap<SignalId, ProcId> = parts
             .iter()
             .enumerate()
@@ -1182,7 +1185,7 @@ mod tests {
                 ..LShapedConfig::default()
             };
             let partition = partition_network(&nw, procs, &cfg.partition);
-            let parts: Vec<Vec<SignalId>> = (0..procs).map(|q| partition.part_nodes(q)).collect();
+            let parts = partition.parts();
             let node_owner: FxHashMap<SignalId, ProcId> = parts
                 .iter()
                 .enumerate()

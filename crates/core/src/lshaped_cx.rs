@@ -22,6 +22,7 @@
 //!   the cube `c → (c \ C)·X` if the cube is still present (the analogue
 //!   of the §5.3 re-check: a vanished cube is simply dropped).
 
+use crate::mailbox::{Mailboxes, Step};
 use crate::merge::{merge_worker_results, NewNode, WorkerResult};
 use crate::report::{ExtractReport, PhaseTiming};
 use parking_lot::Mutex;
@@ -31,8 +32,6 @@ use pf_network::{Network, SignalId};
 use pf_partition::{partition_network, PartitionConfig};
 use pf_sop::fx::FxHashMap;
 use pf_sop::{Cube, Lit, Sop};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Options for [`lshaped_extract_cubes`].
@@ -78,41 +77,6 @@ struct ShippedCommonCube {
     rows: Vec<ShippedCubeRow>,
 }
 
-struct CxTransport {
-    queues: Vec<Mutex<VecDeque<ShippedCommonCube>>>,
-    sent: AtomicUsize,
-    processed: AtomicUsize,
-    idle: AtomicUsize,
-}
-
-impl CxTransport {
-    fn new(p: usize) -> Self {
-        CxTransport {
-            queues: (0..p).map(|_| Mutex::new(VecDeque::new())).collect(),
-            sent: AtomicUsize::new(0),
-            processed: AtomicUsize::new(0),
-            idle: AtomicUsize::new(0),
-        }
-    }
-
-    fn send(&self, to: ProcId, msg: ShippedCommonCube) {
-        self.sent.fetch_add(1, Ordering::SeqCst);
-        self.queues[to as usize].lock().push_back(msg);
-    }
-
-    fn try_recv(&self, me: ProcId) -> Option<ShippedCommonCube> {
-        let msg = self.queues[me as usize].lock().pop_front();
-        if msg.is_some() {
-            self.processed.fetch_add(1, Ordering::SeqCst);
-        }
-        msg
-    }
-
-    fn all_drained(&self) -> bool {
-        self.sent.load(Ordering::SeqCst) == self.processed.load(Ordering::SeqCst)
-    }
-}
-
 struct CxWorker<'a> {
     pid: ProcId,
     /// Node functions this worker owns (part nodes + its new nodes).
@@ -123,7 +87,7 @@ struct CxWorker<'a> {
     node_owner: &'a FxHashMap<SignalId, ProcId>,
     registry: &'a CubeRegistry,
     states: &'a ConcurrentCubeStates,
-    transport: &'a CxTransport,
+    transport: &'a Mailboxes<ShippedCommonCube>,
     cfg: &'a LShapedCxConfig,
     id_base: u32,
     new_nodes: Vec<(u32, String)>,
@@ -132,6 +96,9 @@ struct CxWorker<'a> {
     total_value: i64,
     shipped: usize,
     dirty: bool,
+    /// A release woke the other workers since this worker last made
+    /// progress.
+    woke_on_release: bool,
 }
 
 impl CxWorker<'_> {
@@ -170,10 +137,12 @@ impl CxWorker<'_> {
 
     fn drain_queue(&mut self) -> bool {
         let mut any = false;
-        while let Some(msg) = self.transport.try_recv(self.pid) {
+        while let Some(msg) = self.transport.pop(self.pid as usize) {
             self.apply_shipped(msg);
+            self.transport.applied();
             any = true;
         }
+        self.woke_on_release &= !any;
         any
     }
 
@@ -236,10 +205,18 @@ impl CxWorker<'_> {
         }
         let value = kept.len() as i64 * (best.cube.len() as i64 - 1) - best.cube.len() as i64;
         if value <= 0 {
-            for id in claimed {
+            for &id in &claimed {
                 self.states.release(id, self.pid);
             }
-            // Another processor holds the overlap; try again later.
+            // Another processor holds the overlap; try again later. The
+            // release can raise a peer's value, so wake the others — once
+            // per own progress: the search is state-blind, so two workers
+            // whose best cubes stay blocked would otherwise wake each
+            // other forever.
+            if !claimed.is_empty() && !self.woke_on_release {
+                self.woke_on_release = true;
+                self.transport.wake_others(self.pid as usize);
+            }
             return false;
         }
 
@@ -293,7 +270,7 @@ impl CxWorker<'_> {
         for (owner, rows) in foreign {
             self.shipped += rows.len();
             self.transport.send(
-                owner,
+                owner as usize,
                 ShippedCommonCube {
                     x_var,
                     common: best.cube.clone(),
@@ -304,6 +281,7 @@ impl CxWorker<'_> {
         self.extractions += 1;
         self.total_value += value;
         self.dirty = true;
+        self.woke_on_release = false;
         true
     }
 
@@ -343,7 +321,7 @@ pub fn lshaped_extract_cubes(nw: &mut Network, cfg: &LShapedCxConfig) -> Extract
     let lc_before = nw.literal_count();
 
     let partition = partition_network(nw, p, &cfg.partition);
-    let parts: Vec<Vec<SignalId>> = (0..p).map(|q| partition.part_nodes(q)).collect();
+    let parts = partition.parts();
     let node_owner: FxHashMap<SignalId, ProcId> = parts
         .iter()
         .enumerate()
@@ -366,7 +344,7 @@ pub fn lshaped_extract_cubes(nw: &mut Network, cfg: &LShapedCxConfig) -> Extract
     let registry = CubeRegistry::new();
     let states = ConcurrentCubeStates::new();
     states.ensure(1);
-    let transport = CxTransport::new(p);
+    let transport = Mailboxes::new(p);
     let block = 1_000_000u32;
     let id_base0 = (nw.num_signals() as u32 / block + 1) * block;
 
@@ -392,6 +370,7 @@ pub fn lshaped_extract_cubes(nw: &mut Network, cfg: &LShapedCxConfig) -> Extract
             total_value: 0,
             shipped: 0,
             dirty: true,
+            woke_on_release: false,
         });
     }
     // Exchange: a cube containing a literal owned by processor j is
@@ -426,7 +405,7 @@ pub fn lshaped_extract_cubes(nw: &mut Network, cfg: &LShapedCxConfig) -> Extract
                 progress |= w.drain_queue();
                 progress |= w.try_extract();
             }
-            if !progress && transport.all_drained() {
+            if !progress && transport.all_empty() {
                 break;
             }
         }
@@ -439,26 +418,21 @@ pub fn lshaped_extract_cubes(nw: &mut Network, cfg: &LShapedCxConfig) -> Extract
                 let out = &out;
                 s.spawn(move || {
                     let pid = w.pid as usize;
-                    let mut is_idle = false;
-                    loop {
-                        let progress = w.drain_queue() | w.try_extract();
-                        if progress {
-                            if is_idle {
-                                is_idle = false;
-                                w.transport.idle.fetch_sub(1, Ordering::SeqCst);
+                    let transport = w.transport;
+                    transport.drive(
+                        pid,
+                        || false,
+                        || {
+                            if w.drain_queue() | w.try_extract() {
+                                // Rows changed hands: a worker that lost a
+                                // claim race (and so stayed dirty) retries.
+                                transport.wake_others(pid);
+                                Step::Progress
+                            } else {
+                                Step::Nothing
                             }
-                            continue;
-                        }
-                        if !is_idle {
-                            is_idle = true;
-                            w.transport.idle.fetch_add(1, Ordering::SeqCst);
-                        }
-                        if w.transport.idle.load(Ordering::SeqCst) == p && w.transport.all_drained()
-                        {
-                            break;
-                        }
-                        std::thread::sleep(std::time::Duration::from_micros(200));
-                    }
+                        },
+                    );
                     out.lock().push((pid, w.into_result()));
                 });
             }

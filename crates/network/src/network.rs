@@ -222,10 +222,16 @@ impl Network {
     /// Fanout map: for every signal, the list of nodes whose function
     /// references it. O(total literals).
     pub fn fanout_map(&self) -> Vec<Vec<SignalId>> {
-        let mut out = vec![Vec::new(); self.num_signals()];
+        let mut out: Vec<Vec<SignalId>> = vec![Vec::new(); self.num_signals()];
         for n in self.node_ids() {
-            for fi in self.fanins(n) {
-                out[fi as usize].push(n);
+            for cube in self.funcs[n as usize].iter() {
+                for lit in cube.iter() {
+                    let list = &mut out[lit.var().index() as usize];
+                    // `n` ascends, so a repeat can only be the last entry.
+                    if list.last() != Some(&n) {
+                        list.push(n);
+                    }
+                }
             }
         }
         out
@@ -402,8 +408,19 @@ mod tests {
         let b = nw.add_input("b").unwrap();
         let g = nw.add_node("g", sop_of(&[&[a], &[b]])).unwrap();
         let f = nw.add_node("f", sop_of(&[&[g, a]])).unwrap();
+        // Both phases of `a`, in two cubes: still one fanout entry.
+        let h = nw
+            .add_node(
+                "h",
+                Sop::from_cubes([
+                    Cube::from_lits([Lit::pos(a), Lit::neg(b)]),
+                    Cube::from_lits([Lit::neg(a)]),
+                ]),
+            )
+            .unwrap();
         let fo = nw.fanout_map();
-        assert_eq!(fo[a as usize], vec![g, f]);
+        assert_eq!(fo[a as usize], vec![g, f, h]);
+        assert_eq!(fo[b as usize], vec![g, h]);
         assert_eq!(fo[g as usize], vec![f]);
         assert!(fo[f as usize].is_empty());
     }

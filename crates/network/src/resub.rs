@@ -25,7 +25,7 @@
 use crate::network::{Network, NetworkError, SignalId, SignalKind};
 use crate::transform::divide_node_by;
 use pf_sop::fx::{FxHashMap, FxHashSet};
-use pf_sop::Lit;
+use pf_sop::{Lit, Sop};
 
 /// Report of one resubstitution pass.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -133,6 +133,7 @@ pub fn resubstitute_scoped(
             }
             let g_sig = index.sig[g as usize];
             let g_cubes = index.cubes[g as usize];
+            let g_is_literal = g_cubes == 1 && g_support.len() == 1;
             // Enumerate candidates from the rarest literal's occurrence
             // list: any f divisible by g contains every literal of g, so
             // the list is a superset of the viable targets and — being
@@ -174,6 +175,18 @@ pub fn resubstitute_scoped(
                     continue;
                 }
                 cycle_blocked.remove(&(g, f));
+                // Dividing by a single literal `l` that `f` does not
+                // already mention only renames `l` to `x_g` in f's cubes:
+                // every cube keeps its size and every containment between
+                // cubes survives, so the rewrite saves literals only by
+                // dropping cubes `f` holds redundantly. Without any, it
+                // would be rolled back — skip the division.
+                if g_is_literal
+                    && !index.support[fi].iter().any(|l| l.var().index() == g)
+                    && containment_free(nw.func(f))
+                {
+                    continue;
+                }
                 let before = nw.func(f).literal_count();
                 let snapshot = nw.func(f).clone();
                 report.pairs_divided += 1;
@@ -222,6 +235,18 @@ fn reaches(
     let hit = tfi.contains(&f);
     cache.insert(g, tfi);
     hit
+}
+
+/// `true` iff no cube of `f` divides another (or repeats), i.e.
+/// [`Sop::from_cubes`] would keep every cube.
+fn containment_free(f: &Sop) -> bool {
+    let cubes = f.cubes();
+    cubes.iter().enumerate().all(|(i, c)| {
+        cubes
+            .iter()
+            .enumerate()
+            .all(|(j, d)| i == j || !c.divisible_by(d))
+    })
 }
 
 /// Subset test over two sorted literal lists.
@@ -564,6 +589,41 @@ mod tests {
         let rr = reference::resubstitute(&mut oracle).unwrap();
         assert_eq!(ri.substitutions, rr.substitutions);
         assert_eq!(ri.saved, rr.saved);
+        for id in indexed.node_ids().collect::<Vec<_>>() {
+            assert_eq!(indexed.func(id), oracle.func(id), "node {id}");
+        }
+    }
+
+    #[test]
+    fn literal_divisor_is_skipped_only_when_it_cannot_save() {
+        // g = a divides both f's: the containment-free one would only
+        // trade `a` for `x_g` (skipped, no division runs); the other holds
+        // the redundant cube `ac` beside `a`, which the rewrite drops.
+        let build = || {
+            let mut nw = Network::new();
+            let a = nw.add_input("a").unwrap();
+            let b = nw.add_input("b").unwrap();
+            let c = nw.add_input("c").unwrap();
+            let g = nw.add_node("g", sop_of(&[&[a]])).unwrap();
+            let clean = nw.add_node("clean", sop_of(&[&[a, b], &[c]])).unwrap();
+            let redundant = Sop::from_sorted_unchecked(vec![
+                Cube::from_lits([Lit::pos(a)]),
+                Cube::from_lits([Lit::pos(a), Lit::pos(c)]),
+            ]);
+            let redundant = nw.add_node("redundant", redundant).unwrap();
+            for n in [g, clean, redundant] {
+                nw.mark_output(n).unwrap();
+            }
+            (nw, redundant)
+        };
+        let (mut indexed, redundant) = build();
+        let (mut oracle, _) = build();
+        let ri = resubstitute(&mut indexed).unwrap();
+        let rr = reference::resubstitute(&mut oracle).unwrap();
+        assert_eq!((ri.substitutions, ri.saved), (1, 2));
+        assert_eq!((rr.substitutions, rr.saved), (1, 2));
+        assert_eq!(ri.pairs_divided, 1);
+        assert_eq!(indexed.func(redundant).literal_count(), 1);
         for id in indexed.node_ids().collect::<Vec<_>>() {
             assert_eq!(indexed.func(id), oracle.func(id), "node {id}");
         }

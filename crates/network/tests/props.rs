@@ -171,6 +171,19 @@ proptest! {
         }
     }
 
+    /// The fanout map lists, for every signal, exactly the nodes whose
+    /// fanins contain it, each once and in ascending order.
+    #[test]
+    fn fanout_map_is_the_inverse_of_fanins(nw in arb_network(5, 8)) {
+        let mut expect = vec![Vec::new(); nw.num_signals()];
+        for n in nw.node_ids() {
+            for fi in nw.fanins(n) {
+                expect[fi as usize].push(n);
+            }
+        }
+        prop_assert_eq!(nw.fanout_map(), expect);
+    }
+
     /// Topological order always puts fanins before the node.
     #[test]
     fn topo_order_sound(nw in arb_network(5, 8)) {

@@ -120,6 +120,38 @@ impl CircuitGraph {
 }
 
 #[cfg(test)]
+impl CircuitGraph {
+    /// A graph from explicit vertex weights and edges `(a, b, weight)`:
+    /// parallel edges merge, self-loops are dropped, and vertex `v`
+    /// stands for signal `v`.
+    pub(crate) fn from_edges(weights: Vec<u64>, edges: &[(usize, usize, u32)]) -> Self {
+        let n = weights.len();
+        let mut edge_w: std::collections::BTreeMap<(usize, usize), u32> = Default::default();
+        for &(a, b, w) in edges {
+            if a != b {
+                *edge_w.entry((a.min(b), a.max(b))).or_insert(0) += w;
+            }
+        }
+        let mut adj = vec![Vec::new(); n];
+        for (&(a, b), &w) in &edge_w {
+            adj[a].push((b, w));
+            adj[b].push((a, w));
+        }
+        for l in &mut adj {
+            l.sort_unstable();
+        }
+        let nodes: Vec<SignalId> = (0..n as SignalId).collect();
+        let index = nodes.iter().map(|&s| (s, s as usize)).collect();
+        CircuitGraph {
+            nodes,
+            index,
+            adj,
+            weights,
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use pf_sop::{Cube, Lit, Sop};

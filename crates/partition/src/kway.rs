@@ -1,13 +1,31 @@
 //! Direct k-way Fiduccia–Mattheyses-style partitioning.
 //!
 //! The classic iterative-improvement loop: start from a balanced seed
-//! assignment, then run passes in which every vertex is moved at most
-//! once to its best admissible destination (largest cut gain, balance
-//! respected), recording the cumulative gain; at the end of a pass roll
-//! back to the best prefix. Repeat while a pass improves the cut. This
-//! is the single-move k-way generalization Sanchis describes, minus the
-//! level-gain refinement (the level-1 gains used here are what SIS-era
-//! partitioners shipped with).
+//! assignment (randomized greedy bin packing by descending weight), then
+//! run passes in which every vertex is moved at most once, recording the
+//! cumulative gain; at the end of a pass roll back to the best prefix.
+//! Repeat while a pass improves the cut, up to
+//! [`PartitionConfig::max_passes`]. This is the single-move k-way
+//! generalization Sanchis describes, minus the level-gain refinement
+//! (the level-1 gains used here are what SIS-era partitioners shipped
+//! with).
+//!
+//! **Move rule.** Each step of a pass moves the unlocked vertex `v` to
+//! the part `to` with the largest cut gain (edge weight from `v` into
+//! `to` minus edge weight into its own part) among the *admissible*
+//! moves, those with `part_w[to] + w(v) ≤ max_part` under the current
+//! part weights. **Tie rule:** equal gains go to the lowest `(v, to)`,
+//! i.e. the first in a scan of vertices, then target parts, in index
+//! order. The pass ends when no admissible move is left.
+//!
+//! **Cost.** The candidate moves live in one tournament tree per target
+//! part (`MoveTrees`), with the vertices as leaves in ascending weight
+//! order. The moves that fit into part `t` are then a prefix of its
+//! leaves, so a step is k prefix-minimum queries instead of a scan of
+//! all n·k pairs. A move changes only the gains of the moved vertex's
+//! unlocked neighbours, and only those leaves are updated. One pass
+//! costs O((n + edges) · k · log n); the all-pairs scan it replaced,
+//! kept as the test oracle, cost O(n²·k).
 
 use crate::graph::CircuitGraph;
 use pf_network::{Network, SignalId};
@@ -62,6 +80,16 @@ impl Partition {
             .collect()
     }
 
+    /// The nodes of every part, built in one pass: `parts()[q]` equals
+    /// [`Partition::part_nodes`]`(q)`, in the same order.
+    pub fn parts(&self) -> Vec<Vec<SignalId>> {
+        let mut parts = vec![Vec::new(); self.k];
+        for (v, &p) in self.assignment.iter().enumerate() {
+            parts[p].push(self.graph.signal(v));
+        }
+        parts
+    }
+
     /// The part of a node, if it is a graph vertex.
     pub fn part_of(&self, s: SignalId) -> Option<usize> {
         self.graph.vertex(s).map(|v| self.assignment[v])
@@ -85,7 +113,26 @@ impl Partition {
 /// how the paper runs 6 processors on small circuits.
 pub fn partition_network(nw: &Network, k: usize, cfg: &PartitionConfig) -> Partition {
     assert!(k >= 1, "k must be positive");
-    let graph = CircuitGraph::from_network(nw);
+    partition_graph(CircuitGraph::from_network(nw), k, cfg, fm_pass, |_| {})
+}
+
+/// One FM move: `(vertex, from, to, gain)`.
+type Move = (usize, usize, usize, i64);
+
+/// An FM pass over `(graph, k, assignment, part_w, max_part, log)`:
+/// applies its moves, leaves every move it made (before the rollback)
+/// in `log`, and returns whether the cut improved.
+type PassFn = fn(&CircuitGraph, usize, &mut [usize], &mut [u64], u64, &mut Vec<Move>) -> bool;
+
+/// Seeds an assignment and runs `pass` until it stops improving;
+/// `on_pass` sees each pass's move log.
+fn partition_graph(
+    graph: CircuitGraph,
+    k: usize,
+    cfg: &PartitionConfig,
+    pass: PassFn,
+    mut on_pass: impl FnMut(&[Move]),
+) -> Partition {
     let n = graph.len();
     if k == 1 || n <= 1 {
         let assignment = vec![0usize; n];
@@ -115,8 +162,10 @@ pub fn partition_network(nw: &Network, k: usize, cfg: &PartitionConfig) -> Parti
     let max_part = ((total as f64 / k as f64) * (1.0 + cfg.tolerance)).ceil() as u64;
 
     // --- FM passes. ---
+    let mut log = Vec::with_capacity(n);
     for _ in 0..cfg.max_passes {
-        let improved = fm_pass(&graph, k, &mut assignment, &mut part_w, max_part);
+        let improved = pass(&graph, k, &mut assignment, &mut part_w, max_part, &mut log);
+        on_pass(&log);
         if !improved {
             break;
         }
@@ -131,66 +180,82 @@ pub fn partition_network(nw: &Network, k: usize, cfg: &PartitionConfig) -> Parti
     }
 }
 
-/// One FM pass; returns whether the cut improved.
+/// One FM pass; returns whether the cut improved. See the module doc
+/// for the move and tie rules.
 fn fm_pass(
     graph: &CircuitGraph,
     k: usize,
     assignment: &mut [usize],
     part_w: &mut [u64],
     max_part: u64,
+    log: &mut Vec<Move>,
 ) -> bool {
     let n = graph.len();
     let mut locked = vec![false; n];
-    // Move log for rollback: (vertex, from, to, gain).
-    let mut log: Vec<(usize, usize, usize, i64)> = Vec::with_capacity(n);
+    log.clear();
     let mut cum = 0i64;
     let mut best_cum = 0i64;
     let mut best_len = 0usize;
 
     // Connectivity of v to each part (edge-weight sums), maintained
-    // incrementally as moves are applied.
+    // incrementally for unlocked vertices as moves are applied.
     let mut conn = vec![0i64; n * k];
     for v in 0..n {
         for &(u, w) in graph.neighbors(v) {
             conn[v * k + assignment[u]] += w as i64;
         }
     }
-
-    for _ in 0..n {
-        // Best admissible move across all unlocked vertices.
-        let mut best: Option<(i64, usize, usize)> = None; // (gain, v, to)
-        for v in 0..n {
-            if locked[v] {
-                continue;
-            }
-            let from = assignment[v];
-            // Don't empty a part that still has exactly this vertex?
-            // Allowed — empty parts are legal (k > n case).
-            for to in 0..k {
-                if to == from {
-                    continue;
-                }
-                if part_w[to] + graph.weight(v) > max_part {
-                    continue;
-                }
-                let gain = conn[v * k + to] - conn[v * k + from];
-                match best {
-                    Some((g, _, _)) if g >= gain => {}
-                    _ => best = Some((gain, v, to)),
-                }
-            }
+    // The key of move (v, to): (−gain, v).
+    let key =
+        |conn: &[i64], v: usize, from: usize, to: usize| (conn[v * k + from] - conn[v * k + to], v);
+    let mut moves = MoveTrees::new(graph, k, |v, to| {
+        if to == assignment[v] {
+            MoveTrees::NONE
+        } else {
+            key(&conn, v, assignment[v], to)
         }
-        let Some((gain, v, to)) = best else { break };
+    });
+    // Targets whose gain for a vertex in part `a` changes when a
+    // neighbour moves `from → to`: every target if `a` is one of the
+    // two parts (its own connectivity changed), else just those two.
+    let touched = |a: usize, from: usize, to: usize| {
+        let all = a == from || a == to;
+        (0..k).filter(move |&t| t != a && (all || t == from || t == to))
+    };
+
+    loop {
+        // The best admissible move into each part, then the best of
+        // those: smallest (−gain, v, to) is the scan-order winner.
+        let best = (0..k)
+            .filter_map(|t| {
+                let room = max_part.checked_sub(part_w[t])?;
+                let (neg_gain, v) = moves.best_fitting(t, room);
+                (v != usize::MAX).then_some((neg_gain, v, t))
+            })
+            .min();
+        let Some((neg_gain, v, to)) = best else { break };
         let from = assignment[v];
-        // Apply the move.
+        for t in (0..k).filter(|&t| t != from) {
+            moves.set(t, v, MoveTrees::NONE);
+        }
+        locked[v] = true;
         assignment[v] = to;
         part_w[from] -= graph.weight(v);
         part_w[to] += graph.weight(v);
+        // Locked neighbours are never candidates again this pass, so
+        // their connectivity is left stale.
         for &(u, w) in graph.neighbors(v) {
+            if locked[u] {
+                continue;
+            }
             conn[u * k + from] -= w as i64;
             conn[u * k + to] += w as i64;
+            let a = assignment[u];
+            for t in touched(a, from, to) {
+                moves.set(t, u, key(&conn, u, a, t));
+            }
         }
-        locked[v] = true;
+        let gain = -neg_gain;
         cum += gain;
         log.push((v, from, to, gain));
         if cum > best_cum {
@@ -208,11 +273,169 @@ fn fm_pass(
     best_cum > 0
 }
 
+/// The candidate moves of one pass: one tournament (min) tree per target
+/// part. The leaves are the vertices in ascending weight order, and the
+/// leaf of `v` in tree `t` holds the key `(−gain, v)` of the move
+/// `(v, t)`, or [`MoveTrees::NONE`] when that move is not a candidate
+/// (`v` is locked, or already in `t`). A move fits into `t` iff
+/// `w(v) ≤ max_part − part_w[t]`, so the admissible moves into `t` are a
+/// prefix of its leaves, and the best of them is one prefix-minimum
+/// query.
+struct MoveTrees {
+    leaves: usize,
+    /// Leaf index of each vertex.
+    slot: Vec<usize>,
+    /// Vertex weights in leaf order.
+    sorted_w: Vec<u64>,
+    /// `k` implicit binary trees of `2 · leaves` nodes each: node `i`
+    /// has children `2i` and `2i + 1`, and leaf `j` is node `leaves + j`.
+    nodes: Vec<(i64, usize)>,
+}
+
+impl MoveTrees {
+    /// The key of a move that is not a candidate.
+    const NONE: (i64, usize) = (i64::MAX, usize::MAX);
+
+    /// Trees whose leaf `(t, v)` holds `key(v, t)`.
+    fn new(graph: &CircuitGraph, k: usize, key: impl Fn(usize, usize) -> (i64, usize)) -> Self {
+        let leaves = graph.len();
+        let mut order: Vec<usize> = (0..leaves).collect();
+        order.sort_by_key(|&v| graph.weight(v));
+        let mut slot = vec![0; leaves];
+        for (j, &v) in order.iter().enumerate() {
+            slot[v] = j;
+        }
+        let sorted_w = order.iter().map(|&v| graph.weight(v)).collect();
+        let mut nodes = vec![Self::NONE; k * 2 * leaves];
+        for (t, tree) in nodes.chunks_exact_mut(2 * leaves).enumerate() {
+            for (j, &v) in order.iter().enumerate() {
+                tree[leaves + j] = key(v, t);
+            }
+            for i in (1..leaves).rev() {
+                tree[i] = tree[2 * i].min(tree[2 * i + 1]);
+            }
+        }
+        MoveTrees {
+            leaves,
+            slot,
+            sorted_w,
+            nodes,
+        }
+    }
+
+    /// Sets the key of move `(v, t)`.
+    fn set(&mut self, t: usize, v: usize, key: (i64, usize)) {
+        let tree = &mut self.nodes[t * 2 * self.leaves..(t + 1) * 2 * self.leaves];
+        let mut i = self.leaves + self.slot[v];
+        tree[i] = key;
+        while i > 1 {
+            i /= 2;
+            tree[i] = tree[2 * i].min(tree[2 * i + 1]);
+        }
+    }
+
+    /// The smallest key among the moves into `t` of vertices weighing at
+    /// most `room` ([`MoveTrees::NONE`] if there is none).
+    fn best_fitting(&self, t: usize, room: u64) -> (i64, usize) {
+        let tree = &self.nodes[t * 2 * self.leaves..(t + 1) * 2 * self.leaves];
+        let fit = self.sorted_w.partition_point(|&w| w <= room);
+        let (mut lo, mut hi) = (self.leaves, self.leaves + fit);
+        let mut best = Self::NONE;
+        while lo < hi {
+            if lo & 1 == 1 {
+                best = best.min(tree[lo]);
+                lo += 1;
+            }
+            if hi & 1 == 1 {
+                hi -= 1;
+                best = best.min(tree[hi]);
+            }
+            lo /= 2;
+            hi /= 2;
+        }
+        best
+    }
+}
+
+/// The all-pairs pass [`fm_pass`] replaced, kept as its oracle: each
+/// step scans every unlocked vertex × every part, O(n²·k) per pass.
+#[cfg(test)]
+fn oracle_fm_pass(
+    graph: &CircuitGraph,
+    k: usize,
+    assignment: &mut [usize],
+    part_w: &mut [u64],
+    max_part: u64,
+    log: &mut Vec<Move>,
+) -> bool {
+    let n = graph.len();
+    let mut locked = vec![false; n];
+    log.clear();
+    let mut cum = 0i64;
+    let mut best_cum = 0i64;
+    let mut best_len = 0usize;
+
+    let mut conn = vec![0i64; n * k];
+    for v in 0..n {
+        for &(u, w) in graph.neighbors(v) {
+            conn[v * k + assignment[u]] += w as i64;
+        }
+    }
+
+    for _ in 0..n {
+        // Best admissible move across all unlocked vertices.
+        let mut best: Option<(i64, usize, usize)> = None; // (gain, v, to)
+        for v in 0..n {
+            if locked[v] {
+                continue;
+            }
+            let from = assignment[v];
+            for to in 0..k {
+                if to == from {
+                    continue;
+                }
+                if part_w[to] + graph.weight(v) > max_part {
+                    continue;
+                }
+                let gain = conn[v * k + to] - conn[v * k + from];
+                match best {
+                    Some((g, _, _)) if g >= gain => {}
+                    _ => best = Some((gain, v, to)),
+                }
+            }
+        }
+        let Some((gain, v, to)) = best else { break };
+        let from = assignment[v];
+        assignment[v] = to;
+        part_w[from] -= graph.weight(v);
+        part_w[to] += graph.weight(v);
+        for &(u, w) in graph.neighbors(v) {
+            conn[u * k + from] -= w as i64;
+            conn[u * k + to] += w as i64;
+        }
+        locked[v] = true;
+        cum += gain;
+        log.push((v, from, to, gain));
+        if cum > best_cum {
+            best_cum = cum;
+            best_len = log.len();
+        }
+    }
+
+    for &(v, from, to, _) in log[best_len..].iter().rev() {
+        assignment[v] = from;
+        part_w[to] -= graph.weight(v);
+        part_w[from] += graph.weight(v);
+    }
+    best_cum > 0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use pf_network::Network;
     use pf_sop::{Cube, Lit, Sop};
+    use proptest::prelude::*;
 
     fn sop_of(cubes: &[&[u32]]) -> Sop {
         Sop::from_cubes(
@@ -319,6 +542,19 @@ mod tests {
     }
 
     #[test]
+    fn parts_lists_every_part_in_part_nodes_order() {
+        let nw = two_clusters();
+        for k in [1usize, 2, 3, 6, 12] {
+            let p = partition_network(&nw, k, &PartitionConfig::default());
+            let parts = p.parts();
+            assert_eq!(parts.len(), k);
+            for (q, part) in parts.iter().enumerate() {
+                assert_eq!(part, &p.part_nodes(q), "k={k} part {q}");
+            }
+        }
+    }
+
+    #[test]
     fn cut_never_worse_than_seed() {
         // The FM passes only roll back to prefixes with non-negative
         // cumulative gain, so the final cut ≤ the seed cut. Verify via
@@ -334,5 +570,61 @@ mod tests {
         );
         let many = partition_network(&nw, 2, &PartitionConfig::default());
         assert!(many.cut <= one.cut);
+    }
+
+    /// A random graph: 2–60 vertices with uneven weights (1 to 64) and
+    /// up to 150 weighted edges.
+    fn arb_graph() -> impl Strategy<Value = CircuitGraph> {
+        (
+            prop::collection::vec((1u64..=8).prop_map(|x| x * x), 2..=60usize),
+            prop::collection::vec((0usize..60, 0usize..60, 1u32..=3), 0..=150usize),
+        )
+            .prop_map(|(weights, edges)| {
+                let n = weights.len();
+                let edges: Vec<_> = edges
+                    .into_iter()
+                    .map(|(a, b, w)| (a % n, b % n, w))
+                    .collect();
+                CircuitGraph::from_edges(weights, &edges)
+            })
+    }
+
+    /// Runs the partitioner with `pass`, returning the partition and
+    /// every pass's move log.
+    fn run_with(
+        graph: &CircuitGraph,
+        k: usize,
+        cfg: &PartitionConfig,
+        pass: PassFn,
+    ) -> (Partition, Vec<Vec<Move>>) {
+        let mut logs = Vec::new();
+        let p = partition_graph(graph.clone(), k, cfg, pass, |log| logs.push(log.to_vec()));
+        (p, logs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        #[test]
+        fn fm_pass_makes_the_oracles_moves(
+            graph in arb_graph(),
+            k_i in 0usize..4,
+            tol_i in 0usize..3,
+            passes_i in 0usize..2,
+            seed in 0u64..1_000,
+        ) {
+            let k = [2, 3, 4, 6][k_i];
+            let cfg = PartitionConfig {
+                tolerance: [0.0, 0.05, 0.25][tol_i],
+                max_passes: [1, 12][passes_i],
+                seed,
+            };
+            let (fast, fast_logs) = run_with(&graph, k, &cfg, fm_pass);
+            let (slow, slow_logs) = run_with(&graph, k, &cfg, oracle_fm_pass);
+            prop_assert_eq!(fast_logs, slow_logs);
+            prop_assert_eq!(&fast.assignment, &slow.assignment);
+            prop_assert_eq!(fast.part_weights(), slow.part_weights());
+            prop_assert_eq!(fast.cut, slow.cut);
+        }
     }
 }
