@@ -183,12 +183,12 @@ impl KcMatrix {
         col_labels: &mut LabelGen,
     ) -> RowIdx {
         let mut entries = Vec::with_capacity(kernel.num_cubes());
+        let mut covered = Vec::new();
         for kc in kernel.iter() {
             let col = self.col_for_cube(kc, col_labels);
-            let covered = cokernel
-                .product(kc)
-                .expect("co-kernel and kernel cube are variable-disjoint");
-            let id = registry.intern(node, &covered);
+            let disjoint = cokernel.product_into(kc, &mut covered);
+            assert!(disjoint, "co-kernel and kernel cube are variable-disjoint");
+            let id = registry.intern_lits(node, &covered);
             entries.push((col, id));
         }
         entries.sort_unstable_by_key(|e| e.0);

@@ -22,7 +22,7 @@
 
 use parking_lot::Mutex;
 use pf_sop::fx::{FxHashMap, FxHasher};
-use pf_sop::Cube;
+use pf_sop::{Cube, Lit};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -94,19 +94,21 @@ struct RegistryInner {
     cubes: Vec<(u32, Cube)>,
 }
 
-fn key_hash(node: u32, cube: &Cube) -> u64 {
+/// Hashes a cube as its sorted literal slice — which is also how
+/// `Cube`'s derived `Hash` hashes it.
+fn key_hash(node: u32, lits: &[Lit]) -> u64 {
     let mut h = FxHasher::default();
     node.hash(&mut h);
-    cube.hash(&mut h);
+    lits.hash(&mut h);
     h.finish()
 }
 
 impl RegistryInner {
-    fn find(&self, h: u64, node: u32, cube: &Cube) -> Option<CubeId> {
+    fn find(&self, h: u64, node: u32, lits: &[Lit]) -> Option<CubeId> {
         let list = self.index.get(&h)?;
         list.iter().find(|&id| {
             let (n, c) = &self.cubes[id as usize];
-            *n == node && c == cube
+            *n == node && c.lits() == lits
         })
     }
 }
@@ -121,14 +123,22 @@ impl CubeRegistry {
     /// weight recorded is the cube's literal count. A hit clones
     /// nothing; a miss clones the cube once.
     pub fn intern(&self, node: u32, cube: &Cube) -> CubeId {
-        let h = key_hash(node, cube);
+        self.intern_lits(node, cube.lits())
+    }
+
+    /// [`CubeRegistry::intern`] for the cube with the sorted,
+    /// duplicate-free literals `lits` — so a caller can build the cube
+    /// in a reused buffer, and only a miss allocates a [`Cube`].
+    pub fn intern_lits(&self, node: u32, lits: &[Lit]) -> CubeId {
+        let h = key_hash(node, lits);
         let mut g = self.inner.lock();
-        if let Some(id) = g.find(h, node, cube) {
+        if let Some(id) = g.find(h, node, lits) {
             return id;
         }
         let id = g.weights.len() as CubeId;
-        g.weights.push(cube.len() as u32);
-        g.cubes.push((node, cube.clone()));
+        g.weights.push(lits.len() as u32);
+        g.cubes
+            .push((node, Cube::from_sorted_unchecked(lits.to_vec())));
         g.index
             .entry(h)
             .and_modify(|list| list.push(id))
@@ -146,8 +156,8 @@ impl CubeRegistry {
 
     /// Looks up an already-interned cube (clone-free).
     pub fn lookup(&self, node: u32, cube: &Cube) -> Option<CubeId> {
-        let h = key_hash(node, cube);
-        self.inner.lock().find(h, node, cube)
+        let h = key_hash(node, cube.lits());
+        self.inner.lock().find(h, node, cube.lits())
     }
 
     /// Visits every cube with id ≥ `from` in id order, under a single
@@ -434,6 +444,27 @@ mod tests {
         assert_eq!(id1, id2);
         assert_eq!(reg.len(), 1);
         assert_eq!(reg.weight(id1), 2);
+    }
+
+    #[test]
+    fn intern_lits_and_intern_agree() {
+        let reg = CubeRegistry::new();
+        let a = reg.intern(0, &cube(&[1, 2]));
+        assert_eq!(reg.intern_lits(0, cube(&[1, 2]).lits()), a);
+        let b = reg.intern_lits(0, cube(&[3]).lits());
+        assert_eq!(reg.intern(0, &cube(&[3])), b);
+        assert_eq!(reg.lookup(0, &cube(&[3])), Some(b));
+        assert_ne!(reg.intern_lits(1, cube(&[3]).lits()), b);
+        assert_eq!(reg.len(), 3);
+        // Both forms hash a cube alike, so the index matches `Cube`'s
+        // own `Hash`.
+        let hash = |x: &dyn Fn(&mut FxHasher)| {
+            let mut h = FxHasher::default();
+            x(&mut h);
+            h.finish()
+        };
+        let c = cube(&[4, 7, 9]);
+        assert_eq!(hash(&|h| c.hash(h)), hash(&|h| c.lits().hash(h)));
     }
 
     #[test]

@@ -158,6 +158,16 @@ impl Cube {
     /// variable, i.e. is identically 0.
     pub fn product(&self, other: &Cube) -> Option<Cube> {
         let mut out = Vec::with_capacity(self.lits.len() + other.lits.len());
+        self.product_into(other, &mut out)
+            .then_some(Cube { lits: out })
+    }
+
+    /// Writes the literals of `self · other` into `out` (cleared first),
+    /// sorted — the allocation-free form of [`Cube::product`] for
+    /// callers that reuse one buffer. Returns `false`, leaving `out`
+    /// unspecified, when the product is identically 0.
+    pub fn product_into(&self, other: &Cube, out: &mut Vec<Lit>) -> bool {
+        out.clear();
         let (mut i, mut j) = (0, 0);
         while i < self.lits.len() && j < other.lits.len() {
             match self.lits[i].cmp(&other.lits[j]) {
@@ -178,12 +188,7 @@ impl Cube {
         }
         out.extend_from_slice(&self.lits[i..]);
         out.extend_from_slice(&other.lits[j..]);
-        for w in out.windows(2) {
-            if w[0].var() == w[1].var() {
-                return None;
-            }
-        }
-        Some(Cube { lits: out })
+        out.windows(2).all(|w| w[0].var() != w[1].var())
     }
 
     /// Whether the two cubes share at least one literal.
@@ -302,6 +307,14 @@ mod tests {
         let x = Cube::single(Lit::pos(1));
         let nx = Cube::single(Lit::neg(1));
         assert_eq!(x.product(&nx), None);
+    }
+
+    #[test]
+    fn product_into_reuses_the_buffer() {
+        let mut buf = vec![Lit::pos(9)];
+        assert!(c(&[1, 3]).product_into(&c(&[2, 3]), &mut buf));
+        assert_eq!(buf, c(&[1, 2, 3]).lits());
+        assert!(!Cube::single(Lit::pos(1)).product_into(&Cube::single(Lit::neg(1)), &mut buf));
     }
 
     #[test]

@@ -43,9 +43,23 @@ impl Sop {
         v.sort_unstable();
         v.dedup();
         // Remove single-cube containment: cube c is redundant if some
-        // other cube d divides it (d ⊆ c ⇒ c + d = d).
-        let snapshot = v.clone();
-        v.retain(|c| !snapshot.iter().any(|d| d != c && c.divisible_by(d)));
+        // other cube d divides it (d ⊆ c ⇒ c + d = d). A literal
+        // signature per cube (bit `code % 64`) rules out most pairs
+        // before the merge walk: d ⊆ c needs sig(d) ⊆ sig(c).
+        let sig: Vec<u64> = v
+            .iter()
+            .map(|c| c.iter().fold(0, |s, l| s | 1 << (l.code() % 64)))
+            .collect();
+        let redundant: Vec<bool> = (0..v.len())
+            .map(|i| {
+                (0..v.len()).any(|k| k != i && sig[k] & !sig[i] == 0 && v[i].divisible_by(&v[k]))
+            })
+            .collect();
+        let mut i = 0;
+        v.retain(|_| {
+            i += 1;
+            !redundant[i - 1]
+        });
         Sop { cubes: v }
     }
 

@@ -10,10 +10,18 @@
 //! every literal occurring in ≥ 2 cubes, divide by the largest common cube
 //! of those cubes and recurse, pruning branches whose common cube contains
 //! an already-visited literal (those kernels were found earlier).
+//!
+//! It runs on bitmasks: bit `p` of a cube's mask stands for the `p`-th
+//! literal of `f`'s sorted support, so gathering, the common cube, the
+//! pruning test and division are word operations, and a [`Cube`] or
+//! [`Sop`] is built only for a pair that is emitted.
 
 use crate::cube::Cube;
 use crate::expr::Sop;
 use crate::lit::Lit;
+
+#[cfg(test)]
+mod oracle;
 
 /// A kernel together with the co-kernel cube that produced it.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -81,114 +89,208 @@ pub fn kernels_with_trivial(f: &Sop) -> Vec<CoKernelPair> {
 }
 
 /// Enumerates kernels under an explicit [`KernelConfig`].
+///
+/// Pairs come sorted, and no two share a co-kernel, so no `dedup` is
+/// needed: the recursion reaches a co-kernel along one path only (each
+/// branch's common cube starts at its branching literal, so the path is
+/// the co-kernel's literals in support order), and the co-kernel of the
+/// tail pair, `lcc` or `1`, is a proper subset of every recursion
+/// co-kernel.
 pub fn kernels_config(f: &Sop, cfg: &KernelConfig) -> Vec<CoKernelPair> {
-    let mut out = Vec::new();
-    if f.num_cubes() < 2 {
-        return out;
-    }
-    // Fixed literal order: the sorted support of f. Positions in this
-    // list drive the duplicate-pruning test.
-    let support = f.support_lits();
-    let lcc = f.largest_common_cube();
-    let base = f.cube_free_part();
-
-    {
-        let mut ctx = KernelCtx {
-            support: &support,
-            cfg,
-            out: &mut out,
-        };
-        ctx.recurse(0, &base, &lcc, 0);
-    }
-
-    // Every co-kernel contains the largest common cube, so the recursion
-    // starts from `f / lcc`; that quotient is itself a kernel with
-    // co-kernel `lcc` whenever the common cube is non-trivial (e.g. the
-    // paper's H = ade + cde ⇒ kernel a+c, co-kernel de).
-    if !lcc.is_one() && base.num_cubes() >= 2 {
-        out.push(CoKernelPair {
-            cokernel: lcc,
-            kernel: base,
-        });
-    }
-
-    if cfg.include_trivial && f.is_cube_free() {
-        out.push(CoKernelPair {
-            cokernel: Cube::one(),
-            kernel: f.clone(),
-        });
-    }
+    let mut out = with_tail(f, cfg, MaskKernels::run);
     out.sort_unstable();
-    out.dedup();
     out
 }
 
-struct KernelCtx<'a> {
-    support: &'a [Lit],
-    cfg: &'a KernelConfig,
-    out: &'a mut Vec<CoKernelPair>,
+/// The pairs of `recursion` (which returns them with `f`'s largest
+/// common cube) followed by the tail pair, unsorted. `cfg.max_pairs`
+/// caps the tail pair too.
+fn with_tail(
+    f: &Sop,
+    cfg: &KernelConfig,
+    recursion: fn(&Sop, &KernelConfig) -> (Vec<CoKernelPair>, Cube),
+) -> Vec<CoKernelPair> {
+    if f.num_cubes() < 2 {
+        return Vec::new();
+    }
+    let (mut out, lcc) = recursion(f, cfg);
+    if out.len() < cfg.max_pairs {
+        if !lcc.is_one() {
+            // Every co-kernel contains the largest common cube, so the
+            // recursion starts from `f / lcc`; that quotient is itself a
+            // kernel with co-kernel `lcc` (e.g. the paper's H = ade + cde
+            // ⇒ kernel a+c, co-kernel de).
+            out.push(CoKernelPair {
+                kernel: f.cube_free_part(),
+                cokernel: lcc,
+            });
+        } else if cfg.include_trivial {
+            // f has ≥ 2 cubes and no common cube: it is cube-free.
+            out.push(CoKernelPair {
+                cokernel: Cube::one(),
+                kernel: f.clone(),
+            });
+        }
+    }
+    out
 }
 
-impl KernelCtx<'_> {
-    /// `KERNEL(j, g)` with the accumulated co-kernel cube.
-    fn recurse(&mut self, j: usize, g: &Sop, cokernel: &Cube, depth: usize) {
+/// `KERNEL(j, g)` over support bitmasks.
+///
+/// Every mask is `w` words. `arena` holds, for each live recursion
+/// level, its scratch (literals in ≥ 2 cubes, the branch's common
+/// cube), then the child's cubes and co-kernel; a level truncates the
+/// arena back on return.
+///
+/// `g` never needs re-canonicalising: `f` is free of single-cube
+/// containment, and the cubes containing a common cube stay distinct,
+/// containment-free and in the same order once it is divided out. So a
+/// branch with ≥ 2 gathered cubes always yields a kernel of ≥ 2 cubes.
+struct MaskKernels<'a> {
+    support: &'a [Lit],
+    w: usize,
+    cfg: &'a KernelConfig,
+    arena: Vec<u64>,
+    out: Vec<CoKernelPair>,
+}
+
+impl MaskKernels<'_> {
+    /// Encodes `f` (≥ 2 cubes), divides out its largest common cube and
+    /// runs the recursion from there.
+    fn run(f: &Sop, cfg: &KernelConfig) -> (Vec<CoKernelPair>, Cube) {
+        let support = f.support_lits();
+        let w = support.len().div_ceil(64);
+        let n = f.num_cubes();
+        let mut arena = vec![0u64; (n + 1) * w];
+        for (k, c) in f.iter().enumerate() {
+            for l in c.iter() {
+                let p = support
+                    .binary_search(&l)
+                    .expect("support holds every literal");
+                arena[k * w + p / 64] |= 1 << (p % 64);
+            }
+        }
+        // The largest common cube is the root co-kernel, stored after
+        // the cubes; dividing it out leaves `f / lcc`.
+        let ck = n * w;
+        arena[ck..].fill(!0);
+        for k in 0..n {
+            for t in 0..w {
+                arena[ck + t] &= arena[k * w + t];
+            }
+        }
+        for k in 0..n {
+            for t in 0..w {
+                arena[k * w + t] &= !arena[ck + t];
+            }
+        }
+        let mut e = MaskKernels {
+            support: &support,
+            w,
+            cfg,
+            arena,
+            out: Vec::new(),
+        };
+        e.recurse(0, 0, n, ck, 0);
+        let lcc = e.cube(ck);
+        (e.out, lcc)
+    }
+
+    /// `KERNEL(j, g)`: `g` is the `n` cubes at `arena[g..]`, its
+    /// co-kernel is at `arena[ck..]`.
+    fn recurse(&mut self, j: usize, g: usize, n: usize, ck: usize, depth: usize) {
         if depth >= self.cfg.max_depth || self.out.len() >= self.cfg.max_pairs {
             return;
         }
-        for i in j..self.support.len() {
-            if self.out.len() >= self.cfg.max_pairs {
-                return;
+        let w = self.w;
+        let twice = self.arena.len();
+        let common = twice + w;
+        self.arena.resize(common + w, 0);
+        // The literals in ≥ 2 cubes of g (the common-cube slot counts
+        // the first occurrence meanwhile). No other literal branches, so
+        // skipping them leaves the output unchanged.
+        for k in 0..n {
+            for t in 0..w {
+                let c = self.arena[g + k * w + t];
+                self.arena[twice + t] |= self.arena[common + t] & c;
+                self.arena[common + t] |= c;
             }
-            let li = self.support[i];
-            // Gather the cubes of g containing li.
-            let mut count = 0usize;
-            let mut common: Option<Cube> = None;
-            for c in g.iter() {
-                if c.contains(li) {
-                    count += 1;
-                    common = Some(match common {
-                        None => c.clone(),
-                        Some(acc) => acc.intersection(c),
-                    });
-                }
-            }
-            if count < 2 {
-                continue;
-            }
-            let common = common.expect("count >= 2 implies a common cube");
-            // Duplicate pruning: if the common cube contains a literal
-            // that precedes li in the fixed order, this kernel was (or
-            // will be) produced from that literal's branch.
-            let li_pos = i;
-            let dup = common.iter().any(|l| {
-                l != li
-                    && self
-                        .support
-                        .binary_search(&l)
-                        .map(|p| p < li_pos)
-                        .unwrap_or(false)
-            });
-            if dup {
-                continue;
-            }
-            // g1 = g / common — common divides every gathered cube.
-            let g1 = Sop::from_cubes(
-                g.iter()
-                    .filter(|c| c.divisible_by(&common))
-                    .map(|c| c.quotient(&common).expect("divisible")),
-            );
-            if g1.num_cubes() < 2 {
-                continue;
-            }
-            let new_cokernel = cokernel
-                .product(&common)
-                .expect("co-kernel and common cube share no variable");
-            self.out.push(CoKernelPair {
-                cokernel: new_cokernel.clone(),
-                kernel: g1.clone(),
-            });
-            self.recurse(i + 1, &g1, &new_cokernel, depth + 1);
         }
+        'scan: for word in j / 64..w {
+            let mut bits = self.arena[twice + word];
+            if word == j / 64 {
+                bits &= !0u64 << (j % 64);
+            }
+            while bits != 0 {
+                if self.out.len() >= self.cfg.max_pairs {
+                    break 'scan;
+                }
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (i, bit) = (word * 64 + b, 1u64 << b);
+                // The largest common cube of the cubes containing
+                // literal i.
+                self.arena[common..common + w].fill(!0);
+                for k in 0..n {
+                    let c = g + k * w;
+                    if self.arena[c + word] & bit != 0 {
+                        for t in 0..w {
+                            self.arena[common + t] &= self.arena[c + t];
+                        }
+                    }
+                }
+                // Duplicate pruning: if the common cube contains a
+                // literal that precedes literal i in the fixed order,
+                // this kernel was (or will be) produced from that
+                // literal's branch.
+                if self.arena[common..common + word].iter().any(|&m| m != 0)
+                    || self.arena[common + word] & (bit - 1) != 0
+                {
+                    continue;
+                }
+                // g1 = g / common: the gathered cubes, divided.
+                let g1 = self.arena.len();
+                let mut n1 = 0;
+                for k in 0..n {
+                    let c = g + k * w;
+                    if self.arena[c + word] & bit != 0 {
+                        n1 += 1;
+                        for t in 0..w {
+                            let q = self.arena[c + t] & !self.arena[common + t];
+                            self.arena.push(q);
+                        }
+                    }
+                }
+                let ck1 = self.arena.len();
+                for t in 0..w {
+                    let m = self.arena[ck + t] | self.arena[common + t];
+                    self.arena.push(m);
+                }
+                self.out.push(CoKernelPair {
+                    cokernel: self.cube(ck1),
+                    kernel: Sop::from_sorted_unchecked(
+                        (0..n1).map(|k| self.cube(g1 + k * w)).collect(),
+                    ),
+                });
+                self.recurse(i + 1, g1, n1, ck1, depth + 1);
+                self.arena.truncate(g1);
+            }
+        }
+        self.arena.truncate(twice);
+    }
+
+    /// The cube whose mask starts at `arena[at]`.
+    fn cube(&self, at: usize) -> Cube {
+        let mask = &self.arena[at..at + self.w];
+        let mut lits = Vec::with_capacity(mask.iter().map(|m| m.count_ones() as usize).sum());
+        for (t, &m) in mask.iter().enumerate() {
+            let mut bits = m;
+            while bits != 0 {
+                lits.push(self.support[t * 64 + bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
+            }
+        }
+        Cube::from_sorted_unchecked(lits)
     }
 }
 
@@ -206,6 +308,7 @@ pub fn is_kernel_of(f: &Sop, pair: &CoKernelPair) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     // Paper variable map: a=1 b=2 c=3 d=4 e=5 f=6 g=7.
     fn cube(ids: &[u32]) -> Cube {
@@ -365,6 +468,32 @@ mod tests {
     }
 
     #[test]
+    fn max_pairs_caps_the_tail_pair() {
+        // F·x has common cube x, so the (x, F) pair comes after the
+        // recursion; it must not push the output past the cap.
+        let x = Lit::pos(9);
+        let fx = paper_f().product_cube(&Cube::single(x));
+        assert_eq!(kernels(&fx).len(), 7);
+        for max_pairs in 1..=7 {
+            let cfg = KernelConfig {
+                max_pairs,
+                ..KernelConfig::default()
+            };
+            assert_eq!(kernels_config(&fx, &cfg).len(), max_pairs);
+            assert_eq!(oracle_kernels(&fx, &cfg).len(), max_pairs);
+        }
+        // Likewise the trivial pair of the cube-free G (four kernels).
+        let cfg = KernelConfig {
+            include_trivial: true,
+            max_pairs: 4,
+            ..KernelConfig::default()
+        };
+        let ks = kernels_config(&paper_g(), &cfg);
+        assert_eq!(ks.len(), 4);
+        assert!(!ks.iter().any(|p| p.cokernel.is_one()));
+    }
+
+    #[test]
     fn max_pairs_budget_respected() {
         let f = paper_f();
         let ks = kernels_config(
@@ -375,5 +504,169 @@ mod tests {
             },
         );
         assert!(ks.len() <= 3);
+    }
+
+    /// The old value-based recursion behind the shared tail, sorted.
+    fn oracle_kernels(f: &Sop, cfg: &KernelConfig) -> Vec<CoKernelPair> {
+        let mut out = with_tail(f, cfg, oracle::recursion);
+        out.sort_unstable();
+        out
+    }
+
+    /// Every knob the enumerator honours: the trivial pair, the depth
+    /// limit at 1, 2 and ∞, and caps small enough to bind.
+    fn configs() -> Vec<KernelConfig> {
+        let mut cfgs = Vec::new();
+        for include_trivial in [false, true] {
+            for max_depth in [1, 2, usize::MAX] {
+                for max_pairs in [1, 2, 5, 1 << 16] {
+                    cfgs.push(KernelConfig {
+                        include_trivial,
+                        max_depth,
+                        max_pairs,
+                    });
+                }
+            }
+        }
+        cfgs
+    }
+
+    /// `f`'s pairs under each of `cfgs` equal the oracle's, and the raw,
+    /// unsorted output of either never repeats a co-kernel (which is
+    /// why `kernels_config` has no `dedup`).
+    fn check_against_oracle(f: &Sop, cfgs: &[KernelConfig]) -> Result<(), String> {
+        for &cfg in cfgs {
+            for raw in [
+                with_tail(f, &cfg, MaskKernels::run),
+                with_tail(f, &cfg, oracle::recursion),
+            ] {
+                let mut cokernels: Vec<&Cube> = raw.iter().map(|p| &p.cokernel).collect();
+                cokernels.sort_unstable();
+                if cokernels.windows(2).any(|w| w[0] == w[1]) {
+                    return Err(format!("repeated co-kernel under {cfg:?} in {f:?}"));
+                }
+            }
+            let (got, want) = (kernels_config(f, &cfg), oracle_kernels(f, &cfg));
+            if got != want {
+                return Err(format!("{cfg:?} on {f:?}:\n got {got:?}\nwant {want:?}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// A random cube: up to five of eight shared variables, spread over
+    /// the index range so shared literals land in every mask word, plus
+    /// up to twenty filler variables that widen the support. Phases are
+    /// random; a variable keeps its first phase.
+    fn arb_mixed_cube() -> impl Strategy<Value = Cube> {
+        (
+            prop::collection::vec((0..8u32, any::<bool>()), 1..=5),
+            prop::collection::vec((0..160u32, any::<bool>()), 0..=20),
+        )
+            .prop_map(|(shared, filler)| {
+                let mut phase = std::collections::BTreeMap::new();
+                for (v, neg) in shared
+                    .into_iter()
+                    .map(|(k, neg)| (k * 19 + 3, neg))
+                    .chain(filler)
+                {
+                    phase.entry(v).or_insert(neg);
+                }
+                Cube::from_lits(
+                    phase
+                        .into_iter()
+                        .map(|(v, neg)| if neg { Lit::neg(v) } else { Lit::pos(v) }),
+                )
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random mixed-phase SOPs with supports up to ~150 literals, so
+        /// masks of one, two and three words all run.
+        #[test]
+        fn kernels_match_oracle(cubes in prop::collection::vec(arb_mixed_cube(), 0..=20)) {
+            let f = Sop::from_cubes(cubes);
+            if let Err(msg) = check_against_oracle(&f, &configs()) {
+                prop_assert!(false, "{}", msg);
+            }
+        }
+    }
+
+    #[test]
+    fn wide_supports_match_oracle() {
+        // Paper F with its variable i renamed to 20·i + 1 (d negated),
+        // beside two filler cubes holding every other variable below
+        // 150: the support has ~150 literals, and F's kernels branch on
+        // literals in all three mask words.
+        let lit = |i: u32| {
+            let v = 20 * i + 1;
+            if i == 4 {
+                Lit::neg(v)
+            } else {
+                Lit::pos(v)
+            }
+        };
+        let fillers: Vec<u32> = (0..150).filter(|v| v % 20 != 1).collect();
+        let f = Sop::from_cubes(
+            paper_f()
+                .iter()
+                .map(|c| Cube::from_lits(c.iter().map(|l| lit(l.var().index()))))
+                .chain([cube(&fillers[..70]), cube(&fillers[70..])]),
+        );
+        assert!(f.support_lits().len() > 128);
+        assert_eq!(kernels(&f).len(), 6);
+        check_against_oracle(&f, &configs()).unwrap();
+        // One literal per cube: the widest masks, and no kernel.
+        let f = Sop::from_cubes((0..150).map(|i| cube(&[i])));
+        assert!(kernels(&f).is_empty());
+        check_against_oracle(&f, &configs()).unwrap();
+    }
+
+    #[test]
+    fn kernels_match_oracle_on_generated_circuits() {
+        let cfgs = [
+            KernelConfig::default(),
+            KernelConfig {
+                include_trivial: true,
+                ..KernelConfig::default()
+            },
+            KernelConfig {
+                max_depth: 1,
+                ..KernelConfig::default()
+            },
+            KernelConfig {
+                max_pairs: 2,
+                ..KernelConfig::default()
+            },
+        ];
+        for (name, scale) in [
+            ("des", 2.0),
+            ("ex1010", 0.25),
+            ("dalu", 2.0),
+            ("seq", 1.0),
+            ("misex3", 1.0),
+        ] {
+            let profile = pf_workloads::profile_by_name(name).expect("known profile");
+            let nw = pf_workloads::generate(&pf_workloads::scale_profile(&profile, scale));
+            for node in nw.node_ids() {
+                // The generator links the library build of this crate;
+                // rebuild the function from literal codes.
+                let f = Sop::from_sorted_unchecked(
+                    nw.func(node)
+                        .iter()
+                        .map(|c| {
+                            Cube::from_sorted_unchecked(
+                                c.iter().map(|l| Lit::from_code(l.code())).collect(),
+                            )
+                        })
+                        .collect(),
+                );
+                if let Err(msg) = check_against_oracle(&f, &cfgs) {
+                    panic!("{name}@{scale} node {node}: {msg}");
+                }
+            }
+        }
     }
 }
