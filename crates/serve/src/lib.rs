@@ -29,6 +29,8 @@
 
 pub mod dist;
 pub mod error;
+#[cfg(test)]
+mod golden;
 pub mod job;
 pub mod json;
 pub mod metrics;
