@@ -15,7 +15,6 @@ use crate::report::{ExtractReport, PhaseTiming};
 use crate::seq::{extract_kernels, ExtractConfig};
 use pf_network::Network;
 use pf_partition::{partition_network, PartitionConfig};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Options for [`independent_extract`].
@@ -58,20 +57,19 @@ pub fn independent_extract(nw: &mut Network, cfg: &IndependentConfig) -> Extract
     lane.end_with(partition_span, || vec![("parts", p as i64)]);
     let partition_elapsed = start.elapsed();
 
-    let results: Mutex<Vec<(WorkerResult, ExtractReport)>> = Mutex::new(Vec::new());
     let nw_ref: &Network = nw;
     // Driver-level extract span: brackets spawn + all workers + join, so
     // it matches the report's `extract` phase (worker lanes carry their
     // own nested matrix/cover spans).
     let extract_span = lane.start("extract");
-    std::thread::scope(|s| {
+    let results: Vec<(WorkerResult, ExtractReport)> = std::thread::scope(|s| {
+        let mut workers = Vec::with_capacity(parts.len());
         for (pid, part) in parts.iter().enumerate() {
             if part.is_empty() {
                 continue;
             }
-            let results = &results;
             let cfg = &cfg;
-            s.spawn(move || {
+            workers.push(s.spawn(move || {
                 // Each worker optimizes a full clone but only targets its
                 // own part — exactly "each processor independently
                 // creates its own KC matrix and performs kernel
@@ -105,9 +103,15 @@ pub fn independent_extract(nw: &mut Network, cfg: &IndependentConfig) -> Extract
                         func: crate::merge::remap_sop(local.func(id), &id_map),
                     });
                 }
-                results.lock().unwrap().push((wr, report));
-            });
+                (wr, report)
+            }));
         }
+        // Joined in pid order, so the merge order — and with it the
+        // output — does not depend on which worker finishes first.
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
 
     lane.end_with(extract_span, || vec![("parts", p as i64)]);
@@ -131,7 +135,7 @@ pub fn independent_extract(nw: &mut Network, cfg: &IndependentConfig) -> Extract
     let mut batch_candidates = 0usize;
     let mut batch_accepted = 0usize;
     let mut batch_rejected = 0usize;
-    for (wr, rep) in results.into_inner().unwrap() {
+    for (wr, rep) in results {
         worker_results.push(wr);
         extractions += rep.extractions;
         total_value += rep.total_value;

@@ -220,21 +220,6 @@ impl SearchConfig {
             ..SearchConfig::default()
         }
     }
-
-    /// Checks a tile width arriving from outside the program (CLI flag,
-    /// submit request, `sub` wire): `0..=MAX_TILE_WIDTH`, else the one
-    /// message every boundary rejects it with.
-    pub fn checked_tile_width(width: u64) -> Result<usize, String> {
-        usize::try_from(width)
-            .ok()
-            .filter(|&w| w <= Self::MAX_TILE_WIDTH)
-            .ok_or_else(|| {
-                format!(
-                    "tile_width {width} is out of range 0..={}",
-                    Self::MAX_TILE_WIDTH
-                )
-            })
-    }
 }
 
 /// Statistics from one search call.

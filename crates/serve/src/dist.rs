@@ -33,6 +33,7 @@
 //! the connection itself. Lease timeouts for remote runs should budget
 //! the full sub-job, not a heartbeat interval.
 
+use crate::job::{knobs_from_json, knobs_to_json, Wire};
 use crate::json::{parse, Json};
 use crate::retry::RetryPolicy;
 use crate::server::transient_io;
@@ -43,7 +44,6 @@ use pf_core::{
     block_base_for, execute_sub_job, DistConfig, DistEvent, DistStats, DistTransport, FaultPlan,
     LocalTransport, SubJob, SubKind,
 };
-use pf_kcmatrix::SearchConfig;
 use pf_network::io::{read_network, write_network};
 use pf_network::SignalId;
 use pf_sop::fx::FxHashMap;
@@ -124,18 +124,8 @@ pub fn encode_sub_request(job: &SubJob, faults: Option<(&str, u64)>) -> Json {
                     .collect(),
             ),
         ),
-        // Both search knobs always travel: a worker fills an absent one
-        // with *its* default, which would silently turn an explicit
-        // classic job (`topk = 1`) into a batched one.
-        (
-            "batch_rects".to_string(),
-            Json::u64(job.extract.search.topk as u64),
-        ),
-        (
-            "tile_width".to_string(),
-            Json::u64(job.extract.search.tile_width as u64),
-        ),
     ];
+    members.extend(knobs_to_json(&job.extract.search, Wire::Sub));
     if let Some((spec, seed)) = faults {
         members.push(("fault_plan".to_string(), Json::str(spec)));
         members.push(("fault_seed".to_string(), Json::u64(seed)));
@@ -342,15 +332,7 @@ fn run_sub(request: &Json) -> Result<Json, String> {
         _ => return Err("missing \"targets\"".into()),
     };
     let mut extract = ExtractConfig::default();
-    if let Some(k) = request.get("batch_rects").and_then(Json::as_u64) {
-        if k == 0 {
-            return Err("\"batch_rects\" must be at least 1".into());
-        }
-        extract.search.topk = k as usize;
-    }
-    if let Some(w) = request.get("tile_width").and_then(Json::as_u64) {
-        extract.search.tile_width = SearchConfig::checked_tile_width(w)?;
-    }
+    knobs_from_json(request, &mut extract.search, Wire::Sub)?;
     if let Some(spec) = request.get("fault_plan").and_then(Json::as_str) {
         let seed = request
             .get("fault_seed")
@@ -852,10 +834,26 @@ mod tests {
 
     #[test]
     fn malformed_sub_requests_answer_structured_errors() {
+        // A well-formed lease with one extra member: the knob values
+        // below must be rejected as `submit` rejects them, not run at
+        // their defaults.
+        let with_knob = |member: &str| {
+            format!(
+                r#"{{"op":"sub","lease":1,"network":"inputs a b\nnode f = a | b\noutputs f\n","targets":["f"]{member}}}"#
+            )
+        };
+        let ok = handle_sub(&parse(&with_knob(r#","batch_rects":1"#)).unwrap());
+        assert_eq!(ok.get("status").and_then(Json::as_str), Some("ok"), "{ok}");
         for bad in [
             r#"{"op":"sub"}"#.to_string(),
             r#"{"op":"sub","lease":1,"network":"not a network","targets":[]}"#.to_string(),
             r#"{"op":"sub","lease":1,"network":"","targets":["nope"]}"#.to_string(),
+            with_knob(r#","batch_rects":"x""#),
+            with_knob(r#","batch_rects":-3"#),
+            with_knob(r#","batch_rects":1.5"#),
+            with_knob(r#","batch_rects":0"#),
+            with_knob(r#","tile_width":"x""#),
+            with_knob(r#","tile_width":-1"#),
         ] {
             let request = parse(&bad).unwrap();
             let response = handle_sub(&request);
@@ -887,13 +885,9 @@ mod tests {
         assert_eq!(response.get("status").and_then(Json::as_str), Some("error"));
         assert_eq!(
             response.get("error").and_then(Json::as_str),
-            Some(
-                SearchConfig::checked_tile_width(1 << 40)
-                    .unwrap_err()
-                    .as_str()
-            )
+            Some("tile_width 1099511627776 is out of range 0..=64")
         );
-        let widest = with_width(SearchConfig::MAX_TILE_WIDTH as u64);
+        let widest = with_width(pf_kcmatrix::SearchConfig::MAX_TILE_WIDTH as u64);
         assert_eq!(widest.get("status").and_then(Json::as_str), Some("ok"));
     }
 

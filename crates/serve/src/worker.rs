@@ -4,9 +4,7 @@
 use crate::job::{resolve_workload, Algorithm, JobOutcome, JobReport, JobSpec};
 use pf_cache::{delta, ExtractionCache};
 use pf_core::{
-    independent_extract, lshaped_extract, replicated_extract, CacheEvents, CacheHandle,
-    ExtractConfig, ExtractReport, IndependentConfig, LShapedConfig, PhaseTiming, ReplicatedConfig,
-    RunCtl, SearchPool,
+    CacheEvents, CacheHandle, ExtractConfig, ExtractReport, PhaseTiming, RunCtl, SearchPool,
 };
 use pf_kcmatrix::network_digest;
 use pf_network::{Network, SignalId};
@@ -56,13 +54,7 @@ pub fn run_extraction(
     cache: Option<&CacheCtx<'_>>,
 ) -> Result<(ExtractReport, CacheOutcome), String> {
     let mut nw = resolve_workload(&spec.workload)?;
-    let mut extract = ExtractConfig {
-        ctl: ctl.clone(),
-        ..ExtractConfig::default()
-    };
-    extract.search.par_threads = spec.par_threads;
-    extract.search.topk = spec.batch_rects.max(1);
-    extract.search.tile_width = spec.tile_width;
+    let extract = spec.extract_config(ctl);
     let handle = cache.map(|c| {
         let content = network_digest(&nw);
         CacheHandle {
@@ -93,35 +85,8 @@ pub fn run_extraction(
         Algorithm::Seq => {
             pf_core::extract_kernels_cached(&mut nw, &[], &extract, pool, handle.as_ref())
         }
-        Algorithm::Replicated => pf_core::run_cached(&mut nw, &trace, handle.as_ref(), |nw| {
-            replicated_extract(
-                nw,
-                &ReplicatedConfig {
-                    procs: spec.procs,
-                    extract,
-                    ..ReplicatedConfig::default()
-                },
-            )
-        }),
-        Algorithm::Independent => pf_core::run_cached(&mut nw, &trace, handle.as_ref(), |nw| {
-            independent_extract(
-                nw,
-                &IndependentConfig {
-                    procs: spec.procs,
-                    extract,
-                    ..IndependentConfig::default()
-                },
-            )
-        }),
-        Algorithm::Lshaped => pf_core::run_cached(&mut nw, &trace, handle.as_ref(), |nw| {
-            lshaped_extract(
-                nw,
-                &LShapedConfig {
-                    procs: spec.procs,
-                    extract,
-                    ..LShapedConfig::default()
-                },
-            )
+        alg => pf_core::run_cached(&mut nw, &trace, handle.as_ref(), |nw| {
+            alg.run(nw, spec.procs, extract)
         }),
     };
     Ok((
@@ -283,6 +248,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 mod tests {
     use super::*;
     use crate::job::ALGORITHMS;
+    use pf_kcmatrix::SearchConfig;
     use std::time::Duration;
 
     #[test]
@@ -307,7 +273,10 @@ mod tests {
         for alg in ALGORITHMS {
             let spec = JobSpec {
                 procs: 2,
-                batch_rects: 8,
+                search: SearchConfig {
+                    topk: 8,
+                    ..SearchConfig::default()
+                },
                 ..JobSpec::new(alg, "gen:misex3@0.05")
             };
             match execute(&spec, &RunCtl::new(), Duration::ZERO) {
@@ -352,7 +321,10 @@ mod tests {
     #[test]
     fn seq_pooled_jobs_reuse_the_worker_pool() {
         let spec = JobSpec {
-            par_threads: 2,
+            search: SearchConfig {
+                par_threads: 2,
+                ..SearchConfig::default()
+            },
             ..JobSpec::new(Algorithm::Seq, "gen:misex3@0.05")
         };
         let mut pool = None;

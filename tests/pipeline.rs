@@ -6,9 +6,10 @@ use parafactor::core::{
     extract_kernels, independent_extract, lshaped_extract, replicated_extract, ExtractConfig,
     IndependentConfig, LShapedConfig, ReplicatedConfig,
 };
+use parafactor::network::io::write_network;
 use parafactor::network::sim::{equivalent_random, EquivConfig};
 use parafactor::network::Network;
-use parafactor::workloads::{generate, paper_profiles, scale_profile};
+use parafactor::workloads::{generate, paper_profiles, profile_by_name, scale_profile};
 
 const TEST_SCALE: f64 = 0.06;
 
@@ -89,6 +90,31 @@ fn independent_quality_degrades_with_partitions() {
                 equivalent_random(&nw, &i, &EquivConfig::default()).unwrap(),
                 "{name} p{procs}"
             );
+        }
+    }
+}
+
+/// Algorithm I writes the same bytes on every run: worker results are
+/// merged in partition order, not in the order the workers finish.
+#[test]
+fn independent_output_is_byte_stable() {
+    for name in ["misex3", "dalu", "spla"] {
+        let profile = profile_by_name(name).expect("paper profile");
+        let nw = generate(&scale_profile(&profile, 0.5));
+        for procs in [2, 3, 4] {
+            let run = || {
+                let mut opt = nw.clone();
+                let cfg = IndependentConfig {
+                    procs,
+                    ..IndependentConfig::default()
+                };
+                independent_extract(&mut opt, &cfg);
+                write_network(&opt)
+            };
+            let first = run();
+            for _ in 0..4 {
+                assert!(run() == first, "{name} at p = {procs}: output bytes differ");
+            }
         }
     }
 }
