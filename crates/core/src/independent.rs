@@ -191,6 +191,43 @@ mod tests {
     use pf_network::example::example_1_1;
     use pf_network::sim::{equivalent_random, EquivConfig};
 
+    /// `(profile, labelling, network digest, extractions)` of
+    /// [`independent_extract`] at p = 2, over the profiles and
+    /// labellings of `seq::tests::GOLDEN`.
+    const GOLDEN_P2: [(&str, u64, &str, usize); 18] = [
+        ("misex3", 0, "04879cd40fc8cc236449207258ee9f1b", 20),
+        ("misex3", 1, "08901b97c2cfc312bd44ef40131f6938", 20),
+        ("misex3", 2, "2319485c8be37f63c986c1adb9151285", 20),
+        ("dalu", 0, "9c56ece30763f4131c76e1e6d43e94c4", 19),
+        ("dalu", 1, "db1f5a46d3513c265f6999236b82cb4a", 19),
+        ("dalu", 2, "0b1aa14674d14e8da02d5349111d6747", 19),
+        ("des", 0, "b6400789010612b9706901c0405a6e3c", 13),
+        ("des", 1, "80895d67e88741bd76d03d814f7b3448", 13),
+        ("des", 2, "6595368023274c45aaac2daf9bef9be8", 13),
+        ("seq", 0, "883143660f9761eb4931ec61437416ca", 18),
+        ("seq", 1, "ca7bff3a2bf7f9af099a76900199b445", 18),
+        ("seq", 2, "ab067c40b0964f86151da58f5dfb2776", 18),
+        ("spla", 0, "c629bb3369727103b852f844abda4720", 59),
+        ("spla", 1, "8a40d1007afdf34e0a42721f885c1dce", 59),
+        ("spla", 2, "5419d5bcc3ee39e74c28e214d664004a", 59),
+        ("ex1010", 0, "87c9f21d016e10865f25ad30a2a89941", 81),
+        ("ex1010", 1, "e3dad0d87e8d2ccee824e1c6ffc32f73", 80),
+        ("ex1010", 2, "a719f325d5d17b683bd18730edc791ef", 79),
+    ];
+
+    #[test]
+    fn p2_reproduces_the_golden_table() {
+        crate::seq::tests::assert_driver_golden(&GOLDEN_P2, |nw| {
+            independent_extract(
+                nw,
+                &IndependentConfig {
+                    procs: 2,
+                    ..IndependentConfig::default()
+                },
+            )
+        });
+    }
+
     #[test]
     fn example_4_1_partition_quality_loss() {
         // With the {F} / {G,H} style 2-way partition the paper reaches 26

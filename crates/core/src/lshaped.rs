@@ -959,6 +959,37 @@ mod tests {
         }
     }
 
+    /// `(profile, labelling, network digest, extractions)` of
+    /// [`lshaped_extract`] in sequential mode (paper Table 4) at p = 2,
+    /// over the profiles and labellings of `seq::tests::GOLDEN`.
+    const GOLDEN_SEQUENTIAL_P2: [(&str, u64, &str, usize); 18] = [
+        ("misex3", 0, "f78a4cfc4d7e4b2fac3e00b02d9886e0", 21),
+        ("misex3", 1, "adda0687b4478c5a7461d53e8980ab81", 21),
+        ("misex3", 2, "68e6fb1219be41aea0eff1ff9d117ada", 21),
+        ("dalu", 0, "c60c6e568dbb348303536ccf7951018b", 16),
+        ("dalu", 1, "38ef0d18464cc1ebb41521aa3c191e98", 16),
+        ("dalu", 2, "3628a3e04bfb4c4b4ff1350efe43d5f3", 16),
+        ("des", 0, "9ccb5238d800377d245e655e147920be", 10),
+        ("des", 1, "e683b072e7156e32af94467472e94aad", 10),
+        ("des", 2, "d9448a7b25e74461b46f2bb3c243490b", 10),
+        ("seq", 0, "1d770ec478718805a080e5f3ea0783ff", 25),
+        ("seq", 1, "691afa6743c4ae80a1abfba4e107447c", 24),
+        ("seq", 2, "292dc450ac14e6c169afec3068559868", 26),
+        ("spla", 0, "355865e5ce8635f23eb98c93a44aa5e8", 58),
+        ("spla", 1, "81ff8d55111dc5cecd178a9b189fe020", 58),
+        ("spla", 2, "e701498a370ea31ab1827ec8f9bf0604", 58),
+        ("ex1010", 0, "aa3de874cd28a727234de3476bd64c27", 80),
+        ("ex1010", 1, "4874a8c59458eb60efec0f3aa7f74bad", 80),
+        ("ex1010", 2, "afe7059918565a6c642228f3a759f9bd", 79),
+    ];
+
+    #[test]
+    fn sequential_p2_reproduces_the_golden_table() {
+        crate::seq::tests::assert_driver_golden(&GOLDEN_SEQUENTIAL_P2, |nw| {
+            lshaped_extract(nw, &seq_cfg(2))
+        });
+    }
+
     #[test]
     fn single_proc_sequential_matches_baseline() {
         let (mut a, _) = example_1_1();

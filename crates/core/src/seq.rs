@@ -1315,6 +1315,32 @@ pub(crate) mod tests {
         }
     }
 
+    /// Runs `run` on every [`PROFILES`] circuit under labellings 0..3 and
+    /// asserts `(profile, labelling, network digest, extractions)` per
+    /// case equals `golden`, in table order — the per-driver golden
+    /// tables' check.
+    pub(crate) fn assert_driver_golden(
+        golden: &[(&str, u64, &str, usize)],
+        run: impl Fn(&mut Network) -> ExtractReport,
+    ) {
+        let mut got = Vec::new();
+        for (name, scale) in PROFILES {
+            let profile = pf_workloads::profile_by_name(name).unwrap();
+            let base = pf_workloads::generate(&pf_workloads::scale_profile(&profile, scale));
+            for labelling in 0..3u64 {
+                let mut nw = relabel(&base, labelling);
+                let report = run(&mut nw);
+                let digest = pf_kcmatrix::network_digest(&nw).to_hex();
+                got.push((name, labelling, digest, report.extractions));
+            }
+        }
+        let want: Vec<_> = golden
+            .iter()
+            .map(|&(name, labelling, digest, n)| (name, labelling, digest.to_string(), n))
+            .collect();
+        assert_eq!(got, want);
+    }
+
     /// `(profile, labelling, K, network digest, extractions)` of
     /// [`extract_kernels`] at the default settings with `search.topk = K`,
     /// recorded from the search engines this crate shipped before they
