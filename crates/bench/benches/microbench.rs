@@ -11,9 +11,7 @@ use pf_core::{
     extract_kernels, independent_extract, lshaped_extract, ExtractConfig, FaultPlan, FaultRule,
     IndependentConfig, LShapedConfig, RunCtl,
 };
-use pf_kcmatrix::{
-    CeilingUpdate, CostModel, CubeRegistry, KcMatrix, LabelGen, SearchConfig, SearchPool,
-};
+use pf_kcmatrix::{CeilingUpdate, CubeRegistry, KcMatrix, LabelGen, SearchConfig, SearchPool};
 use pf_network::sim::simulate;
 use pf_partition::{partition_network, PartitionConfig};
 use pf_sop::kernel::{kernels, KernelConfig};
@@ -86,13 +84,12 @@ fn matrix(c: &mut Criterion) {
     }
     let w = reg.weights_snapshot();
     let value_of = |id: u32| w[id as usize];
-    let model = CostModel::area(&value_of);
     let mut pool = SearchPool::new();
     c.bench_function("rectangle/best_full", |b| {
         b.iter(|| {
             pool.find(
                 &m,
-                &model,
+                &value_of,
                 &SearchConfig::default(),
                 None,
                 CeilingUpdate::Off,
@@ -104,7 +101,7 @@ fn matrix(c: &mut Criterion) {
             stripe: Some((0, 4)),
             ..SearchConfig::default()
         };
-        b.iter(|| pool.find(&m, &model, &cfg, None, CeilingUpdate::Off))
+        b.iter(|| pool.find(&m, &value_of, &cfg, None, CeilingUpdate::Off))
     });
 }
 

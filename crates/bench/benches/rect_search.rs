@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pf_kcmatrix::{
-    reference, CeilingUpdate, CostModel, CubeRegistry, KcMatrix, LabelGen, SearchConfig, SearchPool,
+    reference, CeilingUpdate, CubeRegistry, KcMatrix, LabelGen, SearchConfig, SearchPool,
 };
 use pf_sop::kernel::KernelConfig;
 use pf_workloads::{generate, profile_by_name, scale_profile};
@@ -42,11 +42,10 @@ fn dalu_matrix(scale: f64) -> (KcMatrix, Vec<u32>) {
 /// off so every pass does the same work.
 fn bench_find(b: &mut criterion::Bencher<'_>, m: &KcMatrix, w: &[u32], cfg: &SearchConfig) {
     let value_of = |id: u32| w[id as usize];
-    let model = CostModel::area(&value_of);
     let mut pool = SearchPool::new();
     pool.warm(cfg.par_threads);
     b.iter(|| {
-        let (best, _) = pool.find(m, &model, cfg, None, CeilingUpdate::Off);
+        let (best, _) = pool.find(m, &value_of, cfg, None, CeilingUpdate::Off);
         black_box(best)
     })
 }

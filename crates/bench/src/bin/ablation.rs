@@ -5,14 +5,11 @@
 //! 3. kernel enumeration depth;
 //! 4. Algorithm L's Table 5 consistency protocol (disabling it
 //!    reproduces Example 5.2's double-counted savings);
-//! 5. Algorithm L's §5.3 kernel-cost-zero division re-check;
-//! 6. the extraction objective (area vs timing vs power — the §6
-//!    closing remark).
+//! 5. Algorithm L's §5.3 kernel-cost-zero division re-check.
 
 use pf_bench::{build_circuit, env_scale};
-use pf_core::{extract_kernels, lshaped_extract, ExtractConfig, LShapedConfig, Objective};
+use pf_core::{extract_kernels, lshaped_extract, ExtractConfig, LShapedConfig};
 use pf_kcmatrix::SearchConfig;
-use pf_network::stats;
 use pf_sop::kernel::KernelConfig;
 use pf_workloads::profile_by_name;
 use std::time::Instant;
@@ -143,36 +140,4 @@ fn main() {
     println!("  (expected: the full protocol gives the best LC; without the §5.3");
     println!("   re-check the run is capped at 100 extractions because it need");
     println!("   not converge at all — the failure mode the paper fixes)");
-
-    // --- 6. objectives ------------------------------------------------------
-    println!("\n6. extraction objective (the paper's §6 generalization)");
-    println!(
-        "{:>8} {:>8} {:>8} {:>10} {:>10}",
-        "obj", "LC", "depth", "area-cost", "own-cost"
-    );
-    let objectives = vec![
-        Objective::area(&nw),
-        Objective::timing(&nw),
-        Objective::power(&nw, 16, 0xAB1E),
-    ];
-    for obj in objectives {
-        let mut copy = nw.clone();
-        extract_kernels(
-            &mut copy,
-            &[],
-            &ExtractConfig {
-                objective: Some(obj.clone()),
-                ..ExtractConfig::default()
-            },
-        );
-        println!(
-            "{:>8} {:>8} {:>8} {:>10} {:>10}",
-            obj.name,
-            copy.literal_count(),
-            stats::depth(&copy).unwrap(),
-            Objective::area(&nw).network_cost(&copy),
-            obj.network_cost(&copy)
-        );
-    }
-    println!("  (each objective minimizes its own cost column; area LC may differ)");
 }

@@ -34,8 +34,6 @@
 //! * [`lshaped_cx`] — Algorithm L transplanted onto that second cover
 //!   problem, realizing §6's "directly applied … provided the algorithms
 //!   are formulated in terms of a rectangular cover problem";
-//! * [`cost`] — area / timing-driven / power-driven covering objectives
-//!   (§6's closing remark) via pluggable rectangle cost models;
 //! * [`iterative`] — ProperPART-style iterative repartitioning (the
 //!   paper's reference [3]) layered over Algorithm I;
 //! * [`fault`] — a seeded, deterministic fault-injection plane riding on
@@ -46,7 +44,6 @@
 //!   a single branch per hook when disarmed, like [`fault`].
 
 pub mod cached;
-pub mod cost;
 pub mod ctl;
 pub mod cx;
 pub mod dist;
@@ -65,7 +62,6 @@ pub mod seq;
 pub mod trace;
 
 pub use cached::{extract_kernels_cached, run_cached, try_replay, CacheEvents, CacheHandle};
-pub use cost::Objective;
 pub use ctl::{RunCtl, StopReason};
 pub use cx::{extract_common_cubes, independent_extract_cubes, CubeExtractConfig};
 pub use dist::{

@@ -42,8 +42,8 @@ use crate::trace::Lane;
 use parking_lot::Mutex;
 use pf_kcmatrix::registry::ConcurrentCubeStates;
 use pf_kcmatrix::{
-    select_nonconflicting, CeilingUpdate, CostModel, CubeId, CubeRegistry, CubeState, KcMatrix,
-    LabelGen, ProcId, Rectangle, SearchConfig, SearchPool,
+    select_nonconflicting, CeilingUpdate, CubeId, CubeRegistry, CubeState, KcMatrix, LabelGen,
+    ProcId, Rectangle, SearchConfig, SearchPool,
 };
 use pf_network::{Network, SignalId};
 use pf_partition::{partition_network, PartitionConfig};
@@ -338,7 +338,7 @@ impl Worker<'_> {
         // `topk = 1`).
         let (rects, stats) = self.pool.find(
             &self.matrix,
-            &CostModel::area(&value_of),
+            &value_of,
             &search_cfg,
             self.prev_best.as_ref(),
             CeilingUpdate::Off,

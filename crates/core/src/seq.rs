@@ -7,14 +7,13 @@
 //! value. The [`Engine`] exposes the individual steps so Algorithm R can
 //! drive the same loop with a striped search and replicated state.
 
-use crate::cost::Objective;
 use crate::ctl::RunCtl;
 use crate::report::{ExtractReport, PhaseTiming};
 use crate::trace::{Lane, Tracer};
 use pf_cache::WarmStart;
 use pf_kcmatrix::{
     revalidate_rectangle, select_prefix_nonconflicting, CeilingSnapshot, CeilingUpdate, ColIdx,
-    CostModel, CubeRegistry, KcMatrix, LabelGen, Rectangle, SearchConfig, SearchPool, SearchStats,
+    CubeRegistry, KcMatrix, LabelGen, Rectangle, SearchConfig, SearchPool, SearchStats,
 };
 use pf_network::{Network, SignalId};
 use pf_sop::fx::{FxHashMap, FxHashSet};
@@ -37,9 +36,6 @@ pub struct ExtractConfig {
     /// Whether freshly extracted nodes join the candidate set and are
     /// themselves mined for kernels (SIS does this).
     pub extract_from_new: bool,
-    /// Optional weighted objective (timing- or power-driven cover, §6's
-    /// closing remark). `None` is the paper's literal-count objective.
-    pub objective: Option<Objective>,
     /// Cooperative stop control (deadline / external cancellation),
     /// checked at the cover-loop head. Cloning the config shares the
     /// handle, so every worker of a parallel driver stops together.
@@ -58,7 +54,6 @@ impl Default for ExtractConfig {
             max_extractions: usize::MAX,
             name_prefix: "kx_".to_string(),
             extract_from_new: true,
-            objective: None,
             ctl: RunCtl::new(),
             trace: Tracer::disarmed(),
         }
@@ -76,9 +71,6 @@ pub struct Engine {
     cfg: ExtractConfig,
     counter: usize,
     applied: usize,
-    /// Weighted cube values (parallel to `weights`), present iff
-    /// `cfg.objective` is set.
-    wvals: Vec<u32>,
     /// Best rectangle applied in the previous pass of this engine's
     /// cover loop — re-validated against the current matrix and used to
     /// seed the next search's pruning bound.
@@ -212,7 +204,7 @@ impl Engine {
     ) -> Self {
         let weights = registry.weights_snapshot();
         let counter = counter_past_existing(nw, &cfg.name_prefix);
-        let mut engine = Engine {
+        Engine {
             matrix,
             registry,
             weights,
@@ -222,26 +214,11 @@ impl Engine {
             cfg,
             counter,
             applied: 0,
-            wvals: Vec::new(),
             prev_best: None,
             pool: SearchPool::new(),
             dirty_cols: Vec::new(),
             compact_dead_per_alive: 1,
-        };
-        engine.refresh_wvals();
-        engine
-    }
-
-    /// Extends the weighted-value cache for newly interned cubes, one
-    /// registry lock for the whole batch (not one lock + clone per id).
-    fn refresh_wvals(&mut self) {
-        let Some(obj) = &self.cfg.objective else {
-            return;
-        };
-        let wvals = &mut self.wvals;
-        self.registry.for_each_from(wvals.len(), |_, cube| {
-            wvals.push(obj.cube_weight(cube));
-        });
+        }
     }
 
     /// Pre-spawns the pool's background workers (no-op for
@@ -304,19 +281,13 @@ impl Engine {
         // keeps apply's cost independent of the wave size.
         self.dirty_cols.sort_unstable();
         self.dirty_cols.dedup();
-        let out = with_cost_model(
-            &self.weights,
-            &self.wvals,
-            self.cfg.objective.as_ref(),
-            |model| {
-                self.pool.find(
-                    &self.matrix,
-                    model,
-                    &cfg,
-                    self.prev_best.as_ref(),
-                    CeilingUpdate::Dirty(&self.dirty_cols),
-                )
-            },
+        let weights = &self.weights;
+        let out = self.pool.find(
+            &self.matrix,
+            &|id| weights[id as usize],
+            &cfg,
+            self.prev_best.as_ref(),
+            CeilingUpdate::Dirty(&self.dirty_cols),
         );
         self.dirty_cols.clear();
         out
@@ -360,11 +331,12 @@ impl Engine {
     /// conflict-rejected candidates after a batch apply without another
     /// search pass.
     pub fn revalidate(&self, rect: &Rectangle) -> Option<Rectangle> {
-        with_cost_model(
-            &self.weights,
-            &self.wvals,
-            self.cfg.objective.as_ref(),
-            |model| revalidate_rectangle(&self.matrix, model, &self.cfg.search, rect),
+        let weights = &self.weights;
+        revalidate_rectangle(
+            &self.matrix,
+            &|id| weights[id as usize],
+            &self.cfg.search,
+            rect,
         )
     }
 
@@ -469,10 +441,9 @@ impl Engine {
             }
         }
         self.registry.extend_weights(&mut self.weights);
-        self.refresh_wvals();
 
         #[cfg(debug_assertions)]
-        if self.cfg.objective.is_none() {
+        {
             let lc_after = nw.literal_count();
             debug_assert_eq!(
                 lc_before as i64 - lc_after as i64,
@@ -516,24 +487,6 @@ impl Engine {
     /// partially rewritten matrix.
     pub fn export_warm_ceilings(&self) -> Option<CeilingSnapshot> {
         self.pool.export_ceilings()
-    }
-}
-
-/// Runs `f` with the cost model of an engine whose cube weights are
-/// `weights` — or, under a weighted `objective`, `wvals`.
-fn with_cost_model<R>(
-    weights: &[u32],
-    wvals: &[u32],
-    objective: Option<&Objective>,
-    f: impl FnOnce(&CostModel<'_>) -> R,
-) -> R {
-    match objective {
-        None => f(&CostModel::area(&|id| weights[id as usize])),
-        Some(obj) => f(&CostModel {
-            cube_value: &|id| wvals[id as usize],
-            row_cost: &|cok| obj.row_cost(cok),
-            col_cost: &|cube| obj.col_cost(cube),
-        }),
     }
 }
 

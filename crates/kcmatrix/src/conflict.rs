@@ -164,7 +164,7 @@ mod tests {
     use super::*;
     use crate::matrix::LabelGen;
     use crate::pool::{CeilingUpdate, SearchPool};
-    use crate::rectangle::{CostModel, SearchConfig};
+    use crate::rectangle::SearchConfig;
     use crate::registry::{CubeId, CubeRegistry};
     use pf_sop::kernel::KernelConfig;
     use pf_sop::{Cube, Lit, Sop};
@@ -209,9 +209,8 @@ mod tests {
             topk: 8,
             ..SearchConfig::default()
         };
-        let model = CostModel::area(&value_of);
         SearchPool::new()
-            .find(m, &model, &cfg, None, CeilingUpdate::Off)
+            .find(m, &value_of, &cfg, None, CeilingUpdate::Off)
             .0
     }
 

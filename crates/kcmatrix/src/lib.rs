@@ -43,9 +43,7 @@ pub use cube_matrix::{CommonCube, CubeLitMatrix};
 pub use digest::{cube_digest, network_digest, sop_digest, Digest, DigestBuilder};
 pub use matrix::{ColIdx, KcCol, KcMatrix, KcRow, LabelGen, RowIdx};
 pub use pool::{CeilingSnapshot, CeilingUpdate, SearchPool};
-pub use rectangle::{
-    canonical_top_k, revalidate_rectangle, CostModel, Rectangle, SearchConfig, SearchStats,
-};
+pub use rectangle::{canonical_top_k, revalidate_rectangle, Rectangle, SearchConfig, SearchStats};
 pub use registry::{CubeId, CubeRegistry, CubeState, CubeStates, ProcId};
 pub use rowset::RowSet;
 pub use tiles::{TilePanels, TiledSupport};

@@ -73,8 +73,9 @@
 
 use crate::matrix::{ColIdx, KcMatrix};
 use crate::rectangle::{
-    revalidate_rectangle, row_full_values, CostModel, Rectangle, SearchConfig, SearchStats,
+    revalidate_rectangle, row_full_values, Rectangle, SearchConfig, SearchStats,
 };
+use crate::registry::CubeId;
 use crate::tiles::TilePanels;
 use crate::worker::{
     admissible_tasks, init_bound, merge_results, run_worker, AtomicSync, CeilingsView, PassSync,
@@ -330,12 +331,12 @@ impl SearchPool {
     pub fn find(
         &mut self,
         m: &KcMatrix,
-        model: &CostModel<'_>,
+        value_of: &(dyn Fn(CubeId) -> u32 + Sync),
         cfg: &SearchConfig,
         seed: Option<&Rectangle>,
         update: CeilingUpdate<'_>,
     ) -> (Vec<Rectangle>, SearchStats) {
-        let init_best = seed.and_then(|s| revalidate_rectangle(m, model, cfg, s));
+        let init_best = seed.and_then(|s| revalidate_rectangle(m, value_of, cfg, s));
         let ncols = m.cols().len();
         let dirty: Option<&[ColIdx]> = match update {
             CeilingUpdate::Off => None,
@@ -399,7 +400,7 @@ impl SearchPool {
             // either.
             return (init_best.into_iter().collect(), SearchStats::default());
         }
-        let row_full_value = row_full_values(m, model);
+        let row_full_value = row_full_values(m, value_of);
         let nthreads = cfg.par_threads.min(tasks.len()).max(1);
         let greedy_rows = if cfg.greedy_seed { m.rows().len() } else { 0 };
         let queue = Queue::new(&tasks, nthreads, greedy_rows);
@@ -423,7 +424,7 @@ impl SearchPool {
                 let sync = SoloSync::new(init_bound);
                 let result = run_worker(
                     m,
-                    model,
+                    value_of,
                     cfg,
                     &row_full_value,
                     &queue,
@@ -440,7 +441,7 @@ impl SearchPool {
                 self.run_pass(nthreads, &|idx: usize, ws: &mut WorkerScratch| {
                     let r = run_worker(
                         m,
-                        model,
+                        value_of,
                         cfg,
                         &row_full_value,
                         &queue,
@@ -642,7 +643,7 @@ mod tests {
         ])
     }
 
-    /// One pass through `pool` under the area model over weights `w`;
+    /// One pass through `pool` over cube weights `w`;
     /// the head of the list.
     fn best(
         pool: &mut SearchPool,
@@ -653,7 +654,7 @@ mod tests {
         update: CeilingUpdate<'_>,
     ) -> (Option<Rectangle>, SearchStats) {
         let value_of = |id: CubeId| w[id as usize];
-        let (rects, stats) = pool.find(m, &CostModel::area(&value_of), cfg, seed, update);
+        let (rects, stats) = pool.find(m, &value_of, cfg, seed, update);
         (rects.into_iter().next(), stats)
     }
 

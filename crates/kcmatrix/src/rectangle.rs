@@ -244,44 +244,16 @@ pub struct SearchStats {
     pub bound_updates: u64,
 }
 
-/// The cost functions defining a rectangle's value. The default (area)
-/// model values a covered cube at its literal count, a row replacement
-/// `cok·X` at `|cok| + 1` and a kernel cube at its literal count; the
-/// paper's conclusion points out that timing- and power-driven synthesis
-/// only need these three functions swapped ("our methods can be directly
-/// applied … provided the algorithms are formulated in terms of a
-/// rectangular cover problem"). The functions are `Sync` so the search
-/// can share them across worker threads.
-pub struct CostModel<'a> {
-    /// Current value of a covered cube (0 when covered elsewhere or
-    /// divided — the paper's `V` attribute).
-    pub cube_value: &'a (dyn Fn(CubeId) -> u32 + Sync),
-    /// Cost of the replacement cube `cok·X` added per chosen row.
-    pub row_cost: &'a (dyn Fn(&pf_sop::Cube) -> i64 + Sync),
-    /// Cost of one kernel cube in the extracted node's body.
-    pub col_cost: &'a (dyn Fn(&pf_sop::Cube) -> i64 + Sync),
+/// Cost of the replacement cube `cok·X` a chosen row adds to its node.
+#[inline]
+pub(crate) fn row_cost(cokernel: &pf_sop::Cube) -> i64 {
+    cokernel.len() as i64 + 1
 }
 
-fn area_row_cost(cok: &pf_sop::Cube) -> i64 {
-    cok.len() as i64 + 1
-}
-
-fn area_col_cost(cube: &pf_sop::Cube) -> i64 {
-    cube.len() as i64
-}
-
-impl<'a> CostModel<'a> {
-    /// The default area model over `value_of`, which maps a [`CubeId`]
-    /// to its current value (weight, or 0 when covered elsewhere /
-    /// divided) — the paper's `V` attribute read with the asking
-    /// processor's identity baked in.
-    pub fn area(value_of: &'a (dyn Fn(CubeId) -> u32 + Sync)) -> Self {
-        CostModel {
-            cube_value: value_of,
-            row_cost: &area_row_cost,
-            col_cost: &area_col_cost,
-        }
-    }
+/// Cost of the extracted node's body: the literals of the column cubes.
+#[inline]
+pub(crate) fn cols_cost(m: &KcMatrix, cols: &[ColIdx]) -> i64 {
+    cols.iter().map(|&c| m.cols()[c].cube.len() as i64).sum()
 }
 
 /// The canonically best `k` of `candidates` (deduplicated, best-first
@@ -307,18 +279,14 @@ pub(crate) fn stripe_admits(cfg: &SearchConfig, c: ColIdx) -> bool {
 
 /// Per alive row: Σ of entry values minus the row cost — the row's
 /// contribution ceiling, used by the admissible pruning bound.
-pub(crate) fn row_full_values(m: &KcMatrix, model: &CostModel<'_>) -> Vec<i64> {
+pub(crate) fn row_full_values(m: &KcMatrix, value_of: &(dyn Fn(CubeId) -> u32 + Sync)) -> Vec<i64> {
     let mut out = vec![0i64; m.rows().len()];
     for (i, r) in m.rows().iter().enumerate() {
         if !r.alive {
             continue;
         }
-        let sum: i64 = r
-            .entries
-            .iter()
-            .map(|&(_, id)| (model.cube_value)(id) as i64)
-            .sum();
-        out[i] = sum - (model.row_cost)(&r.cokernel);
+        let sum: i64 = r.entries.iter().map(|&(_, id)| value_of(id) as i64).sum();
+        out[i] = sum - row_cost(&r.cokernel);
     }
     out
 }
@@ -329,21 +297,17 @@ pub(crate) fn row_full_values(m: &KcMatrix, model: &CostModel<'_>) -> Vec<i64> {
 /// gate the exact pass.
 pub(crate) fn approx_value(
     m: &KcMatrix,
-    model: &CostModel<'_>,
+    value_of: &(dyn Fn(CubeId) -> u32 + Sync),
     cols: &[ColIdx],
     rows: impl IntoIterator<Item = RowIdx>,
 ) -> i64 {
-    let col_cost: i64 = cols
-        .iter()
-        .map(|&c| (model.col_cost)(&m.cols()[c].cube))
-        .sum();
-    let mut approx: i64 = -col_cost;
+    let mut approx: i64 = -cols_cost(m, cols);
     for r in rows {
         let row = &m.rows()[r];
-        let mut contrib: i64 = -(model.row_cost)(&row.cokernel);
+        let mut contrib: i64 = -row_cost(&row.cokernel);
         for &c in cols {
             let id = row.entry(c).expect("row supports all cols");
-            contrib += (model.cube_value)(id) as i64;
+            contrib += value_of(id) as i64;
         }
         if contrib > 0 {
             approx += contrib;
@@ -358,24 +322,20 @@ pub(crate) fn approx_value(
 /// `seen` is a caller-provided (cleared) dedup buffer.
 pub(crate) fn evaluate_with(
     m: &KcMatrix,
-    model: &CostModel<'_>,
+    value_of: &(dyn Fn(CubeId) -> u32 + Sync),
     cols: &[ColIdx],
     rows: &[RowIdx],
     seen: &mut FxHashSet<CubeId>,
 ) -> Option<Rectangle> {
     // First pass: per-row contribution ignoring cross-row duplicates
     // (an upper bound per row); rows kept if positive.
-    let col_cost: i64 = cols
-        .iter()
-        .map(|&c| (model.col_cost)(&m.cols()[c].cube))
-        .sum();
     let mut kept: Vec<RowIdx> = Vec::new();
     for &r in rows {
         let row = &m.rows()[r];
-        let mut contrib: i64 = -(model.row_cost)(&row.cokernel);
+        let mut contrib: i64 = -row_cost(&row.cokernel);
         for &c in cols {
             let id = row.entry(c).expect("row supports all cols");
-            contrib += (model.cube_value)(id) as i64;
+            contrib += value_of(id) as i64;
         }
         if contrib > 0 {
             kept.push(r);
@@ -385,14 +345,14 @@ pub(crate) fn evaluate_with(
         return None;
     }
     // Second pass: exact value with cross-row cube deduplication.
-    let mut total: i64 = -col_cost;
+    let mut total: i64 = -cols_cost(m, cols);
     for &r in &kept {
         let row = &m.rows()[r];
-        total -= (model.row_cost)(&row.cokernel);
+        total -= row_cost(&row.cokernel);
         for &c in cols {
             let id = row.entry(c).expect("row supports all cols");
             if seen.insert(id) {
-                total += (model.cube_value)(id) as i64;
+                total += value_of(id) as i64;
             }
         }
     }
@@ -416,7 +376,7 @@ pub(crate) fn evaluate_with(
 /// and applied directly.
 pub fn revalidate_rectangle(
     m: &KcMatrix,
-    model: &CostModel<'_>,
+    value_of: &(dyn Fn(CubeId) -> u32 + Sync),
     cfg: &SearchConfig,
     rect: &Rectangle,
 ) -> Option<Rectangle> {
@@ -434,7 +394,7 @@ pub fn revalidate_rectangle(
         return None;
     }
     let mut seen = FxHashSet::default();
-    evaluate_with(m, model, &rect.cols, &support, &mut seen)
+    evaluate_with(m, value_of, &rect.cols, &support, &mut seen)
 }
 
 /// Reusable buffers for [`greedy_row`]; one per worker.
@@ -463,7 +423,7 @@ pub(crate) struct GreedyBufs {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn greedy_row(
     m: &KcMatrix,
-    model: &CostModel<'_>,
+    value_of: &(dyn Fn(CubeId) -> u32 + Sync),
     cfg: &SearchConfig,
     panel: &TilePanels,
     row_full_value: &[i64],
@@ -497,18 +457,13 @@ pub(crate) fn greedy_row(
             return None;
         }
     }
-    let col_cost: i64 = bufs
-        .cols
-        .iter()
-        .map(|&c| (model.col_cost)(&m.cols()[c].cube))
-        .sum();
-    if !acc.admits(ub - col_cost) {
+    if !acc.admits(ub - cols_cost(m, &bufs.cols)) {
         return None;
     }
     bufs.rows_buf.clear();
     bufs.ta.collect_into(&mut bufs.rows_buf);
     bufs.seen.clear();
-    evaluate_with(m, model, &bufs.cols, &bufs.rows_buf, &mut bufs.seen)
+    evaluate_with(m, value_of, &bufs.cols, &bufs.rows_buf, &mut bufs.seen)
 }
 
 #[cfg(test)]
@@ -528,15 +483,14 @@ mod tests {
         Sop::from_cubes(cubes.iter().map(|c| cube(c)))
     }
 
-    /// One cold search over `m` under the area model with `value_of`.
+    /// One cold search over `m` with cube values `value_of`.
     fn find(
         m: &KcMatrix,
         value_of: &(dyn Fn(CubeId) -> u32 + Sync),
         cfg: &SearchConfig,
         seed: Option<&Rectangle>,
     ) -> (Vec<Rectangle>, SearchStats) {
-        let model = CostModel::area(value_of);
-        SearchPool::new().find(m, &model, cfg, seed, CeilingUpdate::Off)
+        SearchPool::new().find(m, value_of, cfg, seed, CeilingUpdate::Off)
     }
 
     /// The head of [`find`]'s list.

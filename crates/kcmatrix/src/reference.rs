@@ -15,7 +15,8 @@
 
 use crate::matrix::{ColIdx, KcMatrix, RowIdx};
 use crate::rectangle::{
-    evaluate_with, row_full_values, stripe_admits, CostModel, Rectangle, SearchConfig, SearchStats,
+    cols_cost, evaluate_with, row_cost, row_full_values, stripe_admits, Rectangle, SearchConfig,
+    SearchStats,
 };
 use crate::registry::CubeId;
 use pf_sop::fx::FxHashSet;
@@ -30,13 +31,12 @@ pub fn top_k(
     value_of: &(dyn Fn(CubeId) -> u32 + Sync),
     cfg: &SearchConfig,
 ) -> Vec<Rectangle> {
-    let model = CostModel::area(value_of);
     let mut all = Vec::new();
     let mut cols = Vec::new();
     for c0 in 0..m.cols().len() {
         if stripe_admits(cfg, c0) && !m.cols()[c0].rows.is_empty() {
             cols.push(c0);
-            enumerate(m, &model, cfg, &mut cols, &m.cols()[c0].rows, &mut all);
+            enumerate(m, value_of, cfg, &mut cols, &m.cols()[c0].rows, &mut all);
             cols.pop();
         }
     }
@@ -53,7 +53,7 @@ pub fn top_k(
 /// extension of it by columns to the right of its last one.
 fn enumerate(
     m: &KcMatrix,
-    model: &CostModel<'_>,
+    value_of: &(dyn Fn(CubeId) -> u32 + Sync),
     cfg: &SearchConfig,
     cols: &mut Vec<ColIdx>,
     rows: &[RowIdx],
@@ -62,7 +62,7 @@ fn enumerate(
     if cols.len() >= cfg.min_cols {
         out.extend(evaluate_with(
             m,
-            model,
+            value_of,
             cols,
             rows,
             &mut FxHashSet::default(),
@@ -74,7 +74,7 @@ fn enumerate(
         intersect_into(rows, &m.cols()[c].rows, &mut shared);
         if !shared.is_empty() {
             cols.push(c);
-            enumerate(m, model, cfg, cols, &shared, out);
+            enumerate(m, value_of, cfg, cols, &shared, out);
             cols.pop();
         }
     }
@@ -87,18 +87,16 @@ pub fn best_rectangle(
     value_of: &(dyn Fn(CubeId) -> u32 + Sync),
     cfg: &SearchConfig,
 ) -> (Option<Rectangle>, SearchStats) {
-    let model = CostModel::area(value_of);
-    let model = &model;
-    let row_full_value = row_full_values(m, model);
+    let row_full_value = row_full_values(m, value_of);
 
     let mut best = None;
     if cfg.greedy_seed {
-        greedy_sweep(m, model, cfg, &mut best);
+        greedy_sweep(m, value_of, cfg, &mut best);
     }
 
     let mut state = Search {
         m,
-        model,
+        value_of,
         cfg,
         row_full_value: &row_full_value,
         visited: 0,
@@ -134,7 +132,7 @@ pub fn best_rectangle(
 
 struct Search<'a> {
     m: &'a KcMatrix,
-    model: &'a CostModel<'a>,
+    value_of: &'a (dyn Fn(CubeId) -> u32 + Sync),
     cfg: &'a SearchConfig,
     row_full_value: &'a [i64],
     visited: u64,
@@ -167,18 +165,13 @@ impl Search<'_> {
             // Cheap gate first: the duplicate-blind value is an upper
             // bound on the exact value, so the exact (allocating) pass
             // only runs on candidates that could beat the best.
-            let col_cost: i64 = self
-                .cols
-                .iter()
-                .map(|&c| (self.model.col_cost)(&self.m.cols()[c].cube))
-                .sum();
-            let mut approx: i64 = -col_cost;
+            let mut approx: i64 = -cols_cost(self.m, &self.cols);
             for &r in &rows {
                 let row = &self.m.rows()[r];
-                let mut contrib: i64 = -(self.model.row_cost)(&row.cokernel);
+                let mut contrib: i64 = -row_cost(&row.cokernel);
                 for &c in &self.cols {
                     let id = row.entry(c).expect("row supports all cols");
-                    contrib += (self.model.cube_value)(id) as i64;
+                    contrib += (self.value_of)(id) as i64;
                 }
                 if contrib > 0 {
                     approx += contrib;
@@ -187,7 +180,7 @@ impl Search<'_> {
             if approx > self.best_value() {
                 self.seen.clear();
                 if let Some(rect) =
-                    evaluate_with(self.m, self.model, &self.cols, &rows, &mut self.seen)
+                    evaluate_with(self.m, self.value_of, &self.cols, &rows, &mut self.seen)
                 {
                     if rect.value > self.best_value() {
                         self.best = Some(rect);
@@ -248,7 +241,7 @@ pub(crate) fn intersect_into(a: &[RowIdx], b: &[RowIdx], out: &mut Vec<RowIdx>) 
 /// Greedy seed: every alive row's full column set, first maximum kept.
 fn greedy_sweep(
     m: &KcMatrix,
-    model: &CostModel<'_>,
+    value_of: &(dyn Fn(CubeId) -> u32 + Sync),
     cfg: &SearchConfig,
     best: &mut Option<Rectangle>,
 ) {
@@ -273,7 +266,7 @@ fn greedy_sweep(
             continue;
         }
         seen.clear();
-        if let Some(rect) = evaluate_with(m, model, &cols, &support, &mut seen) {
+        if let Some(rect) = evaluate_with(m, value_of, &cols, &support, &mut seen) {
             if rect.value > best.as_ref().map_or(0, |b| b.value) {
                 *best = Some(rect);
             }
@@ -318,7 +311,7 @@ mod tests {
         let every = top_k(&m, &value_of, &cfg);
         let (found, _) = crate::pool::SearchPool::new().find(
             &m,
-            &CostModel::area(&value_of),
+            &value_of,
             &cfg,
             None,
             crate::pool::CeilingUpdate::Off,

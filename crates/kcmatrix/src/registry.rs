@@ -56,9 +56,8 @@ const OWNER_MASK: u32 = 0xFFFF;
 /// The index maps the *hash* of `(node, cube)` to the ids sharing it,
 /// and candidate hits are confirmed against the owned `cubes` table —
 /// so a hit costs zero clones, and a miss clones the cube exactly once
-/// (into `cubes`; the map key is just the hash). Batch readers use
-/// [`CubeRegistry::for_each_from`] to walk new entries under one lock
-/// acquisition instead of one lock + clone per id.
+/// (into `cubes`; the map key is just the hash). Readers walk entries
+/// with [`CubeRegistry::for_each_from`] under one lock acquisition.
 #[derive(Default)]
 pub struct CubeRegistry {
     inner: Mutex<RegistryInner>,
@@ -146,24 +145,15 @@ impl CubeRegistry {
         id
     }
 
-    /// The `(node, cube)` behind an id — the reverse of
-    /// [`CubeRegistry::intern`]. Used by weighted cost models to value
-    /// cubes by their literals. Clones; batch readers should prefer
-    /// [`CubeRegistry::for_each_from`].
-    pub fn cube(&self, id: CubeId) -> (u32, Cube) {
-        self.inner.lock().cubes[id as usize].clone()
-    }
-
     /// Looks up an already-interned cube (clone-free).
     pub fn lookup(&self, node: u32, cube: &Cube) -> Option<CubeId> {
         let h = key_hash(node, cube.lits());
         self.inner.lock().find(h, node, cube.lits())
     }
 
-    /// Visits every cube with id ≥ `from` in id order, under a single
-    /// lock acquisition and without cloning — the batch form of
-    /// [`CubeRegistry::cube`] for incremental caches (`f` receives the
-    /// node and the cube).
+    /// Visits every cube with id ≥ `from` in id order — the reverse of
+    /// [`CubeRegistry::intern`] — under a single lock acquisition and
+    /// without cloning (`f` receives the node and the cube).
     pub fn for_each_from(&self, from: usize, mut f: impl FnMut(u32, &Cube)) {
         let g = self.inner.lock();
         for (node, cube) in g.cubes.iter().skip(from) {

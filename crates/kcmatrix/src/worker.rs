@@ -47,8 +47,8 @@
 
 use crate::matrix::{ColIdx, KcMatrix, RowIdx};
 use crate::rectangle::{
-    approx_value, evaluate_with, greedy_row, stripe_admits, CostModel, GreedyBufs, Rectangle,
-    SearchConfig, SearchStats, TopK,
+    approx_value, evaluate_with, greedy_row, stripe_admits, GreedyBufs, Rectangle, SearchConfig,
+    SearchStats, TopK,
 };
 use crate::registry::CubeId;
 use crate::rowset::RowSet;
@@ -318,7 +318,7 @@ pub(crate) fn merge_results(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_worker<S: PassSync>(
     m: &KcMatrix,
-    model: &CostModel<'_>,
+    value_of: &(dyn Fn(CubeId) -> u32 + Sync),
     cfg: &SearchConfig,
     row_full_value: &[i64],
     queue: &Queue<'_>,
@@ -344,7 +344,7 @@ pub(crate) fn run_worker<S: PassSync>(
         for r in start..end {
             if let Some(rect) = greedy_row(
                 m,
-                model,
+                value_of,
                 cfg,
                 panel,
                 row_full_value,
@@ -366,7 +366,7 @@ pub(crate) fn run_worker<S: PassSync>(
     let mut ceil_out: Vec<(ColIdx, i64)> = Vec::new();
     let mut search = Explorer {
         m,
-        model,
+        value_of,
         cfg,
         row_full_value,
         panel,
@@ -434,7 +434,7 @@ pub(crate) fn run_worker<S: PassSync>(
 /// One worker's branch-and-bound state over its claimed tasks.
 struct Explorer<'a, S: PassSync> {
     m: &'a KcMatrix,
-    model: &'a CostModel<'a>,
+    value_of: &'a (dyn Fn(CubeId) -> u32 + Sync),
     cfg: &'a SearchConfig,
     row_full_value: &'a [i64],
     /// Column-major tile mirror of the matrix.
@@ -493,7 +493,7 @@ impl<S: PassSync> Explorer<'_, S> {
             // duplicate-blind upper bound could *tie* the shared bound
             // (`>=`, not `>`), so every maximum-value rectangle reaches
             // the canonical merge regardless of bound timing.
-            let approx = approx_value(self.m, self.model, self.cols, rows.iter());
+            let approx = approx_value(self.m, self.value_of, self.cols, rows.iter());
             // `approx` upper-bounds every rectangle on this exact
             // column set, so it feeds the task ceiling.
             self.task_ceil = self.task_ceil.max(approx);
@@ -502,7 +502,7 @@ impl<S: PassSync> Explorer<'_, S> {
                 rows.collect_into(self.rows_buf);
                 self.seen.clear();
                 if let Some(rect) =
-                    evaluate_with(self.m, self.model, self.cols, self.rows_buf, self.seen)
+                    evaluate_with(self.m, self.value_of, self.cols, self.rows_buf, self.seen)
                 {
                     // Publish the local K-th best, never the raw value:
                     // an arbitrary rectangle's value can exceed the

@@ -4,9 +4,9 @@
 //! Table 5 under arbitrary operation sequences.
 
 use pf_kcmatrix::{
-    conflicts, reference, select_nonconflicting, CeilingUpdate, CostModel, CubeId, CubeRegistry,
-    CubeState, CubeStates, KcMatrix, LabelGen, Rectangle, RowSet, SearchConfig, SearchPool,
-    SearchStats, TilePanels,
+    conflicts, reference, select_nonconflicting, CeilingUpdate, CubeId, CubeRegistry, CubeState,
+    CubeStates, KcMatrix, LabelGen, Rectangle, RowSet, SearchConfig, SearchPool, SearchStats,
+    TilePanels,
 };
 use pf_sop::kernel::KernelConfig;
 use pf_sop::{Cube, Lit, Sop};
@@ -53,7 +53,7 @@ fn find_on(
     cfg: &SearchConfig,
     update: CeilingUpdate<'_>,
 ) -> (Vec<Rectangle>, SearchStats) {
-    pool.find(m, &CostModel::area(value_of), cfg, None, update)
+    pool.find(m, value_of, cfg, None, update)
 }
 
 /// One cold search: the canonical top `cfg.topk`.

@@ -74,38 +74,6 @@ pub fn stats(nw: &Network) -> Result<NetworkStats, NetworkError> {
     })
 }
 
-/// Per-signal slack-style depth weights used by the timing-driven value
-/// model: a signal's weight is `1 + its level`, so cubes of deep nodes
-/// are worth more to shorten.
-pub fn depth_weights(nw: &Network) -> Result<Vec<u32>, NetworkError> {
-    Ok(levels(nw)?.into_iter().map(|l| 1 + l as u32).collect())
-}
-
-/// Per-signal switching-activity estimates for the power-driven value
-/// model: the fraction of 64·`rounds` random vectors on which the signal
-/// toggles from its previous vector, scaled to 1..=256.
-pub fn activity_weights(nw: &Network, rounds: usize, seed: u64) -> Result<Vec<u32>, NetworkError> {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n_in = nw.input_ids().count();
-    let mut toggles = vec![0u32; nw.num_signals()];
-    let mut total_bits = 0u32;
-    for _ in 0..rounds.max(1) {
-        let words: Vec<u64> = (0..n_in).map(|_| rng.gen()).collect();
-        let values = crate::sim::simulate(nw, &words)?;
-        for (s, v) in values.iter().enumerate() {
-            // Adjacent-bit toggles within the packed word.
-            toggles[s] += (v ^ (v >> 1)).count_ones();
-        }
-        total_bits += 63;
-    }
-    Ok(toggles
-        .into_iter()
-        .map(|t| 1 + (t * 255) / total_bits.max(1))
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,36 +123,5 @@ mod tests {
         let (nw, ids) = example_1_1();
         let fac = pf_sop::quick_factor(nw.func(ids.f));
         assert!(fac.literal_count() < nw.func(ids.f).literal_count());
-    }
-
-    #[test]
-    fn depth_weights_grow_with_level() {
-        let mut nw = Network::new();
-        let a = nw.add_input("a").unwrap();
-        let n0 = nw.add_node("n0", sop_of(&[&[a]])).unwrap();
-        let n1 = nw.add_node("n1", sop_of(&[&[n0]])).unwrap();
-        nw.mark_output(n1).unwrap();
-        let w = depth_weights(&nw).unwrap();
-        assert!(w[n1 as usize] > w[n0 as usize]);
-        assert!(w[n0 as usize] > w[a as usize]);
-    }
-
-    #[test]
-    fn activity_weights_are_positive_and_bounded() {
-        let (nw, _) = example_1_1();
-        let w = activity_weights(&nw, 8, 42).unwrap();
-        assert_eq!(w.len(), nw.num_signals());
-        for x in w {
-            assert!((1..=256).contains(&x));
-        }
-    }
-
-    #[test]
-    fn activity_deterministic_for_seed() {
-        let (nw, _) = example_1_1();
-        assert_eq!(
-            activity_weights(&nw, 4, 7).unwrap(),
-            activity_weights(&nw, 4, 7).unwrap()
-        );
     }
 }

@@ -15,8 +15,7 @@
 
 use parafactor::core::{extract_kernels, ExtractConfig};
 use parafactor::kcmatrix::{
-    CeilingUpdate, CostModel, CubeRegistry, CubeStates, KcMatrix, LabelGen, SearchConfig,
-    SearchPool,
+    CeilingUpdate, CubeRegistry, CubeStates, KcMatrix, LabelGen, SearchConfig, SearchPool,
 };
 use parafactor::network::example::example_1_1;
 use parafactor::network::transform::extract_node;
@@ -81,10 +80,9 @@ fn main() {
     }
     let w = reg_full.weights_snapshot();
     let value_of = |id: u32| w[id as usize];
-    let model = CostModel::area(&value_of);
     let mut search = SearchPool::new();
     let mut best_rectangle = |cfg: &SearchConfig| {
-        let (rects, stats) = search.find(&full, &model, cfg, None, CeilingUpdate::Off);
+        let (rects, stats) = search.find(&full, &value_of, cfg, None, CeilingUpdate::Off);
         (rects.into_iter().next(), stats)
     };
     let nprocs = 3u32;

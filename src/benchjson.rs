@@ -24,7 +24,7 @@
 //! recovery's wall share at scales ≥ 2, where extraction must dominate.
 
 use pf_kcmatrix::{
-    reference, CeilingUpdate, CostModel, CubeRegistry, KcMatrix, LabelGen, SearchConfig, SearchPool,
+    reference, CeilingUpdate, CubeRegistry, KcMatrix, LabelGen, SearchConfig, SearchPool,
 };
 use pf_serve::Json;
 use pf_workloads::{generate, profile_by_name, scale_profile};
@@ -144,11 +144,10 @@ fn timed_search(m: &KcMatrix, w: &[u32], par_threads: usize, reps: usize) -> u64
         ..SearchConfig::classic()
     };
     let value_of = |id: pf_kcmatrix::CubeId| w[id as usize];
-    let model = CostModel::area(&value_of);
     let mut pool = SearchPool::new();
     pool.warm(par_threads);
     min_ns(reps, || {
-        let (best, _) = pool.find(m, &model, &cfg, None, CeilingUpdate::Off);
+        let (best, _) = pool.find(m, &value_of, &cfg, None, CeilingUpdate::Off);
         std::hint::black_box(best);
     })
 }

@@ -46,7 +46,6 @@
 //!                       (SearchConfig::classic()).
 //! -o, --output FILE     write the optimized circuit (format by extension:
 //!                       .blif or anything else = native text)
-//!     --objective OBJ   area | timing | power               [default: area]
 //!     --cx              run common-cube extraction after kernels
 //!     --seed N          workload generator seed override
 //!     --stats           print the full statistics block
@@ -114,8 +113,8 @@ use parafactor::core::script::{run_script, ScriptConfig};
 use parafactor::core::{
     distributed_extract, extract_common_cubes, iterative_extract, lshaped_extract,
     lshaped_extract_cubes, CubeExtractConfig, DistConfig, ExtractConfig, ExtractReport, FaultPlan,
-    IndependentConfig, IterativeConfig, LShapedConfig, LShapedCxConfig, LocalTransport, Objective,
-    Trace, Tracer,
+    IndependentConfig, IterativeConfig, LShapedConfig, LShapedCxConfig, LocalTransport, Trace,
+    Tracer,
 };
 use parafactor::kcmatrix::SearchConfig;
 use parafactor::network::blif::{read_blif, write_blif};
@@ -139,7 +138,6 @@ struct Options {
     procs: usize,
     search: SearchConfig,
     output: Option<String>,
-    objective: String,
     run_cx: bool,
     seed: Option<u64>,
     show_stats: bool,
@@ -155,7 +153,6 @@ impl Options {
             procs: 4,
             search: SearchConfig::default(),
             output: None,
-            objective: "area".into(),
             run_cx: false,
             seed: None,
             show_stats: false,
@@ -734,7 +731,6 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     let mut opts = Options::new();
     let input = walk_args(args, &["--cx", "--stats", "--verify"], |flag, v| {
         match flag {
-            "--objective" => opts.objective = text(v, flag)?,
             "--cx" => opts.run_cx = true,
             "--stats" => opts.show_stats = true,
             "--verify" => opts.verify = true,
@@ -758,14 +754,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         work.literal_count()
     );
 
-    let objective = match opts.objective.as_str() {
-        "area" => None,
-        "timing" => Some(Objective::timing(&work)),
-        "power" => Some(Objective::power(&work, 32, 0x9e3779)),
-        other => return Err(format!("unknown objective {other:?}")),
-    };
     let extract_cfg = ExtractConfig {
-        objective,
         search: opts.search.clone(),
         ..ExtractConfig::default()
     };

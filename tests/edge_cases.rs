@@ -224,29 +224,3 @@ fn extraction_on_wide_flat_pla() {
     assert!(r.lc_after <= r.lc_before);
     assert!(equivalent_random(&original, &nw, &EquivConfig::default()).unwrap());
 }
-
-#[test]
-fn objective_weighted_runs_through_parallel_algorithms() {
-    use parafactor::core::Objective;
-    let (nw, _) = parafactor::network::example::example_1_1();
-    let obj = Objective::timing(&nw);
-    for procs in [2usize, 3] {
-        let mut copy = nw.clone();
-        let cfg = ExtractConfig {
-            objective: Some(obj.clone()),
-            ..ExtractConfig::default()
-        };
-        independent_extract(
-            &mut copy,
-            &IndependentConfig {
-                procs,
-                extract: cfg,
-                ..IndependentConfig::default()
-            },
-        );
-        assert!(
-            equivalent_random(&nw, &copy, &EquivConfig::default()).unwrap(),
-            "procs={procs}"
-        );
-    }
-}
