@@ -9,6 +9,13 @@
 
 use std::fmt;
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// deepest payload the protocol carries (a `sub` result: object → node
+/// list → `[name, sop]` → cubes → literals) is about six levels; the cap
+/// keeps the recursive parser from overflowing a connection thread's
+/// stack, which would abort the whole process.
+const MAX_DEPTH: usize = 128;
+
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -171,6 +178,7 @@ pub fn parse(text: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -184,6 +192,8 @@ pub fn parse(text: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -224,8 +234,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -234,6 +244,17 @@ impl<'a> Parser<'a> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses a container one level deeper, or fails past [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, ParseError>) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nested too deeply"));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, ParseError> {
@@ -444,6 +465,20 @@ mod tests {
             }
             _ => panic!("expected array"),
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_before_the_stack_runs_out() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
+        assert!(parse(&format!("{{\"a\":{}}}", nest(MAX_DEPTH))).is_err());
+        // On a default-stack spawned thread, like a connection thread:
+        // uncapped, 10 000 levels overflow the stack and abort.
+        let deep = "[".repeat(10_000);
+        let verdict = std::thread::spawn(move || parse(&deep).is_err());
+        assert!(verdict.join().expect("no stack overflow"));
     }
 
     #[test]

@@ -192,6 +192,35 @@ fn oversized_tile_width_is_rejected_and_the_service_survives() {
     handle.join().unwrap();
 }
 
+/// A line nested 10 000 levels deep (10 kB, far under the line cap)
+/// overflowed the parser's stack on the connection thread and aborted
+/// the process. It must get an error line, and the server must go on
+/// answering new connections.
+#[test]
+fn deeply_nested_json_gets_an_error_and_the_service_survives() {
+    let (addr, handle) = start(ServiceConfig {
+        workers: 1,
+        queue_capacity: 8,
+        ..ServiceConfig::default()
+    });
+    let responses = request_lines(addr, &["[".repeat(10_000)]).expect("protocol round-trip");
+    let refused = parse(&responses[0]).unwrap();
+    assert_eq!(
+        refused.get("status").and_then(Json::as_str),
+        Some("error"),
+        "{refused}"
+    );
+    let pong = request_lines(addr, &[r#"{"op":"ping"}"#.to_string()]).expect("ping round-trip");
+    let pong = parse(&pong[0]).unwrap();
+    assert_eq!(
+        pong.get("status").and_then(Json::as_str),
+        Some("ok"),
+        "{pong}"
+    );
+    assert_balanced(shutdown(addr).get("metrics").unwrap());
+    handle.join().unwrap();
+}
+
 #[test]
 fn queue_full_burst_gets_backpressure_rejections() {
     let (addr, handle) = start(ServiceConfig {
