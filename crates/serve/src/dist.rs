@@ -36,7 +36,7 @@
 use crate::job::{knobs_from_json, knobs_to_json, Wire};
 use crate::json::{parse, Json};
 use crate::retry::RetryPolicy;
-use crate::server::transient_io;
+use crate::server::{checked_count, transient_io};
 use crate::service::Client;
 use pf_core::merge::{NewNode, WorkerResult};
 use pf_core::seq::ExtractConfig;
@@ -579,29 +579,29 @@ fn run_dist(request: &Json, client: &Client) -> Result<Json, String> {
         .ok_or("missing \"workload\"")?;
     let mut nw = crate::job::resolve_workload(workload)?;
 
+    // An absent option keeps its default; a present one must be
+    // well-formed, with the same checks as the CLI's `dist` flags.
+    let count = |key: &str| request.get(key).map(|v| checked_count(v, key)).transpose();
     let mut cfg = DistConfig::default();
-    if let Some(parts) = request.get("parts").and_then(Json::as_u64) {
-        cfg.parts = usize::try_from(parts).map_err(|_| "\"parts\" out of range".to_string())?;
+    if let Some(parts) = count("parts")? {
+        cfg.parts = parts;
     }
-    if let Some(r) = request.get("recovery").and_then(Json::as_bool) {
-        cfg.recovery = r;
+    if let Some(r) = request.get("recovery") {
+        cfg.recovery = r.as_bool().ok_or("\"recovery\" must be true or false")?;
     }
-    if let Some(s) = request.get("recovery_shards").and_then(Json::as_u64) {
-        cfg.recovery_shards =
-            usize::try_from(s).map_err(|_| "\"recovery_shards\" out of range".to_string())?;
+    if let Some(shards) = count("recovery_shards")? {
+        cfg.recovery_shards = shards;
     }
-    if let Some(ms) = request.get("lease_timeout_ms").and_then(Json::as_u64) {
-        cfg.lease_timeout = Duration::from_millis(ms);
+    if let Some(ms) = count("lease_timeout_ms")? {
+        if ms == 0 {
+            return Err("\"lease_timeout_ms\" must be a positive integer".into());
+        }
+        cfg.lease_timeout = Duration::from_millis(ms as u64);
     }
+    let seed = count("fault_seed")?.unwrap_or(0) as u64;
     let faults = match request.get("fault_plan").and_then(Json::as_str) {
         None => None,
-        Some(spec) => {
-            let seed = request
-                .get("fault_seed")
-                .and_then(Json::as_u64)
-                .unwrap_or(0);
-            Some((spec.to_string(), seed))
-        }
+        Some(spec) => Some((spec.to_string(), seed)),
     };
 
     let peers: Vec<String> = match request.get("peers") {
@@ -617,18 +617,10 @@ fn run_dist(request: &Json, client: &Client) -> Result<Json, String> {
         Some(_) => return Err("\"peers\" must be an array of addresses".into()),
     };
 
-    let workers = match request.get("workers") {
-        None => 2,
-        Some(v) => {
-            let n = v
-                .as_u64()
-                .ok_or("\"workers\" must be a non-negative integer")?;
-            usize::try_from(n)
-                .ok()
-                .filter(|&n| n <= 64)
-                .ok_or("\"workers\" must be at most 64")?
-        }
-    };
+    let workers = count("workers")?.unwrap_or(2);
+    if workers > 64 {
+        return Err("\"workers\" must be at most 64".into());
+    }
     // Local chaos plans arm both planes: the transport's message /
     // pickup checkpoints and the sub-jobs' execution checkpoints.
     let plan = match &faults {
@@ -1060,6 +1052,12 @@ mod tests {
             r#"{"op":"dist","workload":"gen:misex3@0.05","workers":65}"#,
             r#"{"op":"dist","workload":"gen:misex3@0.05","peers":"nope"}"#,
             r#"{"op":"dist","workload":"gen:misex3@0.05","fault_plan":"dist:work=wat"}"#,
+            r#"{"op":"dist","workload":"gen:misex3@0.05","parts":"x"}"#,
+            r#"{"op":"dist","workload":"gen:misex3@0.05","parts":-2}"#,
+            r#"{"op":"dist","workload":"gen:misex3@0.05","lease_timeout_ms":"soon"}"#,
+            r#"{"op":"dist","workload":"gen:misex3@0.05","lease_timeout_ms":0}"#,
+            r#"{"op":"dist","workload":"gen:misex3@0.05","recovery":"maybe"}"#,
+            r#"{"op":"dist","workload":"gen:misex3@0.05","recovery_shards":1.5}"#,
         ] {
             let response = handle_dist(&parse(bad).unwrap(), &client);
             assert_eq!(
@@ -1071,6 +1069,14 @@ mod tests {
         let m = client.metrics();
         assert!(m.balanced());
         assert_eq!(m.submitted.get(), m.rejected_invalid.get());
+        // The control: the same options well-formed run to completion.
+        let good = r#"{"op":"dist","workload":"gen:misex3@0.05","parts":2,"lease_timeout_ms":5000,"recovery":true,"recovery_shards":1,"fault_seed":3}"#;
+        let response = handle_dist(&parse(good).unwrap(), &client);
+        assert_eq!(
+            response.get("status").and_then(Json::as_str),
+            Some("completed"),
+            "{response}"
+        );
         service.shutdown();
     }
 }

@@ -580,7 +580,7 @@ pub(crate) fn spec_from_json(request: &Json) -> Result<JobSpec, String> {
 /// a bare `as usize` would silently truncate a large u64 on 32-bit
 /// targets and then pass the service's clamp validation with a mangled
 /// value. Out-of-range counts are answered `rejected_invalid` instead.
-fn checked_count(v: &Json, field: &str) -> Result<usize, String> {
+pub(crate) fn checked_count(v: &Json, field: &str) -> Result<usize, String> {
     let n = v
         .as_u64()
         .ok_or_else(|| format!("{field:?} must be a non-negative integer"))?;
