@@ -212,6 +212,12 @@ impl SearchConfig {
     /// an unbounded width is an unbounded allocation.
     pub const MAX_TILE_WIDTH: usize = 64;
 
+    /// The largest [`SearchConfig::topk`] accepted from outside the
+    /// program. Every pass keeps and merges K rectangles per worker, so
+    /// an unbounded K makes a job arbitrarily slow (K = 10⁶ ran 7×
+    /// slower than K = 16 on `gen:ex1010@1`).
+    pub const MAX_TOPK: usize = 64;
+
     /// The one-rectangle-per-pass cover — SIS `gkx`'s shape, and the
     /// quality oracle the batched default is tested against.
     pub fn classic() -> Self {

@@ -844,6 +844,7 @@ mod tests {
             with_knob(r#","batch_rects":-3"#),
             with_knob(r#","batch_rects":1.5"#),
             with_knob(r#","batch_rects":0"#),
+            with_knob(r#","batch_rects":65"#),
             with_knob(r#","tile_width":"x""#),
             with_knob(r#","tile_width":-1"#),
         ] {

@@ -128,7 +128,7 @@ pub static KNOBS: [Knob; 3] = [
     Knob {
         wire: "batch_rects",
         flag: "--batch-rects",
-        range: 1..=usize::MAX as u64,
+        range: 1..=SearchConfig::MAX_TOPK as u64,
         affects_result: true,
         on_sub: true,
         host_clamped: false,
@@ -678,6 +678,11 @@ mod tests {
             tile_width.check("w", Some(65)),
             Err("w 65 is out of range 0..=64".to_string())
         );
+        assert_eq!(batch_rects.check("k", Some(64)), Ok(64));
+        assert_eq!(
+            batch_rects.check("k", Some(65)),
+            Err("k 65 is out of range 1..=64".to_string())
+        );
         let mut search = SearchConfig::default();
         assert!(knob_from_flag(&mut search, "--tile-width", Some("-1")).is_err());
         assert!(knob_from_flag(&mut search, "--batch-rects", Some("1.5")).is_err());
@@ -761,7 +766,13 @@ mod tests {
         for k in &KNOBS {
             let field = format!("\"{}\":UINT?", k.wire);
             assert!(grammar.contains(&field), "{}", k.wire);
-            let row = format!("| `{}` | `{}` |", k.wire, k.flag);
+            let (lo, hi) = (k.range.start(), k.range.end());
+            let range = if *hi == usize::MAX as u64 {
+                format!("`{lo}..`")
+            } else {
+                format!("`{lo}..={hi}`")
+            };
+            let row = format!("| `{}` | `{}` | {range} |", k.wire, k.flag);
             let default = format!("| {} |", (k.get)(&SearchConfig::default()));
             let row = doc.lines().find(|l| l.starts_with(&row));
             assert!(row.is_some_and(|r| r.contains(&default)), "{}", k.wire);

@@ -795,15 +795,19 @@ mod tests {
                 .to_string(),
                 r#"{"op":"submit","algorithm":"seq","workload":"gen:misex3@0.05","batch_rects":0}"#
                     .to_string(),
+                r#"{"op":"submit","algorithm":"seq","workload":"gen:misex3@0.05","batch_rects":65}"#
+                    .to_string(),
                 r#"{"op":"shutdown"}"#.to_string(),
             ],
         )
         .expect("protocol round-trip");
         let ok = parse(&responses[0]).unwrap();
         assert_eq!(ok.get("status").and_then(Json::as_str), Some("completed"));
-        let bad = parse(&responses[1]).unwrap();
-        assert_eq!(bad.get("status").and_then(Json::as_str), Some("rejected"));
-        assert_eq!(bad.get("reason").and_then(Json::as_str), Some("invalid"));
+        for bad in &responses[1..3] {
+            let bad = parse(bad).unwrap();
+            assert_eq!(bad.get("status").and_then(Json::as_str), Some("rejected"));
+            assert_eq!(bad.get("reason").and_then(Json::as_str), Some("invalid"));
+        }
         handle.join().unwrap();
     }
 

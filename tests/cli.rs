@@ -248,6 +248,36 @@ fn bad_workload_scale_fails_cleanly_everywhere() {
     }
 }
 
+/// `--batch-rects` above `SearchConfig::MAX_TOPK` is an error on every
+/// command that takes it, before any work or connection; the cap itself
+/// is accepted.
+#[test]
+fn batch_rects_above_the_cap_is_rejected_everywhere() {
+    let workload = "gen:misex3@0.05";
+    for command in [
+        vec![],
+        vec!["profile"],
+        vec!["submit", "--addr", "127.0.0.1:1"],
+    ] {
+        let out = bin()
+            .args(&command)
+            .args(["--batch-rects", "65", workload])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{command:?}: {stderr}");
+        assert!(
+            stderr.contains("--batch-rects 65 is out of range 1..=64"),
+            "{command:?}: {stderr}"
+        );
+    }
+    let out = bin()
+        .args(["--batch-rects", "64", workload])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+}
+
 /// `--help` names every knob of the job table with the library default,
 /// so the doc comment that serves as `--help` cannot fall behind it.
 #[test]
