@@ -1,9 +1,9 @@
 //! Extension bench: iterative repartitioning (ProperPART, the paper's
-//! reference [3]) layered on Algorithm I.
+//! reference \[3\]) layered on Algorithm I.
 //!
 //! Compares, per circuit: sequential quality, one-shot Algorithm I, and
 //! 3-round iterative repartitioning with resubstitution — reproducing
-//! [3]'s finding that repartitioning recovers most of the partition
+//! \[3\]'s finding that repartitioning recovers most of the partition
 //! quality loss while staying embarrassingly parallel.
 
 use pf_bench::{build_circuit, env_scale, sequential_baseline};

@@ -1,4 +1,4 @@
-//! Iterative repartitioning — the ProperPART idea ([3] in the paper,
+//! Iterative repartitioning — the ProperPART idea (\[3\] in the paper,
 //! De & Banerjee, ICPP'94) layered over Algorithm I.
 //!
 //! The paper's related-work section: "portions of a circuit are

@@ -35,7 +35,7 @@
 //!   problem, realizing §6's "directly applied … provided the algorithms
 //!   are formulated in terms of a rectangular cover problem";
 //! * [`iterative`] — ProperPART-style iterative repartitioning (the
-//!   paper's reference [3]) layered over Algorithm I;
+//!   paper's reference \[3\]) layered over Algorithm I;
 //! * [`fault`] — a seeded, deterministic fault-injection plane riding on
 //!   [`ctl`]'s barrier checkpoints (panic / latency / forced cancel at
 //!   named sites), compiled to a no-op when no plan is attached;

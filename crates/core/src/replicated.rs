@@ -1,5 +1,5 @@
 //! Algorithm R — parallel kernel extraction with a replicated circuit
-//! (paper §3, after ProperMIS [4]).
+//! (paper §3, after ProperMIS \[4\]).
 //!
 //! Every worker holds its own replica of the network and the full KC
 //! matrix. The kernels are generated once: worker `p` of `n` enumerates

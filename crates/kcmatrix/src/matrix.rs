@@ -70,7 +70,7 @@ pub struct KcRow {
     ///
     /// **Invariant:** strictly sorted by column index (no duplicates).
     /// Every constructor sorts + dedups before insertion and
-    /// [`KcMatrix::push_row`] checks it in debug builds; [`KcRow::entry`]
+    /// `KcMatrix::push_row` checks it in debug builds; [`KcRow::entry`]
     /// binary-searches on the strength of it. Mutators that rebuild rows
     /// (e.g. Algorithm L's `rebuild_node_rows`) go through
     /// `remove_node_rows` + `add_node_kernels`, so the invariant holds

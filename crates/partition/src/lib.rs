@@ -5,7 +5,7 @@
 //! The paper's Algorithms I and L both start from a min-cut partition of
 //! the circuit: "The circuit is mapped to a graph, by transforming the
 //! nodes to vertices and the fanin-fanout relation between node pairs
-//! into edges. We apply a min cut based graph partitioning algorithm [6]
+//! into edges. We apply a min cut based graph partitioning algorithm \[6\]
 //! to partition the circuit into n parts" (§4, citing Sanchis).
 //!
 //! This crate reimplements that substrate: a [`graph::CircuitGraph`]

@@ -4,7 +4,7 @@
 //! ([`pf_core::distributed_extract`]) into a networked system built from
 //! the pieces the service already has:
 //!
-//! * **Worker mode** — a server started with [`ServerConfig::worker`]
+//! * **Worker mode** — a server started with [`ServerConfig::worker`](crate::ServerConfig::worker)
 //!   (`parafactor serve --worker`) answers the `sub` op: one leased
 //!   sub-job in, one result line out. The worker is stateless between
 //!   sub-jobs; everything it needs (network snapshot, target set, lease

@@ -13,7 +13,7 @@
 //! ```
 //!
 //! Every accepted job is answered exactly once — even if its worker
-//! thread dies (see [`supervisor`](crate::supervisor)); the metrics
+//! thread dies (see the `supervisor` module); the metrics
 //! registry's balance identity (see [`Metrics::balanced`]) is restored
 //! whenever the service quiesces. A [`FaultPlan`] attached through
 //! [`ServiceConfig::fault_plan`] rides into every job's `RunCtl`, which

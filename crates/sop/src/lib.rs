@@ -13,7 +13,7 @@
 //! A [`Cube`] is a set of literals (a product term), a [`Sop`] is a set of
 //! cubes (a sum of products). On top of these the crate provides
 //!
-//! * algebraic (weak) division — [`divide`],
+//! * algebraic (weak) division — [`divide()`],
 //! * the cube-free test and the largest common cube,
 //! * kernel / co-kernel enumeration — [`kernels`], the classic recursive
 //!   `KERNEL` procedure of Brayton–Rudell,
