@@ -599,9 +599,12 @@ fn run_dist(request: &Json, client: &Client) -> Result<Json, String> {
         cfg.lease_timeout = Duration::from_millis(ms as u64);
     }
     let seed = count("fault_seed")?.unwrap_or(0) as u64;
-    let faults = match request.get("fault_plan").and_then(Json::as_str) {
+    let faults = match request.get("fault_plan") {
         None => None,
-        Some(spec) => Some((spec.to_string(), seed)),
+        Some(v) => {
+            let spec = v.as_str().ok_or("\"fault_plan\" must be a string")?;
+            Some((spec.to_string(), seed))
+        }
     };
 
     let peers: Vec<String> = match request.get("peers") {
@@ -1059,6 +1062,7 @@ mod tests {
             r#"{"op":"dist","workload":"gen:misex3@0.05","lease_timeout_ms":0}"#,
             r#"{"op":"dist","workload":"gen:misex3@0.05","recovery":"maybe"}"#,
             r#"{"op":"dist","workload":"gen:misex3@0.05","recovery_shards":1.5}"#,
+            r#"{"op":"dist","workload":"gen:misex3@0.05","fault_plan":7}"#,
         ] {
             let response = handle_dist(&parse(bad).unwrap(), &client);
             assert_eq!(
