@@ -323,6 +323,10 @@ impl SearchPool {
     /// rectangles under the (value, cols, rows) order, best-first,
     /// identical for every `par_threads` and every `update` mode.
     ///
+    /// `value_of` maps a cube to its current value: its literal count,
+    /// or 0 when it is divided or covered by another processor (the
+    /// paper's `V`, read with the asking processor's identity baked in).
+    ///
     /// `seed` is a rectangle from a previous pass; it is re-validated
     /// against the current matrix and, when still positive, joins the
     /// result and (with `topk = 1`) starts the pruning bound. `update`
