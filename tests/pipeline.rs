@@ -180,14 +180,91 @@ fn lshaped_threaded_on_every_circuit() {
     }
 }
 
+/// The 8-bit carry chain with carries c1..c4 eliminated into flat
+/// carry-lookahead SOPs, as in `examples/blif_workflow.rs`: dense
+/// functions whose rectangle searches are expensive.
+fn collapsed_carry_chain() -> Network {
+    use parafactor::network::transform::{eliminate_node, sweep};
+    let mut nw = parafactor::workloads::carry_chain(8);
+    for i in (1..=4u32).rev() {
+        let c = nw.find(&format!("c{i}")).unwrap();
+        eliminate_node(&mut nw, c).unwrap();
+    }
+    sweep(&mut nw).unwrap();
+    nw
+}
+
+/// `seq` with a visit budget that truncates some passes but not all, so
+/// the run mixes the truncation fallback (the greedy list) with exact
+/// passes. The stepwise loop below counts which passes truncated and
+/// must end where `extract_kernels` does; the result is pinned.
+#[test]
+fn budget_capped_seq_truncates_some_passes_and_is_pinned() {
+    use parafactor::core::seq::Engine;
+    use parafactor::kcmatrix::{network_digest, SearchConfig};
+    let original = collapsed_carry_chain();
+    let cfg = ExtractConfig {
+        search: SearchConfig {
+            budget: 100,
+            ..SearchConfig::default()
+        },
+        ..ExtractConfig::default()
+    };
+    let mut opt = original.clone();
+    let report = extract_kernels(&mut opt, &[], &cfg);
+    assert!(report.budget_exhausted);
+    assert_eq!(
+        (network_digest(&opt).to_hex(), report.extractions),
+        ("990e9b20a7d7b52ea0cd05a2103f7509".to_string(), 9)
+    );
+    assert!(equivalent_random(&original, &opt, &EquivConfig::default()).unwrap());
+
+    let mut stepped = original.clone();
+    let targets: Vec<u32> = stepped.node_ids().collect();
+    let mut engine = Engine::new(&stepped, &targets, cfg);
+    let (mut passes, mut truncated) = (0, 0);
+    loop {
+        let (mut wave, stats) = engine.search_batch(None);
+        passes += 1;
+        truncated += usize::from(stats.budget_exhausted);
+        if wave.is_empty() {
+            break;
+        }
+        while !wave.is_empty() {
+            let selected = engine.select_batch(&wave, usize::MAX);
+            for rect in &selected {
+                engine.apply(&mut stepped, rect);
+            }
+            wave = wave
+                .into_iter()
+                .filter(|c| !selected.contains(c))
+                .filter_map(|c| engine.revalidate(&c))
+                .collect();
+        }
+    }
+    assert!(
+        truncated > 0 && truncated < passes,
+        "{truncated} of {passes} passes truncated"
+    );
+    assert_eq!(network_digest(&stepped), network_digest(&opt));
+}
+
 #[test]
 fn script_pipeline_on_two_circuits() {
     use parafactor::core::script::{run_script, ScriptConfig};
-    for name in ["dalu", "seq"] {
+    // The script caps every `gkx` search at 200 000 visits; at this scale
+    // no pass reaches the cap, so the literal counts are the exact
+    // search's and are pinned.
+    for (name, lc_after) in [("dalu", 130), ("seq", 410)] {
         let p = parafactor::workloads::profile_by_name(name).unwrap();
         let nw = generate(&scale_profile(&p, TEST_SCALE));
         let mut opt = nw.clone();
         let rep = run_script(&mut opt, &ScriptConfig::default());
+        assert_eq!(rep.lc_after, lc_after, "{name}");
+        assert!(
+            rep.factor_reports.iter().all(|r| !r.budget_exhausted),
+            "{name}: a factor pass truncated"
+        );
         assert!(rep.lc_after <= rep.lc_before, "{name}");
         assert!(rep.factor_fraction() > 0.0 && rep.factor_fraction() <= 1.0);
         assert!(
