@@ -1,11 +1,10 @@
 //! Ablation study over the design choices DESIGN.md calls out:
 //!
 //! 1. rectangle-search budget (exact branch-and-bound → greedy fallback);
-//! 2. the greedy lower-bound seed;
-//! 3. kernel enumeration depth;
-//! 4. Algorithm L's Table 5 consistency protocol (disabling it
+//! 2. kernel enumeration depth;
+//! 3. Algorithm L's Table 5 consistency protocol (disabling it
 //!    reproduces Example 5.2's double-counted savings);
-//! 5. Algorithm L's §5.3 kernel-cost-zero division re-check.
+//! 4. Algorithm L's §5.3 kernel-cost-zero division re-check.
 
 use pf_bench::{build_circuit, env_scale};
 use pf_core::{extract_kernels, lshaped_extract, ExtractConfig, LShapedConfig};
@@ -53,32 +52,8 @@ fn main() {
         );
     }
 
-    // --- 2. greedy seed ---------------------------------------------------
-    println!("\n2. greedy seeding of the branch and bound");
-    for (name, seed) in [("with seed", true), ("without", false)] {
-        let mut copy = nw.clone();
-        let t = Instant::now();
-        let r = extract_kernels(
-            &mut copy,
-            &[],
-            &ExtractConfig {
-                search: SearchConfig {
-                    greedy_seed: seed,
-                    ..SearchConfig::default()
-                },
-                ..ExtractConfig::default()
-            },
-        );
-        println!(
-            "  {:<10} LC {:>6}  time {:>10.3?}  (same optimum, different pruning power)",
-            name,
-            r.lc_after,
-            t.elapsed()
-        );
-    }
-
-    // --- 3. kernel depth --------------------------------------------------
-    println!("\n3. kernel enumeration depth");
+    // --- 2. kernel depth --------------------------------------------------
+    println!("\n2. kernel enumeration depth");
     for (name, depth) in [("level-1", 1usize), ("unbounded", usize::MAX)] {
         let mut copy = nw.clone();
         let t = Instant::now();
@@ -101,8 +76,8 @@ fn main() {
         );
     }
 
-    // --- 4 & 5. Algorithm L protocol pieces --------------------------------
-    println!("\n4/5. Algorithm L (p=4, threaded): §5.3 machinery on/off");
+    // --- 3 & 4. Algorithm L protocol pieces --------------------------------
+    println!("\n3/4. Algorithm L (p=4, threaded): §5.3 machinery on/off");
     println!("{:>28} {:>8} {:>8}", "variant", "LC", "shipped");
     for (name, protocol, recheck) in [
         ("full protocol", true, true),

@@ -73,13 +73,13 @@
 
 use crate::matrix::{ColIdx, KcMatrix};
 use crate::rectangle::{
-    revalidate_rectangle, row_full_values, Rectangle, SearchConfig, SearchStats,
+    revalidate_rectangle, row_full_values, Rectangle, SearchConfig, SearchStats, TopK,
 };
 use crate::registry::CubeId;
 use crate::tiles::TilePanels;
 use crate::worker::{
-    admissible_tasks, init_bound, merge_results, run_worker, AtomicSync, CeilingsView, PassSync,
-    Queue, SoloSync, WorkerResult, WorkerScratch,
+    admissible_tasks, greedy_fallback, init_bound, merge_results, run_worker, AtomicSync,
+    CeilingsView, PassSync, Queue, SoloSync, WorkerResult, WorkerScratch,
 };
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
@@ -332,6 +332,10 @@ impl SearchPool {
     /// result and (with `topk = 1`) starts the pruning bound. `update`
     /// says how `m` relates to the previous pass's matrix (see
     /// [`CeilingUpdate`]).
+    ///
+    /// When `cfg.budget` truncates the pass, the answer is the greedy
+    /// fallback instead: the canonical top-K of the seed and of every
+    /// row's full column set (see [`SearchConfig::budget`]).
     pub fn find(
         &mut self,
         m: &KcMatrix,
@@ -399,15 +403,12 @@ impl SearchPool {
 
         let tasks = admissible_tasks(m, cfg);
         if tasks.is_empty() {
-            // No admissible leftmost column ⇒ the greedy sweep (whose
-            // rows need an admissible leftmost column too) finds nothing
-            // either.
+            // No admissible leftmost column: nothing to search.
             return (init_best.into_iter().collect(), SearchStats::default());
         }
         let row_full_value = row_full_values(m, value_of);
         let nthreads = cfg.par_threads.min(tasks.len()).max(1);
-        let greedy_rows = if cfg.greedy_seed { m.rows().len() } else { 0 };
-        let queue = Queue::new(&tasks, nthreads, greedy_rows);
+        let queue = Queue::new(&tasks, nthreads);
         let init_bound = init_bound(cfg, init_best.as_ref());
 
         // Move the ceilings and the panel out of the pool so
@@ -463,7 +464,22 @@ impl SearchPool {
                 (results, sync.is_truncated())
             }
         };
-        let (best, stats, ceil_out) = merge_results(results, init_best, truncated, cfg.topk);
+        let mut acc = TopK::new(cfg.topk);
+        if let Some(b) = init_best {
+            acc.insert(b);
+        }
+        let (stats, ceil_out) = merge_results(results, truncated, &mut acc);
+        if truncated {
+            greedy_fallback(
+                m,
+                value_of,
+                cfg,
+                &panel,
+                &row_full_value,
+                &mut self.solo,
+                &mut acc,
+            );
+        }
 
         // Ceiling epilogue: commit the freshly recorded ceilings — unless
         // the pass truncated, in which case nothing finished cleanly and
@@ -484,7 +500,7 @@ impl SearchPool {
         // matrix *content*, not search state.
         self.panel = Some(panel);
 
-        (best, stats)
+        (acc.into_vec(), stats)
     }
 
     fn ensure_bg(&mut self, nbg: usize) {

@@ -19,7 +19,7 @@
 //! decomposition Figure 1 splits across processors), keeps for each
 //! column set the optimal row subset (rows with positive contribution),
 //! prunes with an admissible bound, and falls back to a per-row greedy
-//! sweep when a visit budget is exhausted. It returns the canonical
+//! sweep when a visit budget truncates it. It returns the canonical
 //! top-K under the (value, cols, rows) order, so the answer does not
 //! depend on how many workers ran it.
 
@@ -63,8 +63,8 @@ pub(crate) fn canonical_better(a: &Rectangle, b: &Rectangle) -> bool {
 /// best-first under [`canonical_better`]. The pruning threshold is the
 /// K-th (worst kept) value once full — any subtree whose bound is
 /// strictly below it provably holds no top-K member. Equal rectangles
-/// are deduplicated at insert (the greedy sweep and the exact search can
-/// find the same rectangle).
+/// are deduplicated at insert (the seed and the search, or two rows of
+/// the greedy fallback, can yield the same rectangle).
 #[derive(Clone, Debug)]
 pub(crate) struct TopK {
     k: usize,
@@ -157,8 +157,10 @@ impl TopK {
 /// Search options.
 #[derive(Clone, Debug)]
 pub struct SearchConfig {
-    /// Maximum number of column-set expansions before falling back to
-    /// the greedy sweep result.
+    /// Maximum number of column-set expansions in one pass. A pass the
+    /// budget truncates discards what it explored and answers with the
+    /// greedy fallback: the canonical top-K of the seed and of every
+    /// row's full column set, swept after the truncated pass.
     pub budget: u64,
     /// Restrict the *leftmost* column of enumerated rectangles to the
     /// stripe `proc` of `nprocs` (round-robin by column index) — the §3
@@ -167,9 +169,6 @@ pub struct SearchConfig {
     /// Minimum number of columns (2 for kernel extraction: a single
     /// column is a cube, not a kernel).
     pub min_cols: usize,
-    /// Run the seeding greedy sweep before branch and bound. Disable
-    /// only in tests that target the exact search.
-    pub greedy_seed: bool,
     /// Workers per search pass. `0` and `1` both search inline on the
     /// calling thread; `n ≥ 2` adds `n − 1` parked threads that share
     /// the leftmost-column tasks and an atomic pruning bound. The result
@@ -198,7 +197,6 @@ impl Default for SearchConfig {
             budget: 2_000_000,
             stripe: None,
             min_cols: 2,
-            greedy_seed: true,
             par_threads: 0,
             topk: 16,
             tile_width: 4,
@@ -239,14 +237,14 @@ pub struct SearchStats {
     /// expansion was *denied*. A search whose final expansion lands
     /// exactly on the budget completed and is not exhausted. On
     /// truncation the search discards partial worker bests and returns
-    /// the deterministic greedy/seed result.
+    /// the deterministic greedy fallback (see [`SearchConfig::budget`]).
     pub budget_exhausted: bool,
     /// Subtrees cut by the admissible pruning bound before expansion.
     /// Like `visited`, the multi-worker count depends on bound-arrival
     /// timing.
     pub pruned: u64,
-    /// Times the shared pruning bound was actually raised (greedy
-    /// publishes included).
+    /// Times the shared pruning bound was actually raised by an
+    /// explored rectangle (the seed's initial bound is not counted).
     pub bound_updates: u64,
 }
 
@@ -403,7 +401,7 @@ pub fn revalidate_rectangle(
     evaluate_with(m, value_of, &rect.cols, &support, &mut seen)
 }
 
-/// Reusable buffers for [`greedy_row`]; one per worker.
+/// Reusable buffers for [`greedy_row`].
 #[derive(Default)]
 pub(crate) struct GreedyBufs {
     seen: FxHashSet<CubeId>,
@@ -414,9 +412,10 @@ pub(crate) struct GreedyBufs {
     tb: TiledSupport,
 }
 
-/// One step of the greedy sweep: takes row `r`'s full column set as the
-/// candidate kernel and evaluates the optimal rectangle for it. Returns
-/// `None` for dead, too-narrow, stripe-rejected, or worthless rows.
+/// One step of the greedy fallback: takes row `r`'s full column set as
+/// the candidate kernel and evaluates the optimal rectangle for it.
+/// Returns `None` for dead, too-narrow, stripe-rejected, or worthless
+/// rows.
 ///
 /// The support intersection runs the fused
 /// [`TiledSupport::and_ub_from`] pass, whose by-product — the admissible
@@ -560,21 +559,13 @@ mod tests {
 
     #[test]
     fn exact_and_greedy_agree_on_paper_network() {
+        // The best rectangle, a + b, is a full row's column set, so the
+        // greedy sweep finds it too.
         let (m, _reg, w) = paper_matrix();
-        let exact = best(
-            &m,
-            &|id| w[id as usize],
-            &SearchConfig {
-                greedy_seed: false,
-                ..SearchConfig::default()
-            },
-        )
-        .0
-        .unwrap();
-        let seeded = best(&m, &|id| w[id as usize], &SearchConfig::default())
-            .0
-            .unwrap();
-        assert_eq!(exact.value, seeded.value);
+        let value_of = |id: CubeId| w[id as usize];
+        let exact = best(&m, &value_of, &SearchConfig::default()).0.unwrap();
+        let greedy = crate::reference::greedy_top_k(&m, &value_of, &SearchConfig::default());
+        assert_eq!(exact.value, greedy[0].value);
     }
 
     #[test]

@@ -7,11 +7,14 @@
 //!   optimal rectangle of each column set sorted into the canonical
 //!   (value, cols, rows) order. `SearchPool::find` must return exactly
 //!   its head; see `crates/kcmatrix/tests/props.rs`.
+//! * [`greedy_top_k`] — the same canonical head over only the rows' own
+//!   column sets: what `SearchPool::find` must return (with no seed)
+//!   when the budget truncates a pass.
 //! * [`best_rectangle`] — the original sorted-`Vec<RowIdx>` branch and
-//!   bound, sequential, keeping the *first* maximum-value rectangle in
-//!   enumeration order: an independent check of the best value on
-//!   matrices too large to enumerate. `budget_exhausted` is set only
-//!   when the budget actually denied an expansion.
+//!   bound, sequential, seeded by the greedy sweep, keeping the *first*
+//!   maximum-value rectangle it meets: an independent check of the best
+//!   value on matrices too large to enumerate. `budget_exhausted` is set
+//!   only when the budget actually denied an expansion.
 
 use crate::matrix::{ColIdx, KcMatrix, RowIdx};
 use crate::rectangle::{
@@ -40,13 +43,35 @@ pub fn top_k(
             cols.pop();
         }
     }
-    all.sort_by(|a, b| {
+    sort_canonically(&mut all);
+    all.truncate(cfg.topk.max(1));
+    all
+}
+
+/// The greedy sweep's answer, best-first under the canonical (value,
+/// cols, rows) order, deduplicated and cut to `cfg.topk`: for each alive
+/// row with at least `cfg.min_cols` entries whose leftmost column the
+/// stripe admits, the optimal rectangle of the row's full column set
+/// over that set's whole support.
+pub fn greedy_top_k(
+    m: &KcMatrix,
+    value_of: &(dyn Fn(CubeId) -> u32 + Sync),
+    cfg: &SearchConfig,
+) -> Vec<Rectangle> {
+    let mut all = row_rectangles(m, value_of, cfg);
+    sort_canonically(&mut all);
+    all.dedup();
+    all.truncate(cfg.topk.max(1));
+    all
+}
+
+/// Higher value first, then the lexicographically smaller (cols, rows).
+fn sort_canonically(rects: &mut [Rectangle]) {
+    rects.sort_by(|a, b| {
         b.value
             .cmp(&a.value)
             .then_with(|| (&a.cols, &a.rows).cmp(&(&b.cols, &b.rows)))
     });
-    all.truncate(cfg.topk.max(1));
-    all
 }
 
 /// Collects the rectangle of `cols` (supported by `rows`) and of every
@@ -89,9 +114,12 @@ pub fn best_rectangle(
 ) -> (Option<Rectangle>, SearchStats) {
     let row_full_value = row_full_values(m, value_of);
 
-    let mut best = None;
-    if cfg.greedy_seed {
-        greedy_sweep(m, value_of, cfg, &mut best);
+    // Greedy seed: the first maximum over the rows' own column sets.
+    let mut best: Option<Rectangle> = None;
+    for rect in row_rectangles(m, value_of, cfg) {
+        if rect.value > best.as_ref().map_or(0, |b| b.value) {
+            best = Some(rect);
+        }
     }
 
     let mut state = Search {
@@ -238,13 +266,14 @@ pub(crate) fn intersect_into(a: &[RowIdx], b: &[RowIdx], out: &mut Vec<RowIdx>) 
     }
 }
 
-/// Greedy seed: every alive row's full column set, first maximum kept.
-fn greedy_sweep(
+/// The positive rectangles of the alive rows' full column sets, in row
+/// order (see [`greedy_top_k`]).
+fn row_rectangles(
     m: &KcMatrix,
     value_of: &(dyn Fn(CubeId) -> u32 + Sync),
     cfg: &SearchConfig,
-    best: &mut Option<Rectangle>,
-) {
+) -> Vec<Rectangle> {
+    let mut out = Vec::new();
     let mut seen: FxHashSet<CubeId> = FxHashSet::default();
     for row in m.rows().iter().filter(|r| r.alive) {
         if row.entries.len() < cfg.min_cols {
@@ -266,12 +295,9 @@ fn greedy_sweep(
             continue;
         }
         seen.clear();
-        if let Some(rect) = evaluate_with(m, value_of, &cols, &support, &mut seen) {
-            if rect.value > best.as_ref().map_or(0, |b| b.value) {
-                *best = Some(rect);
-            }
-        }
+        out.extend(evaluate_with(m, value_of, &cols, &support, &mut seen));
     }
+    out
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! Property tests for the KC matrix and rectangle search: matrix
-//! entries really cover network cubes, the exact search dominates the
-//! greedy one, stripes partition the space, and the state machine obeys
-//! Table 5 under arbitrary operation sequences.
+//! entries really cover network cubes, the search equals the exhaustive
+//! reference (and a truncated one the greedy reference), stripes
+//! partition the space, and the state machine obeys Table 5 under
+//! arbitrary operation sequences.
 
 use pf_kcmatrix::{
     conflicts, reference, select_nonconflicting, CeilingUpdate, CubeId, CubeRegistry, CubeState,
@@ -82,8 +83,8 @@ proptest! {
 
     /// The search is the exhaustive canonical top-K: for every K,
     /// worker count and tile width it returns exactly the head of the
-    /// unpruned reference enumeration, with and without stripes, the
-    /// greedy seed, and for min_cols ∈ {1, 2}.
+    /// unpruned reference enumeration, with and without stripes, and for
+    /// min_cols ∈ {1, 2}.
     #[test]
     fn find_equals_reference_top_k(
         funcs in prop::collection::vec(arb_sop(8, 4, 8), 1..4),
@@ -91,7 +92,6 @@ proptest! {
         proc in 0u32..4,
         nprocs in 1u32..4,
         min_cols in 1usize..3,
-        greedy_seed in any::<bool>(),
     ) {
         let (m, w) = build_matrix(&funcs);
         let value_of = |id: CubeId| w[id as usize];
@@ -101,7 +101,6 @@ proptest! {
                 let cfg = SearchConfig {
                     stripe: striped.then_some((proc % nprocs, nprocs)),
                     min_cols,
-                    greedy_seed,
                     topk,
                     par_threads: workers,
                     ..SearchConfig::default()
@@ -115,6 +114,58 @@ proptest! {
                         &got, &expect,
                         "k={} workers={} width={}", topk, workers, tile_width
                     );
+                }
+            }
+        }
+    }
+
+    /// A pass the budget truncates answers with the greedy fallback, and
+    /// a pass it does not with the exact search: for every budget, K,
+    /// worker count and tile width the result is the greedy reference
+    /// when `budget_exhausted` is set and the exhaustive one otherwise.
+    /// Both are fixed lists, so every run that truncates returns the
+    /// same list, as does every run that completes. Whether a pass
+    /// truncates is itself fixed for one worker; with several it
+    /// depends on when the shared bound arrives.
+    #[test]
+    fn truncated_find_equals_reference_greedy_top_k(
+        funcs in prop::collection::vec(arb_sop(8, 4, 8), 1..4),
+        striped in any::<bool>(),
+        proc in 0u32..4,
+        nprocs in 1u32..4,
+        min_cols in 1usize..3,
+    ) {
+        let (m, w) = build_matrix(&funcs);
+        let value_of = |id: CubeId| w[id as usize];
+        for budget in [1u64, 3, 10] {
+            for topk in [1usize, 4, 16] {
+                let base = SearchConfig {
+                    budget,
+                    stripe: striped.then_some((proc % nprocs, nprocs)),
+                    min_cols,
+                    topk,
+                    ..SearchConfig::default()
+                };
+                let greedy = reference::greedy_top_k(&m, &value_of, &base);
+                let exact = reference::top_k(&m, &value_of, &base);
+                let mut solo_truncated = None;
+                for workers in [1usize, 2, 4] {
+                    let mut pool = SearchPool::new();
+                    for tile_width in [1usize, 4] {
+                        let cfg = SearchConfig { par_threads: workers, tile_width, ..base.clone() };
+                        let (got, stats) =
+                            find_on(&mut pool, &m, &value_of, &cfg, CeilingUpdate::Off);
+                        let expect = if stats.budget_exhausted { &greedy } else { &exact };
+                        prop_assert_eq!(
+                            &got, expect,
+                            "budget={} k={} workers={} width={} truncated={}",
+                            budget, topk, workers, tile_width, stats.budget_exhausted
+                        );
+                        if workers == 1 {
+                            let first = *solo_truncated.get_or_insert(stats.budget_exhausted);
+                            prop_assert_eq!(first, stats.budget_exhausted, "width={}", tile_width);
+                        }
+                    }
                 }
             }
         }

@@ -40,9 +40,9 @@ fn main() {
         stats::depth(&opt).unwrap()
     );
 
-    // Collapsed functions are dense; cap the exact-search budget (the
-    // greedy seed already finds the good rectangles on dense matrices —
-    // see the `ablation` bench).
+    // Collapsed functions are dense; cap the exact-search budget. A pass
+    // the cap truncates answers with the greedy sweep over the rows' own
+    // column sets, which finds the good rectangles on dense matrices.
     let report = lshaped_extract(
         &mut opt,
         &LShapedConfig {
