@@ -56,8 +56,7 @@ const OWNER_MASK: u32 = 0xFFFF;
 /// The index maps the *hash* of `(node, cube)` to the ids sharing it,
 /// and candidate hits are confirmed against the owned `cubes` table —
 /// so a hit costs zero clones, and a miss clones the cube exactly once
-/// (into `cubes`; the map key is just the hash). Readers walk entries
-/// with [`CubeRegistry::for_each_from`] under one lock acquisition.
+/// (into `cubes`; the map key is just the hash).
 #[derive(Default)]
 pub struct CubeRegistry {
     inner: Mutex<RegistryInner>,
@@ -149,16 +148,6 @@ impl CubeRegistry {
     pub fn lookup(&self, node: u32, cube: &Cube) -> Option<CubeId> {
         let h = key_hash(node, cube.lits());
         self.inner.lock().find(h, node, cube.lits())
-    }
-
-    /// Visits every cube with id ≥ `from` in id order — the reverse of
-    /// [`CubeRegistry::intern`] — under a single lock acquisition and
-    /// without cloning (`f` receives the node and the cube).
-    pub fn for_each_from(&self, from: usize, mut f: impl FnMut(u32, &Cube)) {
-        let g = self.inner.lock();
-        for (node, cube) in g.cubes.iter().skip(from) {
-            f(*node, cube);
-        }
     }
 
     /// The literal weight of a cube.
@@ -463,21 +452,6 @@ mod tests {
         let id1 = reg.intern(0, &cube(&[1, 2]));
         let id2 = reg.intern(1, &cube(&[1, 2]));
         assert_ne!(id1, id2);
-    }
-
-    #[test]
-    fn for_each_from_visits_only_the_tail_in_id_order() {
-        let reg = CubeRegistry::new();
-        reg.intern(0, &cube(&[1]));
-        reg.intern(0, &cube(&[1, 2]));
-        reg.intern(1, &cube(&[3]));
-        let mut seen = Vec::new();
-        reg.for_each_from(1, |node, c| seen.push((node, c.len())));
-        assert_eq!(seen, vec![(0, 2), (1, 1)]);
-        // From the end: nothing.
-        let mut none = 0;
-        reg.for_each_from(3, |_, _| none += 1);
-        assert_eq!(none, 0);
     }
 
     #[test]

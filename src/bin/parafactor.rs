@@ -737,12 +737,12 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
             _ => return opts.take(flag, v),
         }
         Ok(true)
-    })
-    .and_then(|input| input.ok_or_else(|| "no input".to_string()))
-    .unwrap_or_else(|e| {
-        eprintln!("error: {e}");
+    })?;
+    // Without an input the run command prints its usage, exit 2.
+    let Some(input) = input else {
+        eprintln!("error: no input");
         usage()
-    });
+    };
     opts.input = input;
     opts.admit()?;
     let mut work = load_circuit(&opts.input, opts.seed)?;

@@ -204,6 +204,7 @@ fn help_exits_with_usage() {
     let out = bin().arg("--help").output().expect("binary runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("--algorithm"), "{stdout}");
+    assert_eq!(out.status.code(), Some(2));
 }
 
 /// `--help` is the binary's doc comment; its bytes are pinned so that a
@@ -248,9 +249,30 @@ fn bad_workload_scale_fails_cleanly_everywhere() {
     }
 }
 
+/// The run command answers an unknown option with the error line alone
+/// and exit 1, like the other commands; with no input at all it prints
+/// the usage and exits 2, as `--help` does.
+#[test]
+fn run_errors_are_one_line_and_a_missing_input_prints_the_usage() {
+    let out = bin()
+        .args(["--bogus", "gen:misex3@0.05"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr, "error: unknown option \"--bogus\"\n");
+    assert!(out.stdout.is_empty());
+
+    let out = bin().arg("--stats").output().expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(String::from_utf8_lossy(&out.stderr), "error: no input\n");
+    assert!(stdout.contains("--algorithm"), "{stdout}");
+}
+
 /// `--batch-rects` above `SearchConfig::MAX_TOPK` is an error on every
-/// command that takes it, before any work or connection; the cap itself
-/// is accepted.
+/// command that takes it, before any work or connection: the error line
+/// alone (no usage text) and exit 1. The cap itself is accepted.
 #[test]
 fn batch_rects_above_the_cap_is_rejected_everywhere() {
     let workload = "gen:misex3@0.05";
@@ -265,11 +287,14 @@ fn batch_rects_above_the_cap_is_rejected_everywhere() {
             .output()
             .expect("binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(!out.status.success(), "{command:?}: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(1), "{command:?}: {stderr}");
         assert!(
             stderr.contains("--batch-rects 65 is out of range 1..=64"),
             "{command:?}: {stderr}"
         );
+        assert!(!stderr.contains("--algorithm"), "{command:?}: {stderr}");
+        assert!(!stdout.contains("--algorithm"), "{command:?}: {stdout}");
     }
     let out = bin()
         .args(["--batch-rects", "64", workload])
