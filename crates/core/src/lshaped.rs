@@ -238,7 +238,7 @@ impl Worker<'_> {
             // already divided out. Everything else is worth 0 — that is
             // exactly how Example 5.2's false saving is avoided.
             let mut gain0: i64 = -(row.cokernel.len() as i64 + 1);
-            let mut present: Vec<&Cube> = Vec::new();
+            let mut present: Vec<Cube> = Vec::new();
             for (id, cube) in &row.covered {
                 let spent = match self.states.state(*id) {
                     CubeState::Divided => true,
@@ -246,7 +246,7 @@ impl Worker<'_> {
                     CubeState::Free => false,
                 };
                 if f.contains_cube(cube) {
-                    present.push(cube);
+                    present.push(cube.clone());
                     if !spent {
                         gain0 += cube.len() as i64;
                     }
@@ -261,13 +261,9 @@ impl Worker<'_> {
                     .cokernel
                     .product(&x_cube)
                     .expect("fresh extraction variable");
-                let f_new = Sop::from_cubes(
-                    f.iter()
-                        .filter(|c| !present.contains(c))
-                        .cloned()
-                        .chain(std::iter::once(replacement)),
-                );
-                self.funcs.insert(row.node, f_new);
+                present.sort_unstable();
+                self.funcs
+                    .insert(row.node, f.replace(&present, vec![replacement]));
                 true
             } else if present.is_empty() && self.cfg.division_recheck {
                 // The initiator's view was completely stale — nothing of
@@ -523,14 +519,9 @@ impl Worker<'_> {
 
         // Divide my own rows immediately.
         let my_nodes: Vec<u32> = mine.keys().copied().collect();
-        for (node, (covered, additions)) in mine {
-            let f = self.funcs[&node].clone();
-            let f_new = Sop::from_cubes(
-                f.iter()
-                    .filter(|c| !covered.contains(c))
-                    .cloned()
-                    .chain(additions),
-            );
+        for (node, (mut covered, additions)) in mine {
+            covered.sort_unstable();
+            let f_new = self.funcs[&node].replace(&covered, additions);
             self.funcs.insert(node, f_new);
             if self.node_owner.contains_key(&node) {
                 self.rewritten.push(node);

@@ -16,9 +16,9 @@ use pf_kcmatrix::{
     CubeRegistry, KcMatrix, LabelGen, Rectangle, SearchConfig, SearchPool, SearchStats,
 };
 use pf_network::{Network, SignalId};
-use pf_sop::fx::{FxHashMap, FxHashSet};
-use pf_sop::kernel::{kernels_config, CoKernelPair, KernelConfig};
-use pf_sop::{Cube, Sop};
+use pf_sop::fx::FxHashMap;
+use pf_sop::kernel::{CoKernelPair, KernelConfig, KernelScratch};
+use pf_sop::Cube;
 use std::time::Instant;
 
 /// Options for the sequential extractor.
@@ -123,12 +123,14 @@ impl KernelShare {
         procs: usize,
     ) -> Self {
         let mut labels = LabelGen::new(pid as u16, LabelGen::DEFAULT_OFFSET);
+        let mut scratch = KernelScratch::default();
         let per_target = targets
             .iter()
             .skip(pid)
             .step_by(procs.max(1))
             .map(|&t| {
-                kernels_config(nw.func(t), kernel)
+                scratch
+                    .kernels(nw.func(t), kernel)
                     .into_iter()
                     .map(|pair| (labels.next(), pair))
                     .collect()
@@ -365,55 +367,53 @@ impl Engine {
             .expect("extracted node name is fresh");
         let x_lit = nw.var(x).lit();
 
-        // Group chosen rows by node: covered cubes (hashed — the filter
-        // below probes once per remaining cube) and replacement cubes.
-        let mut by_node: FxHashMap<SignalId, (FxHashSet<Cube>, Vec<Cube>)> = FxHashMap::default();
+        // Group the chosen rows by node, numbering each node by first
+        // appearance: every covered cube and every `co-kernel · x` cube
+        // is tagged with its node's number, and both lists are sorted by
+        // it (the covered cubes by cube next, for the rewrite's binary
+        // search). The map's iteration order fixes the order new rows
+        // are appended in.
+        let mut by_node: FxHashMap<SignalId, usize> = FxHashMap::default();
+        let mut covered = Vec::with_capacity(rect.rows.len() * rect.cols.len());
+        let mut additions = Vec::with_capacity(rect.rows.len());
         for &r in &rect.rows {
             let row = &self.matrix.rows()[r];
-            let entry = by_node.entry(row.node).or_default();
-            for &c in &rect.cols {
-                let covered = row
-                    .cokernel
-                    .product(&self.matrix.cols()[c].cube)
-                    .expect("disjoint by construction");
-                entry.0.insert(covered);
-            }
-            entry.1.push(
-                row.cokernel
-                    .product(&Cube::single(x_lit))
-                    .expect("fresh variable"),
-            );
+            let next = by_node.len();
+            let g = *by_node.entry(row.node).or_insert(next);
+            covered.extend(rect.cols.iter().map(|&c| {
+                let cube = row.cokernel.product(&self.matrix.cols()[c].cube);
+                (g, cube.expect("disjoint by construction"))
+            }));
+            let added = row.cokernel.product(&Cube::single(x_lit));
+            additions.push((g, added.expect("fresh variable")));
         }
+        covered.sort_unstable();
+        additions.sort_unstable();
+        let (groups, covered): (Vec<usize>, Vec<Cube>) = covered.into_iter().unzip();
 
         let mut affected: Vec<SignalId> = Vec::with_capacity(by_node.len());
-        for (node, (covered, additions)) in by_node {
-            let f = nw.func(node);
-            let remaining = f
-                .iter()
-                .filter(|c| !covered.contains(*c))
-                .cloned()
-                .chain(additions);
-            let f_new = Sop::from_cubes(remaining);
+        for (&node, &g) in &by_node {
+            let gone = groups.partition_point(|&h| h < g)..groups.partition_point(|&h| h <= g);
+            let new =
+                additions.partition_point(|e| e.0 < g)..additions.partition_point(|e| e.0 <= g);
+            let f_new = nw
+                .func(node)
+                .replace(&covered[gone], additions[new].iter().map(|e| e.1.clone()));
             nw.set_func(node, f_new).expect("node exists");
             affected.push(node);
         }
 
         // Panel and ceiling bookkeeping: every column with an entry in a
-        // row about to be tombstoned goes dirty now, and every column of
-        // a row appended below goes dirty after. Clean columns keep
+        // row tombstoned here goes dirty now, and every column of a row
+        // appended below goes dirty after. Clean columns keep
         // byte-identical subtrees — their support rows, entry cubes and
         // values are all untouched — so their ceilings stay sound.
         let rows_before = self.matrix.rows().len();
-        for &n in &affected {
-            for &r in self.matrix.node_rows(n) {
-                let entries = &self.matrix.rows()[r].entries;
-                self.dirty_cols.extend(entries.iter().map(|&(c, _)| c));
-            }
-        }
+        self.matrix
+            .remove_rows_of_nodes(&affected, &mut self.dirty_cols);
 
         // Refresh matrix rows for the affected nodes…
         for &n in &affected {
-            self.matrix.remove_node_rows(n);
             self.matrix.add_node_kernels(
                 n,
                 nw.func(n),

@@ -11,8 +11,8 @@
 use crate::registry::{CubeId, CubeRegistry};
 use crate::rowset::RowSet;
 use pf_sop::fx::FxHashMap;
-use pf_sop::kernel::{kernels_config, KernelConfig};
-use pf_sop::{Cube, Sop};
+use pf_sop::kernel::{KernelConfig, KernelScratch};
+use pf_sop::{Cube, Lit, Sop};
 use std::fmt;
 
 /// Dense index of a row inside one matrix (not the label).
@@ -113,6 +113,12 @@ pub struct KcMatrix {
     rows_by_node: FxHashMap<u32, Vec<RowIdx>>,
     /// Number of alive rows (`rows.len()` minus the tombstones).
     alive_rows: usize,
+    /// Kernel enumeration buffers, reused by every
+    /// [`KcMatrix::add_node_kernels`].
+    kernels: KernelScratch,
+    /// The covered cube of the entry [`KcMatrix::add_row`] is
+    /// interning, reused from entry to entry.
+    covered: Vec<Lit>,
 }
 
 impl KcMatrix {
@@ -167,7 +173,8 @@ impl KcMatrix {
     }
 
     /// Looks up a column by its kernel cube.
-    pub fn find_col(&self, cube: &Cube) -> Option<ColIdx> {
+    #[cfg(test)]
+    fn find_col(&self, cube: &Cube) -> Option<ColIdx> {
         self.col_by_cube.get(cube).copied()
     }
 
@@ -183,7 +190,7 @@ impl KcMatrix {
         col_labels: &mut LabelGen,
     ) -> RowIdx {
         let mut entries = Vec::with_capacity(kernel.num_cubes());
-        let mut covered = Vec::new();
+        let mut covered = std::mem::take(&mut self.covered);
         for kc in kernel.iter() {
             let col = self.col_for_cube(kc, col_labels);
             let disjoint = cokernel.product_into(kc, &mut covered);
@@ -191,6 +198,7 @@ impl KcMatrix {
             let id = registry.intern_lits(node, &covered);
             entries.push((col, id));
         }
+        self.covered = covered;
         entries.sort_unstable_by_key(|e| e.0);
         self.push_row(KcRow {
             label: row_label,
@@ -245,7 +253,7 @@ impl KcMatrix {
     }
 
     /// Generates all kernel rows of a node function and adds them.
-    /// Returns the new row indices.
+    /// Returns the new row indices, which are contiguous.
     pub fn add_node_kernels(
         &mut self,
         node: u32,
@@ -254,20 +262,21 @@ impl KcMatrix {
         registry: &CubeRegistry,
         row_labels: &mut LabelGen,
         col_labels: &mut LabelGen,
-    ) -> Vec<RowIdx> {
-        kernels_config(func, cfg)
-            .into_iter()
-            .map(|p| {
-                self.add_row(
-                    row_labels.next(),
-                    node,
-                    p.cokernel,
-                    &p.kernel,
-                    registry,
-                    col_labels,
-                )
-            })
-            .collect()
+    ) -> std::ops::Range<RowIdx> {
+        let first = self.rows.len();
+        let pairs = self.kernels.kernels(func, cfg);
+        for p in &pairs {
+            self.add_row(
+                row_labels.next(),
+                node,
+                p.cokernel.clone(),
+                &p.kernel,
+                registry,
+                col_labels,
+            );
+        }
+        self.kernels.recycle(pairs);
+        first..self.rows.len()
     }
 
     /// Tombstones a single row and scrubs it from the column row-lists.
@@ -286,7 +295,6 @@ impl KcMatrix {
                 rows.remove(pos);
             }
         }
-        // Absent when `remove_node_rows` already took the node's list.
         let node = self.rows[idx].node;
         if let Some(of_node) = self.rows_by_node.get_mut(&node) {
             if let Ok(pos) = of_node.binary_search(&idx) {
@@ -299,9 +307,35 @@ impl KcMatrix {
     /// function changed) and scrubs the column row-lists. Touches only
     /// the node's own rows.
     pub fn remove_node_rows(&mut self, node: u32) {
-        for i in self.rows_by_node.remove(&node).unwrap_or_default() {
-            self.tombstone_row(i);
+        self.remove_rows_of_nodes(&[node], &mut Vec::new());
+    }
+
+    /// [`KcMatrix::remove_node_rows`] for several nodes at once: every
+    /// column the rows occupy has its row list scrubbed once, not once
+    /// per entry. Appends those columns to `touched`, ascending.
+    pub fn remove_rows_of_nodes(&mut self, nodes: &[u32], touched: &mut Vec<ColIdx>) {
+        let mut cols = Vec::new();
+        for node in nodes {
+            // The emptied list stays, for the node's next rows.
+            let Some(of_node) = self.rows_by_node.get_mut(node) else {
+                continue;
+            };
+            for &i in of_node.iter() {
+                let row = &mut self.rows[i];
+                debug_assert!(row.alive, "a node's row list holds alive rows only");
+                row.alive = false;
+                self.alive_rows -= 1;
+                cols.extend(row.entries.iter().map(|&(c, _)| c));
+            }
+            of_node.clear();
         }
+        cols.sort_unstable();
+        cols.dedup();
+        for &c in &cols {
+            let rows = &self.rows;
+            self.cols[c].rows.retain(|&r| rows[r].alive);
+        }
+        touched.extend(cols);
     }
 
     /// Drops every tombstoned row and renumbers the survivors in order.

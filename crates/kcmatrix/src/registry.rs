@@ -126,7 +126,8 @@ impl CubeRegistry {
 
     /// [`CubeRegistry::intern`] for the cube with the sorted,
     /// duplicate-free literals `lits` — so a caller can build the cube
-    /// in a reused buffer, and only a miss allocates a [`Cube`].
+    /// in a reused buffer. A miss stores the cube in place (it spills
+    /// to the heap only past [`Cube::INLINE`] literals).
     pub fn intern_lits(&self, node: u32, lits: &[Lit]) -> CubeId {
         let h = key_hash(node, lits);
         let mut g = self.inner.lock();
@@ -135,8 +136,7 @@ impl CubeRegistry {
         }
         let id = g.weights.len() as CubeId;
         g.weights.push(lits.len() as u32);
-        g.cubes
-            .push((node, Cube::from_sorted_unchecked(lits.to_vec())));
+        g.cubes.push((node, Cube::from_sorted_slice(lits)));
         g.index
             .entry(h)
             .and_modify(|list| list.push(id))
@@ -435,6 +435,14 @@ mod tests {
         assert_eq!(reg.lookup(0, &cube(&[3])), Some(b));
         assert_ne!(reg.intern_lits(1, cube(&[3]).lits()), b);
         assert_eq!(reg.len(), 3);
+        // A cube past the inline capacity round-trips the same way.
+        let long = cube(&[1, 2, 3, 4, 5, 6, 7, 8]);
+        assert!(long.len() > Cube::INLINE);
+        let l = reg.intern_lits(0, long.lits());
+        assert_eq!(reg.intern(0, &long), l);
+        assert_eq!(reg.lookup(0, &long), Some(l));
+        assert_eq!(reg.weight(l), 8);
+        assert_eq!(reg.len(), 4);
         // Both forms hash a cube alike, so the index matches `Cube`'s
         // own `Hash`.
         let hash = |x: &dyn Fn(&mut FxHasher)| {
@@ -442,8 +450,9 @@ mod tests {
             x(&mut h);
             h.finish()
         };
-        let c = cube(&[4, 7, 9]);
-        assert_eq!(hash(&|h| c.hash(h)), hash(&|h| c.lits().hash(h)));
+        for c in [cube(&[4, 7, 9]), long] {
+            assert_eq!(hash(&|h| c.hash(h)), hash(&|h| c.lits().hash(h)));
+        }
     }
 
     #[test]

@@ -63,6 +63,58 @@ impl Sop {
         Sop { cubes: v }
     }
 
+    /// The canonical expression of this one's cubes without `removed`
+    /// and with `added` — what [`Sop::from_cubes`] returns for them —
+    /// built in the one list it returns. This is the rewrite an
+    /// extraction makes to each node it divides: drop the covered cubes,
+    /// add `co-kernel · x`.
+    ///
+    /// `removed` is sorted; it may name cubes that are not here.
+    /// `added` comes in any order. The kept cubes are already free of
+    /// single-cube containment, so containment is tested only for
+    /// pairs that include an added cube.
+    pub fn replace(&self, removed: &[Cube], added: impl IntoIterator<Item = Cube>) -> Sop {
+        debug_assert!(
+            removed.windows(2).all(|w| w[0] <= w[1]),
+            "removed is sorted"
+        );
+        let added = added.into_iter();
+        let mut out = Vec::with_capacity(self.cubes.len() + added.size_hint().0);
+        out.extend(
+            self.cubes
+                .iter()
+                .filter(|c| removed.binary_search(c).is_err())
+                .cloned(),
+        );
+        let kept = out.len();
+        out.extend(added);
+        // Drop each added cube that another cube divides (an equal cube
+        // included). One at a time is sound: a dropped cube's divisor
+        // stays, and divides whatever the dropped cube divides.
+        let mut i = kept;
+        while i < out.len() {
+            let a = &out[i];
+            if (0..out.len()).any(|j| j != i && a.divisible_by(&out[j])) {
+                out.swap_remove(i);
+            } else {
+                i += 1;
+            }
+        }
+        if out.len() > kept {
+            // Drop the kept cubes an added cube divides, then merge.
+            let mut w = 0;
+            for r in 0..kept {
+                if !out[kept..].iter().any(|a| out[r].divisible_by(a)) {
+                    out.swap(w, r);
+                    w += 1;
+                }
+            }
+            out.drain(w..kept);
+            out.sort_unstable();
+        }
+        Sop { cubes: out }
+    }
+
     /// Builds from already-canonical cubes; checked in debug builds.
     #[inline]
     pub fn from_sorted_unchecked(cubes: Vec<Cube>) -> Self {
@@ -103,6 +155,11 @@ impl Sop {
     #[inline]
     pub fn cubes(&self) -> &[Cube] {
         &self.cubes
+    }
+
+    /// The cube list itself, for reuse as a buffer.
+    pub(crate) fn into_cubes(self) -> Vec<Cube> {
+        self.cubes
     }
 
     /// Total number of literals — the paper's **LC** area estimate for a
@@ -245,6 +302,7 @@ impl FromIterator<Cube> for Sop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cube(ids: &[u32]) -> Cube {
         Cube::from_lits(ids.iter().map(|&i| Lit::pos(i)))
@@ -356,5 +414,65 @@ mod tests {
         );
         assert_eq!(f.lit_occurrences(Lit::pos(2)), 2);
         assert_eq!(f.lit_occurrences(Lit::pos(9)), 0);
+    }
+
+    #[test]
+    fn replace_drops_covered_and_adds_products() {
+        // ab + ac + d with ab, ac covered by a(b+c) = a·x (x = 9).
+        let f = sop(&[&[1, 2], &[1, 3], &[4]]);
+        let g = f.replace(&[cube(&[1, 2]), cube(&[1, 3])], vec![cube(&[1, 9])]);
+        assert_eq!(g, sop(&[&[1, 9], &[4]]));
+        // An added cube may contain a kept one, or be contained in it.
+        assert_eq!(f.replace(&[], vec![cube(&[4, 5])]), f);
+        assert_eq!(f.replace(&[], vec![cube(&[1])]), sop(&[&[1], &[4]]));
+        // Removing what is not there changes nothing.
+        assert_eq!(f.replace(&[cube(&[7])], Vec::new()), f);
+    }
+
+    /// A cube over eight variables, mixed phases: small enough that
+    /// containment and duplicates between random cubes are common.
+    fn arb_cube() -> impl Strategy<Value = Cube> {
+        prop::collection::vec((0..8u32, any::<bool>()), 0..=4).prop_map(|lits| {
+            let mut phase = std::collections::BTreeMap::new();
+            for (v, neg) in lits {
+                phase.entry(v).or_insert(neg);
+            }
+            Cube::from_lits(
+                phase
+                    .into_iter()
+                    .map(|(v, neg)| if neg { Lit::neg(v) } else { Lit::pos(v) }),
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `replace` equals `from_cubes` over the kept and added cubes,
+        /// with `removed` drawn from the expression's cubes and beyond.
+        #[test]
+        fn replace_equals_from_cubes(
+            cubes in prop::collection::vec(arb_cube(), 0..=12),
+            drop in prop::collection::vec(any::<bool>(), 12),
+            extra in prop::collection::vec(arb_cube(), 0..=2),
+            added in prop::collection::vec(arb_cube(), 0..=4),
+        ) {
+            let f = Sop::from_cubes(cubes);
+            let mut removed: Vec<Cube> = f
+                .iter()
+                .zip(&drop)
+                .filter(|(_, &d)| d)
+                .map(|(c, _)| c.clone())
+                .chain(extra)
+                .collect();
+            removed.sort_unstable();
+            let want = Sop::from_cubes(
+                f.iter()
+                    .filter(|c| !removed.contains(c))
+                    .cloned()
+                    .chain(added.iter().cloned()),
+            );
+            prop_assert_eq!(f.replace(&removed, added), want);
+        }
     }
 }

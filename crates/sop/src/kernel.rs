@@ -96,10 +96,51 @@ pub fn kernels_with_trivial(f: &Sop) -> Vec<CoKernelPair> {
 /// the co-kernel's literals in support order), and the co-kernel of the
 /// tail pair, `lcc` or `1`, is a proper subset of every recursion
 /// co-kernel.
+///
+/// A thin wrapper over [`KernelScratch::kernels`] with fresh buffers;
+/// a caller that enumerates many functions keeps a [`KernelScratch`].
 pub fn kernels_config(f: &Sop, cfg: &KernelConfig) -> Vec<CoKernelPair> {
-    let mut out = with_tail(f, cfg, MaskKernels::run);
-    out.sort_unstable();
-    out
+    KernelScratch::default().kernels(f, cfg)
+}
+
+/// The buffers of kernel enumeration, kept from one call to the next:
+/// `f`'s support, the recursion's mask arena, and the pair and kernel
+/// lists that [`KernelScratch::recycle`] hands back, which later calls
+/// fill instead of allocating new ones.
+#[derive(Clone, Debug, Default)]
+pub struct KernelScratch {
+    support: Vec<Lit>,
+    arena: Vec<u64>,
+    pairs: Vec<CoKernelPair>,
+    kernels: Vec<Vec<Cube>>,
+}
+
+/// Most recycled kernel lists a [`KernelScratch`] keeps. A tail pair's
+/// kernel is built outside the scratch, so recycling it adds a list.
+const SPARE_KERNELS: usize = 256;
+
+impl KernelScratch {
+    /// [`kernels_config`] on these buffers: the same pairs, in the same
+    /// order.
+    pub fn kernels(&mut self, f: &Sop, cfg: &KernelConfig) -> Vec<CoKernelPair> {
+        let mut out = with_tail(f, cfg, |f, cfg| MaskKernels::run(f, cfg, self));
+        out.sort_unstable();
+        out
+    }
+
+    /// Takes back the pairs of a [`KernelScratch::kernels`] call that
+    /// the caller is done with, so that later calls fill their buffers
+    /// instead of allocating new ones.
+    pub fn recycle(&mut self, mut pairs: Vec<CoKernelPair>) {
+        for pair in pairs.drain(..) {
+            if self.kernels.len() < SPARE_KERNELS {
+                let mut cubes = pair.kernel.into_cubes();
+                cubes.clear();
+                self.kernels.push(cubes);
+            }
+        }
+        self.pairs = pairs;
+    }
 }
 
 /// The pairs of `recursion` (which returns them with `f`'s largest
@@ -108,7 +149,7 @@ pub fn kernels_config(f: &Sop, cfg: &KernelConfig) -> Vec<CoKernelPair> {
 fn with_tail(
     f: &Sop,
     cfg: &KernelConfig,
-    recursion: fn(&Sop, &KernelConfig) -> (Vec<CoKernelPair>, Cube),
+    recursion: impl FnOnce(&Sop, &KernelConfig) -> (Vec<CoKernelPair>, Cube),
 ) -> Vec<CoKernelPair> {
     if f.num_cubes() < 2 {
         return Vec::new();
@@ -140,7 +181,7 @@ fn with_tail(
 /// Every mask is `w` words. `arena` holds, for each live recursion
 /// level, its scratch (literals in ≥ 2 cubes, the branch's common
 /// cube), then the child's cubes and co-kernel; a level truncates the
-/// arena back on return.
+/// arena back on return. Both buffers are a [`KernelScratch`]'s.
 ///
 /// `g` never needs re-canonicalising: `f` is free of single-cube
 /// containment, and the cubes containing a common cube stay distinct,
@@ -150,18 +191,30 @@ struct MaskKernels<'a> {
     support: &'a [Lit],
     w: usize,
     cfg: &'a KernelConfig,
-    arena: Vec<u64>,
+    arena: &'a mut Vec<u64>,
+    /// Empty kernel lists to fill before allocating a new one.
+    spare: &'a mut Vec<Vec<Cube>>,
     out: Vec<CoKernelPair>,
 }
 
 impl MaskKernels<'_> {
     /// Encodes `f` (≥ 2 cubes), divides out its largest common cube and
     /// runs the recursion from there.
-    fn run(f: &Sop, cfg: &KernelConfig) -> (Vec<CoKernelPair>, Cube) {
-        let support = f.support_lits();
+    fn run(f: &Sop, cfg: &KernelConfig, scratch: &mut KernelScratch) -> (Vec<CoKernelPair>, Cube) {
+        let KernelScratch {
+            support,
+            arena,
+            pairs,
+            kernels: spare,
+        } = scratch;
+        support.clear();
+        support.extend(f.iter().flat_map(Cube::iter));
+        support.sort_unstable();
+        support.dedup();
         let w = support.len().div_ceil(64);
         let n = f.num_cubes();
-        let mut arena = vec![0u64; (n + 1) * w];
+        arena.clear();
+        arena.resize((n + 1) * w, 0);
         for (k, c) in f.iter().enumerate() {
             for l in c.iter() {
                 let p = support
@@ -185,11 +238,12 @@ impl MaskKernels<'_> {
             }
         }
         let mut e = MaskKernels {
-            support: &support,
+            support,
             w,
             cfg,
             arena,
-            out: Vec::new(),
+            spare,
+            out: std::mem::take(pairs),
         };
         e.recurse(0, 0, n, ck, 0);
         let lcc = e.cube(ck);
@@ -266,11 +320,11 @@ impl MaskKernels<'_> {
                     let m = self.arena[ck + t] | self.arena[common + t];
                     self.arena.push(m);
                 }
+                let mut kernel = self.spare.pop().unwrap_or_default();
+                kernel.extend((0..n1).map(|k| self.cube(g1 + k * w)));
                 self.out.push(CoKernelPair {
                     cokernel: self.cube(ck1),
-                    kernel: Sop::from_sorted_unchecked(
-                        (0..n1).map(|k| self.cube(g1 + k * w)).collect(),
-                    ),
+                    kernel: Sop::from_sorted_unchecked(kernel),
                 });
                 self.recurse(i + 1, g1, n1, ck1, depth + 1);
                 self.arena.truncate(g1);
@@ -279,36 +333,35 @@ impl MaskKernels<'_> {
         self.arena.truncate(twice);
     }
 
-    /// The cube whose mask starts at `arena[at]`.
+    /// The cube whose mask starts at `arena[at]`, built in place: bits
+    /// ascend with the support, so the literals come out sorted.
     fn cube(&self, at: usize) -> Cube {
         let mask = &self.arena[at..at + self.w];
-        let mut lits = Vec::with_capacity(mask.iter().map(|m| m.count_ones() as usize).sum());
-        for (t, &m) in mask.iter().enumerate() {
+        Cube::from_sorted_iter(mask.iter().enumerate().flat_map(|(t, &m)| {
             let mut bits = m;
-            while bits != 0 {
-                lits.push(self.support[t * 64 + bits.trailing_zeros() as usize]);
+            std::iter::from_fn(move || {
+                let b = (bits != 0).then(|| bits.trailing_zeros() as usize)?;
                 bits &= bits - 1;
-            }
-        }
-        Cube::from_sorted_unchecked(lits)
+                Some(self.support[t * 64 + b])
+            })
+        }))
     }
-}
-
-/// Checks the defining property: `k` is a kernel of `f` iff `k` is
-/// cube-free and `k == f / c` for its co-kernel `c`. Used by tests and
-/// property checks.
-pub fn is_kernel_of(f: &Sop, pair: &CoKernelPair) -> bool {
-    if !pair.kernel.is_cube_free() {
-        return false;
-    }
-    let div = crate::divide::divide_by_cube(f, &pair.cokernel);
-    div.quotient == pair.kernel
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Checks the defining property: `k` is a kernel of `f` iff `k` is
+    /// cube-free and `k == f / c` for its co-kernel `c`.
+    fn is_kernel_of(f: &Sop, pair: &CoKernelPair) -> bool {
+        if !pair.kernel.is_cube_free() {
+            return false;
+        }
+        let div = crate::divide::divide_by_cube(f, &pair.cokernel);
+        div.quotient == pair.kernel
+    }
 
     // Paper variable map: a=1 b=2 c=3 d=4 e=5 f=6 g=7.
     fn cube(ids: &[u32]) -> Cube {
@@ -537,7 +590,9 @@ mod tests {
     fn check_against_oracle(f: &Sop, cfgs: &[KernelConfig]) -> Result<(), String> {
         for &cfg in cfgs {
             for raw in [
-                with_tail(f, &cfg, MaskKernels::run),
+                with_tail(f, &cfg, |f, cfg| {
+                    MaskKernels::run(f, cfg, &mut KernelScratch::default())
+                }),
                 with_tail(f, &cfg, oracle::recursion),
             ] {
                 let mut cokernels: Vec<&Cube> = raw.iter().map(|p| &p.cokernel).collect();
@@ -641,6 +696,9 @@ mod tests {
                 ..KernelConfig::default()
             },
         ];
+        // One scratch across every node, recycling what it returns, as
+        // the KC matrix keeps it.
+        let mut scratch = KernelScratch::default();
         for (name, scale) in [
             ("des", 2.0),
             ("ex1010", 0.25),
@@ -665,6 +723,11 @@ mod tests {
                 );
                 if let Err(msg) = check_against_oracle(&f, &cfgs) {
                     panic!("{name}@{scale} node {node}: {msg}");
+                }
+                for cfg in &cfgs {
+                    let pairs = scratch.kernels(&f, cfg);
+                    assert_eq!(pairs, kernels_config(&f, cfg));
+                    scratch.recycle(pairs);
                 }
             }
         }

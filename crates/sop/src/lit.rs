@@ -117,7 +117,7 @@ impl Lit {
 
     /// Inverse of [`Lit::code`].
     #[inline]
-    pub fn from_code(code: u32) -> Self {
+    pub const fn from_code(code: u32) -> Self {
         Lit(code)
     }
 }

@@ -28,6 +28,7 @@ use pf_kcmatrix::{
 };
 use pf_serve::Json;
 use pf_workloads::{generate, profile_by_name, scale_profile};
+use std::io::Write as _;
 use std::time::Instant;
 
 /// Options for the `bench-json` subcommand.
@@ -718,7 +719,13 @@ pub fn cmd_bench_json(args: &[String]) -> Result<(), String> {
     let text = doc.to_string();
     std::fs::write(&opts.out, format!("{text}\n"))
         .map_err(|e| format!("cannot write {}: {e}", opts.out))?;
-    println!("{text}");
+    // The document is in the file already; a reader that closed stdout
+    // early does not want the copy, and the asserts below still run.
+    if let Err(e) = writeln!(std::io::stdout(), "{text}") {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            return Err(format!("cannot write to stdout: {e}"));
+        }
+    }
     eprintln!("bench-json: wrote {}", opts.out);
     if let Some(min) = opts.assert_pass_reduction {
         let got = doc

@@ -132,6 +132,27 @@ use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// `println!` for every line the CLI writes to stdout. Once the reader
+/// has gone (`parafactor --help | head -1`), the rest of the output is
+/// unwanted, so a broken pipe ends the process quietly with success;
+/// any other write error is reported and exits 1.
+macro_rules! out {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        if let Err(e) = writeln!(std::io::stdout(), $($arg)*) {
+            stdout_failed(e)
+        }
+    }};
+}
+
+fn stdout_failed(e: std::io::Error) -> ! {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(0)
+    }
+    eprintln!("error: cannot write to stdout: {e}");
+    std::process::exit(1)
+}
+
 struct Options {
     input: String,
     algorithm: String,
@@ -192,7 +213,7 @@ fn usage() -> ! {
         if stripped.trim() == "```text" || stripped.trim() == "```" {
             continue;
         }
-        println!("{}", stripped.strip_prefix(' ').unwrap_or(stripped));
+        out!("{}", stripped.strip_prefix(' ').unwrap_or(stripped));
     }
     std::process::exit(2)
 }
@@ -361,11 +382,11 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     let server = Server::bind_with(addr.as_str(), cfg, server_cfg)
         .map_err(|e| format!("cannot bind {addr}: {e}"))?;
     match server.local_addr() {
-        Ok(a) => println!("pf-serve listening on {a}"),
-        Err(_) => println!("pf-serve listening on {addr}"),
+        Ok(a) => out!("pf-serve listening on {a}"),
+        Err(_) => out!("pf-serve listening on {addr}"),
     }
     server.run();
-    println!("pf-serve: shut down");
+    out!("pf-serve: shut down");
     Ok(ExitCode::SUCCESS)
 }
 
@@ -473,7 +494,7 @@ fn cmd_submit(args: &[String]) -> Result<ExitCode, String> {
         }
         break response;
     };
-    println!("{response}");
+    out!("{response}");
     let completed = json::parse(&response)
         .ok()
         .and_then(|v| v.get("status").map(|s| s.as_str() == Some("completed")))
@@ -543,7 +564,7 @@ fn cmd_dist(args: &[String]) -> Result<ExitCode, String> {
         }
         distributed_extract(&mut nw, &transport, &cfg)
     };
-    println!("{}", dist_response(&report, &stats));
+    out!("{}", dist_response(&report, &stats));
     Ok(if stats.balanced() && !report.cancelled {
         ExitCode::SUCCESS
     } else {
@@ -610,7 +631,7 @@ fn cmd_profile(args: &[String]) -> Result<ExitCode, String> {
             std::fs::write(path, json + "\n").map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!("wrote {path}");
         }
-        None => println!("{json}"),
+        None => out!("{json}"),
     }
     eprintln!(
         "profile: {} on {}: {} events in {} lanes, {} extractions, \
@@ -747,7 +768,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     opts.admit()?;
     let mut work = load_circuit(&opts.input, opts.seed)?;
     let original = work.clone();
-    println!(
+    out!(
         "loaded: {} inputs, {} nodes, {} literals",
         work.input_ids().count(),
         work.node_ids().count(),
@@ -768,7 +789,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         ),
         "script" => {
             let rep = run_script(&mut work, &ScriptConfig::default());
-            println!(
+            out!(
                 "script: {} factor passes, {:.1}% of time factoring",
                 rep.factor_invocations,
                 100.0 * rep.factor_fraction()
@@ -785,13 +806,15 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
 
     if opts.run_cx {
         let r = extract_common_cubes(&mut work, &[], &CubeExtractConfig::default());
-        println!(
+        out!(
             "cube extraction: {} cubes extracted, LC {} -> {}",
-            r.extractions, r.lc_before, r.lc_after
+            r.extractions,
+            r.lc_before,
+            r.lc_after
         );
     }
 
-    println!(
+    out!(
         "{}: LC {} -> {} ({} extractions, {:.3?}{}{})",
         opts.algorithm,
         report.lc_before,
@@ -816,7 +839,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
 
     if opts.show_stats {
         match stats::stats(&work) {
-            Ok(s) => println!(
+            Ok(s) => out!(
                 "stats: inputs {}  outputs {}  nodes {}  lits(sop) {}  lits(fac) {}  depth {}  cubes {}",
                 s.inputs, s.outputs, s.live_nodes, s.lits_sop, s.lits_fac, s.depth, s.cubes
             ),
@@ -826,7 +849,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
 
     if opts.verify {
         match equivalent_random(&original, &work, &EquivConfig::default()) {
-            Ok(true) => println!("verify: PASS (random-vector equivalence)"),
+            Ok(true) => out!("verify: PASS (random-vector equivalence)"),
             Ok(false) => {
                 eprintln!("verify: FAIL — optimized circuit differs!");
                 return Ok(ExitCode::FAILURE);
@@ -845,7 +868,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
             write_network(&work)
         };
         std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {path}");
+        out!("wrote {path}");
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -334,3 +334,21 @@ fn help_names_every_knob_with_its_default() {
         );
     }
 }
+
+/// A reader that has gone (`parafactor --help | head -1`) ends the
+/// process quietly: no panic on the broken pipe, no exit code 101.
+#[test]
+fn a_closed_stdout_is_a_quiet_exit() {
+    for args in [&["--help"][..], &["gen:misex3@0.1", "--stats"]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = bin()
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
+    }
+}
