@@ -3,7 +3,7 @@
 //! # pf-cache — the content-addressed cross-job extraction cache
 //!
 //! Every pf-serve job used to re-extract its circuit from scratch, even
-//! when traffic is dominated by repeated and near-identical netlists.
+//! when traffic is dominated by repeated netlists.
 //! This crate is the cross-job half of the "answer cheaply from local
 //! state first" story (the cross-pass column ceilings of `pf-kcmatrix`
 //! are the intra-run half):
@@ -22,13 +22,6 @@
 //! * **Bounded + sharded.** The store is a sharded LRU with an optional
 //!   TTL; inserts are atomic (a value is fully built before the shard
 //!   lock is taken), so a worker panic mid-fill leaves no partial entry.
-//!
-//! The [`delta`] module adds the transport half: classifying which
-//! cones of a resubmitted network are dirty against a cached base job
-//! and splicing the base's factored cones into the new network so only
-//! the dirty cones need re-extraction.
-
-pub mod delta;
 
 use parking_lot::Mutex;
 use pf_kcmatrix::{CeilingSnapshot, Digest, Rectangle};
@@ -74,11 +67,6 @@ pub struct CachedResult {
     pub extractions: usize,
     /// Total rectangle value of the cold run.
     pub total_value: i64,
-    /// Name-canonical per-cone digests of the *original* (pre-extraction)
-    /// network, keyed by node name — the baseline [`delta::classify`]
-    /// compares a resubmitted network against. Node names present in
-    /// `network` but absent here are extraction-created helpers.
-    pub cone_digests: HashMap<String, Digest>,
 }
 
 /// Warm-start hints captured after a cold run's *first* search pass —
@@ -347,7 +335,6 @@ mod tests {
             lc_after: 5,
             extractions: 1,
             total_value: 5,
-            cone_digests: HashMap::new(),
         }
     }
 

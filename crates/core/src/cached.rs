@@ -13,7 +13,7 @@
 use crate::report::{ExtractReport, PhaseTiming};
 use crate::seq::{extract_kernels_pooled, extract_kernels_warm, ExtractConfig};
 use crate::trace::Tracer;
-use pf_cache::{delta, CachedResult, ExtractionCache, WarmStart};
+use pf_cache::{CachedResult, ExtractionCache, WarmStart};
 use pf_kcmatrix::{Digest, SearchPool};
 use pf_network::{Network, SignalId};
 use std::time::Instant;
@@ -88,14 +88,17 @@ fn replay(nw: &mut Network, trace: &Tracer, hit: &CachedResult, start: Instant) 
     }
 }
 
+/// Memoizes a completed run, unless the handle forbids admission.
 fn admit(
     h: &CacheHandle<'_>,
     nw: &Network,
     report: &ExtractReport,
-    cone_digests: std::collections::HashMap<String, Digest>,
     warm: Option<WarmStart>,
     events: &mut CacheEvents,
 ) {
+    if !h.admit || !report.completed() {
+        return;
+    }
     events.inserted = 1;
     events.evicted = h.cache.insert(
         h.key,
@@ -106,7 +109,6 @@ fn admit(
             lc_after: report.lc_after,
             extractions: report.extractions,
             total_value: report.total_value,
-            cone_digests,
         },
         warm,
     );
@@ -136,28 +138,10 @@ pub fn extract_kernels_cached(
     events.misses = 1;
     let warm = h.cache.warm_hints(&h.warm_key);
     events.warm = warm.is_some() as u64;
-    // Cone digests must describe the pre-extraction network; capture
-    // them before the run mutates it.
-    let digests = h.admit.then(|| delta::cone_digests(nw));
     let mut capture = None;
     let report = extract_kernels_warm(nw, targets, cfg, pool, warm.as_deref(), Some(&mut capture));
-    if let Some(cone_digests) = digests.filter(|_| report.completed()) {
-        admit(h, nw, &report, cone_digests, capture, &mut events);
-    }
+    admit(h, nw, &report, capture, &mut events);
     (report, events)
-}
-
-/// Serves an exact hit if one is resident, without running anything on a
-/// miss. The service's delta-submit path uses this to answer "already
-/// cached?" before resolving its base network.
-pub fn try_replay(
-    nw: &mut Network,
-    trace: &Tracer,
-    handle: &CacheHandle<'_>,
-) -> Option<ExtractReport> {
-    let start = Instant::now();
-    let hit = handle.cache.lookup(&handle.key)?;
-    Some(replay(nw, trace, &hit, start))
 }
 
 /// Cache wrapper for the parallel drivers (any `run` closure producing
@@ -181,11 +165,8 @@ pub fn run_cached(
         return (replay(nw, trace, &hit, start), events);
     }
     events.misses = 1;
-    let digests = h.admit.then(|| delta::cone_digests(nw));
     let report = run(nw);
-    if let Some(cone_digests) = digests.filter(|_| report.completed()) {
-        admit(h, nw, &report, cone_digests, None, &mut events);
-    }
+    admit(h, nw, &report, None, &mut events);
     (report, events)
 }
 
@@ -269,7 +250,6 @@ mod tests {
                 lc_after: 0,
                 extractions: 0,
                 total_value: 0,
-                cone_digests: Default::default(),
             },
             None,
         );

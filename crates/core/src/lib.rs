@@ -61,7 +61,7 @@ pub mod script;
 pub mod seq;
 pub mod trace;
 
-pub use cached::{extract_kernels_cached, run_cached, try_replay, CacheEvents, CacheHandle};
+pub use cached::{extract_kernels_cached, run_cached, CacheEvents, CacheHandle};
 pub use ctl::{RunCtl, StopReason};
 pub use cx::{extract_common_cubes, independent_extract_cubes, CubeExtractConfig};
 pub use dist::{

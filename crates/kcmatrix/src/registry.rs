@@ -21,9 +21,8 @@
 //! from both banking the same literals.
 
 use parking_lot::Mutex;
-use pf_sop::fx::{FxHashMap, FxHasher};
+use pf_sop::fx::FxHashMap;
 use pf_sop::{Cube, Lit};
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Dense id of an interned network cube.
@@ -52,63 +51,17 @@ const OWNER_MASK: u32 = 0xFFFF;
 ///
 /// Interning is mutex-protected (it happens during matrix construction,
 /// off the hot search path); lookups of weight by id are lock-free.
-///
-/// The index maps the *hash* of `(node, cube)` to the ids sharing it,
-/// and candidate hits are confirmed against the owned `cubes` table —
-/// so a hit costs zero clones, and a miss clones the cube exactly once
-/// (into `cubes`; the map key is just the hash).
+/// Cubes of up to [`Cube::INLINE`] literals are stored in place, so
+/// building a key to probe with allocates nothing.
 #[derive(Default)]
 pub struct CubeRegistry {
     inner: Mutex<RegistryInner>,
 }
 
-/// Ids sharing one `(node, cube)` hash. Almost always a single id;
-/// `Many` keeps collisions correct without a per-entry `Vec`.
-enum IdList {
-    One(CubeId),
-    Many(Vec<CubeId>),
-}
-
-impl IdList {
-    fn push(&mut self, id: CubeId) {
-        match self {
-            IdList::One(first) => *self = IdList::Many(vec![*first, id]),
-            IdList::Many(v) => v.push(id),
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = CubeId> + '_ {
-        match self {
-            IdList::One(id) => std::slice::from_ref(id).iter().copied(),
-            IdList::Many(v) => v.as_slice().iter().copied(),
-        }
-    }
-}
-
 #[derive(Default)]
 struct RegistryInner {
-    index: FxHashMap<u64, IdList>,
+    index: FxHashMap<(u32, Cube), CubeId>,
     weights: Vec<u32>,
-    cubes: Vec<(u32, Cube)>,
-}
-
-/// Hashes a cube as its sorted literal slice — which is also how
-/// `Cube`'s derived `Hash` hashes it.
-fn key_hash(node: u32, lits: &[Lit]) -> u64 {
-    let mut h = FxHasher::default();
-    node.hash(&mut h);
-    lits.hash(&mut h);
-    h.finish()
-}
-
-impl RegistryInner {
-    fn find(&self, h: u64, node: u32, lits: &[Lit]) -> Option<CubeId> {
-        let list = self.index.get(&h)?;
-        list.iter().find(|&id| {
-            let (n, c) = &self.cubes[id as usize];
-            *n == node && c.lits() == lits
-        })
-    }
 }
 
 impl CubeRegistry {
@@ -118,36 +71,28 @@ impl CubeRegistry {
     }
 
     /// Interns the cube `cube` of node `node`, returning its id. The
-    /// weight recorded is the cube's literal count. A hit clones
-    /// nothing; a miss clones the cube once.
+    /// weight recorded is the cube's literal count.
     pub fn intern(&self, node: u32, cube: &Cube) -> CubeId {
         self.intern_lits(node, cube.lits())
     }
 
     /// [`CubeRegistry::intern`] for the cube with the sorted,
     /// duplicate-free literals `lits` — so a caller can build the cube
-    /// in a reused buffer. A miss stores the cube in place (it spills
-    /// to the heap only past [`Cube::INLINE`] literals).
+    /// in a reused buffer.
     pub fn intern_lits(&self, node: u32, lits: &[Lit]) -> CubeId {
-        let h = key_hash(node, lits);
         let mut g = self.inner.lock();
-        if let Some(id) = g.find(h, node, lits) {
-            return id;
-        }
-        let id = g.weights.len() as CubeId;
-        g.weights.push(lits.len() as u32);
-        g.cubes.push((node, Cube::from_sorted_slice(lits)));
-        g.index
-            .entry(h)
-            .and_modify(|list| list.push(id))
-            .or_insert(IdList::One(id));
-        id
+        let g = &mut *g;
+        *g.index
+            .entry((node, Cube::from_sorted_slice(lits)))
+            .or_insert_with(|| {
+                g.weights.push(lits.len() as u32);
+                (g.weights.len() - 1) as CubeId
+            })
     }
 
-    /// Looks up an already-interned cube (clone-free).
+    /// Looks up an already-interned cube.
     pub fn lookup(&self, node: u32, cube: &Cube) -> Option<CubeId> {
-        let h = key_hash(node, cube.lits());
-        self.inner.lock().find(h, node, cube.lits())
+        self.inner.lock().index.get(&(node, cube.clone())).copied()
     }
 
     /// The literal weight of a cube.
@@ -443,16 +388,6 @@ mod tests {
         assert_eq!(reg.lookup(0, &long), Some(l));
         assert_eq!(reg.weight(l), 8);
         assert_eq!(reg.len(), 4);
-        // Both forms hash a cube alike, so the index matches `Cube`'s
-        // own `Hash`.
-        let hash = |x: &dyn Fn(&mut FxHasher)| {
-            let mut h = FxHasher::default();
-            x(&mut h);
-            h.finish()
-        };
-        for c in [cube(&[4, 7, 9]), long] {
-            assert_eq!(hash(&|h| c.hash(h)), hash(&|h| c.lits().hash(h)));
-        }
     }
 
     #[test]
@@ -461,16 +396,6 @@ mod tests {
         let id1 = reg.intern(0, &cube(&[1, 2]));
         let id2 = reg.intern(1, &cube(&[1, 2]));
         assert_ne!(id1, id2);
-    }
-
-    #[test]
-    fn id_list_handles_hash_collisions() {
-        // Force the Many path directly: distinct cubes pushed under one
-        // hash must all stay findable.
-        let mut list = IdList::One(0);
-        list.push(1);
-        list.push(2);
-        assert_eq!(list.iter().collect::<Vec<_>>(), vec![0, 1, 2]);
     }
 
     #[test]

@@ -253,12 +253,6 @@ pub struct JobSpec {
     /// Per-job deadline; expiry (including time spent queued) turns the
     /// job into a structured timeout response.
     pub deadline: Option<Duration>,
-    /// Delta submission: the [`JobSpec::fingerprint`] of a previously
-    /// completed (and cached) base job this workload is a revision of.
-    /// The worker re-extracts only the cones that differ from the base
-    /// and splices the base's cached factored cones for the rest.
-    /// `seq` only; `None` is a plain full submission.
-    pub delta_from: Option<String>,
 }
 
 impl JobSpec {
@@ -272,7 +266,6 @@ impl JobSpec {
             procs: 2,
             search: SearchConfig::default(),
             deadline: None,
-            delta_from: None,
         }
     }
 
@@ -327,10 +320,8 @@ impl JobSpec {
     }
 }
 
-/// [`JobSpec::poison_key`] for an (algorithm, workload) pair — exposed
-/// so `delta_from` fingerprints can be resolved to the base job's keys
-/// without constructing a full spec.
-pub fn fingerprint_digest(algorithm: Algorithm, workload: &str) -> Digest {
+/// [`JobSpec::poison_key`] for an (algorithm, workload) pair.
+fn fingerprint_digest(algorithm: Algorithm, workload: &str) -> Digest {
     let mut b = DigestBuilder::new();
     b.write_str("job-fingerprint");
     b.write_str(algorithm.as_str());

@@ -27,6 +27,17 @@
 //! * **JSON-lines over TCP** — [`Server::bind`] + [`Server::run`]
 //!   (`std::net` only; protocol documented in `docs/SERVICE.md`).
 
+/// `eprintln!` that ignores write errors. A closed stderr (its reader
+/// gone) must not panic the service, the CLI or `bench-json`: what they
+/// write there is a log, and losing it is no reason to stop.
+#[macro_export]
+macro_rules! eout {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stderr(), $($arg)*);
+    }};
+}
+
 pub mod dist;
 pub mod error;
 #[cfg(test)]

@@ -263,9 +263,6 @@ pub struct Metrics {
     pub cache_evictions: Counter,
     /// Cold runs that found warm-start hints and seeded the engine.
     pub cache_warm: Counter,
-    /// Delta submissions that actually took the splice path (exact hits
-    /// and full-run fallbacks are counted under their own outcomes).
-    pub delta_jobs: Counter,
     /// Distributed-coordinator leases created (initial dispatches,
     /// failovers, splits, inline fallbacks). Satisfies
     /// `leases_issued == leases_resolved + leases_expired` at quiescence.
@@ -357,7 +354,6 @@ impl Metrics {
             ("cache_misses", Json::u64(self.cache_misses.get())),
             ("cache_evictions", Json::u64(self.cache_evictions.get())),
             ("cache_warm", Json::u64(self.cache_warm.get())),
-            ("delta_jobs", Json::u64(self.delta_jobs.get())),
             ("leases_issued", Json::u64(self.leases_issued.get())),
             ("leases_resolved", Json::u64(self.leases_resolved.get())),
             ("leases_expired", Json::u64(self.leases_expired.get())),
@@ -486,10 +482,9 @@ mod tests {
         m.cache_lookups.inc();
         m.cache_misses.inc();
         assert!(m.balanced());
-        // Evictions / warm seeds / delta jobs sit outside the identity.
+        // Evictions and warm seeds sit outside the identity.
         m.cache_evictions.inc();
         m.cache_warm.inc();
-        m.delta_jobs.inc();
         assert!(m.balanced());
         // The lease clause: every issued lease resolves or expires.
         m.leases_issued.inc();
@@ -544,7 +539,6 @@ mod tests {
             "cache_misses",
             "cache_evictions",
             "cache_warm",
-            "delta_jobs",
         ] {
             assert!(j.get(key).and_then(Json::as_u64).is_some(), "{key}");
         }

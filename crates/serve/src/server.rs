@@ -163,7 +163,7 @@ impl Server {
         if let Err(e) = self.listener.set_nonblocking(true) {
             // Degraded but alive: blocking accepts, woken by a nudge
             // connection when shutdown arrives.
-            eprintln!(
+            eout!(
                 "pf-serve: {} — falling back to blocking accepts",
                 ServeError::ListenerConfig {
                     what: "non-blocking mode",
@@ -220,7 +220,7 @@ impl Server {
                                 what: "connection",
                                 source: e,
                             };
-                            eprintln!("pf-serve: {err}");
+                            eout!("pf-serve: {err}");
                             client.metrics().conn_rejected.inc();
                             if let Some(h) = reject_handle {
                                 reject_stream(h, &err);
@@ -235,7 +235,7 @@ impl Server {
                         // must not kill the server; persistent ones do.
                         accept_errors += 1;
                         if accept_errors >= 100 {
-                            eprintln!("pf-serve: accept failing persistently, stopping: {e}");
+                            eout!("pf-serve: accept failing persistently, stopping: {e}");
                             break;
                         }
                         std::thread::sleep(Duration::from_millis(5));
@@ -565,14 +565,6 @@ pub(crate) fn spec_from_json(request: &Json) -> Result<JobSpec, String> {
             v.as_u64().ok_or("\"deadline_ms\" must be an integer")?,
         )),
     };
-    spec.delta_from = match request.get("delta_from") {
-        None | Some(Json::Null) => None,
-        Some(v) => Some(
-            v.as_str()
-                .ok_or("\"delta_from\" must be a job fingerprint string")?
-                .to_string(),
-        ),
-    };
     Ok(spec)
 }
 
@@ -855,46 +847,6 @@ mod tests {
         let phases = jobs[0].get("phases").expect("phases object");
         assert!(phases.get("partition").is_some());
         assert!(phases.get("merge").is_some());
-        handle.join().unwrap();
-    }
-
-    #[test]
-    fn delta_submit_over_tcp_completes_and_counts() {
-        let (addr, handle) = start_server(ServiceConfig::default());
-        let responses = request_lines(
-            addr,
-            &[
-                r#"{"op":"submit","algorithm":"seq","workload":"gen:misex3@0.05"}"#.to_string(),
-                concat!(
-                    r#"{"op":"submit","algorithm":"seq","workload":"gen:misex3@0.05","#,
-                    r#""delta_from":"seq/gen:misex3@0.05"}"#
-                )
-                .to_string(),
-                concat!(
-                    r#"{"op":"submit","algorithm":"lshaped","workload":"gen:misex3@0.05","#,
-                    r#""delta_from":"seq/gen:misex3@0.05"}"#
-                )
-                .to_string(),
-                r#"{"op":"metrics"}"#.to_string(),
-                r#"{"op":"shutdown"}"#.to_string(),
-            ],
-        )
-        .expect("protocol round-trip");
-        let cold = parse(&responses[0]).unwrap();
-        assert_eq!(cold.get("status").and_then(Json::as_str), Some("completed"));
-        let delta = parse(&responses[1]).unwrap();
-        assert_eq!(
-            delta.get("status").and_then(Json::as_str),
-            Some("completed")
-        );
-        // delta_from is seq-only: any other algorithm is rejected.
-        let bad = parse(&responses[2]).unwrap();
-        assert_eq!(bad.get("status").and_then(Json::as_str), Some("rejected"));
-        assert_eq!(bad.get("reason").and_then(Json::as_str), Some("invalid"));
-        let m = parse(&responses[3]).unwrap();
-        let metrics = m.get("metrics").unwrap();
-        assert_eq!(metrics.get("delta_jobs").and_then(Json::as_u64), Some(1));
-        assert!(metrics.get("cache_hits").and_then(Json::as_u64).unwrap() >= 1);
         handle.join().unwrap();
     }
 

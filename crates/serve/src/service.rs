@@ -20,7 +20,7 @@
 //! is how the chaos tests stress all of the above.
 
 use crate::job::{
-    admit_knobs, ctl_for, validate_workload, Algorithm, JobOutcome, JobSpec, JobTimeline, Rejection,
+    admit_knobs, ctl_for, validate_workload, JobOutcome, JobSpec, JobTimeline, Rejection,
 };
 use crate::metrics::Metrics;
 use crate::queue::{BoundedQueue, PushError};
@@ -57,7 +57,7 @@ pub struct ServiceConfig {
     pub poison_threshold: u32,
     /// Capacity of the shared extraction cache (results memoized by
     /// content digest; exact resubmissions replay without re-running).
-    /// `0` disables caching — and with it `delta_from` submissions.
+    /// `0` disables caching.
     pub cache_entries: usize,
     /// Optional time-to-live for cached results; an expired entry counts
     /// as a miss and an eviction. `None` (the default) keeps entries
@@ -224,32 +224,11 @@ impl Client {
     }
 
     /// The checks a spec passes at the door: workload grammar, procs
-    /// (capped at the host), the knobs, and the delta base if any.
+    /// (capped at the host) and the knobs.
     fn admit(&self, spec: &mut JobSpec) -> Result<(), String> {
         validate_workload(&spec.workload)?;
         spec.procs = validate_procs(spec.procs, self.inner.max_procs)?;
-        admit_knobs(&mut spec.search, self.inner.max_procs)?;
-        match &spec.delta_from {
-            Some(base) => self.validate_delta(spec, base),
-            None => Ok(()),
-        }
-    }
-
-    /// Structural checks for a delta submission: seq-only, the cache
-    /// must exist, and the base fingerprint must name a valid seq
-    /// workload (either `seq/<workload>` or a bare workload spec).
-    fn validate_delta(&self, spec: &JobSpec, base: &str) -> Result<(), String> {
-        if spec.algorithm != Algorithm::Seq {
-            return Err(format!(
-                "delta_from requires algorithm seq, not {}",
-                spec.algorithm.as_str()
-            ));
-        }
-        if self.inner.cache.is_none() {
-            return Err("delta_from requires the cache (cache_entries > 0)".to_string());
-        }
-        let base_workload = base.strip_prefix("seq/").unwrap_or(base);
-        validate_workload(base_workload).map_err(|msg| format!("delta_from base: {msg}"))
+        admit_knobs(&mut spec.search, self.inner.max_procs)
     }
 
     /// [`submit`](Client::submit), retrying *retryable* rejections
@@ -346,7 +325,7 @@ impl Service {
         for i in 0..inner.desired_workers {
             match supervisor::spawn_worker(&inner, i) {
                 Ok(h) => pool.lock().push(h),
-                Err(e) => eprintln!("pf-serve: {e}"),
+                Err(e) => eout!("pf-serve: {e}"),
             }
         }
         let supervisor = {
@@ -356,7 +335,7 @@ impl Service {
                 .name("pf-serve-supervisor".to_string())
                 .spawn(move || supervisor::supervisor_loop(&inner, &pool))
                 .map_err(|e| {
-                    eprintln!(
+                    eout!(
                         "pf-serve: {} (pool will not self-heal)",
                         crate::error::ServeError::Spawn {
                             what: "supervisor",

@@ -196,7 +196,7 @@ fn worker_loop(inner: &Inner) {
             cache,
             admit: inner.strikes(job.spec.poison_key()) == 0,
         });
-        let (outcome, panicked, cache_out) = worker::execute_tracked(
+        let (outcome, panicked, cache) = worker::execute_tracked(
             &job.spec,
             &job.ctl,
             queue_wait,
@@ -210,14 +210,11 @@ fn worker_loop(inner: &Inner) {
             m.panics.inc();
             inner.strike(job.spec.poison_key());
         }
-        m.cache_lookups.add(cache_out.events.lookups);
-        m.cache_hits.add(cache_out.events.hits);
-        m.cache_misses.add(cache_out.events.misses);
-        m.cache_evictions.add(cache_out.events.evicted);
-        m.cache_warm.add(cache_out.events.warm);
-        if cache_out.delta {
-            m.delta_jobs.inc();
-        }
+        m.cache_lookups.add(cache.lookups);
+        m.cache_hits.add(cache.hits);
+        m.cache_misses.add(cache.misses);
+        m.cache_evictions.add(cache.evicted);
+        m.cache_warm.add(cache.warm);
         inner.in_flight.lock().remove(&job.id);
         m.in_flight.fetch_sub(1, Ordering::Relaxed);
         match &outcome {
@@ -309,7 +306,7 @@ pub(crate) fn supervisor_loop(inner: &Arc<Inner>, pool: &Mutex<Vec<JoinHandle<()
                     }
                     Err(e) => {
                         // Degraded but alive: try again next tick.
-                        eprintln!("pf-serve: supervisor: {e}");
+                        eout!("pf-serve: supervisor: {e}");
                         break;
                     }
                 }

@@ -2,12 +2,9 @@
 //! isolation so a bad job can never take a pool thread down with it.
 
 use crate::job::{resolve_workload, Algorithm, JobOutcome, JobReport, JobSpec};
-use pf_cache::{delta, ExtractionCache};
-use pf_core::{
-    CacheEvents, CacheHandle, ExtractConfig, ExtractReport, PhaseTiming, RunCtl, SearchPool,
-};
+use pf_cache::ExtractionCache;
+use pf_core::{CacheEvents, CacheHandle, ExtractReport, RunCtl, SearchPool};
 use pf_kcmatrix::network_digest;
-use pf_network::{Network, SignalId};
 use std::time::Instant;
 
 /// The shared cache plus this job's admission decision, as resolved by
@@ -18,17 +15,6 @@ pub struct CacheCtx<'a> {
     pub cache: &'a ExtractionCache,
     /// Whether a completed result may be admitted.
     pub admit: bool,
-}
-
-/// What the cache did for one executed job; the supervisor folds this
-/// into the service metrics. All-zero when no cache was attached.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CacheOutcome {
-    /// Lookup / hit / miss / eviction / warm-start events.
-    pub events: CacheEvents,
-    /// Whether a delta splice was actually applied (base resolved and
-    /// clean cones spliced — full-run fallbacks don't count).
-    pub delta: bool,
 }
 
 /// Runs the extraction a spec describes, observing `ctl` at the
@@ -52,7 +38,7 @@ pub fn run_extraction(
     ctl: &RunCtl,
     pool: &mut Option<SearchPool>,
     cache: Option<&CacheCtx<'_>>,
-) -> Result<(ExtractReport, CacheOutcome), String> {
+) -> Result<(ExtractReport, CacheEvents), String> {
     let mut nw = resolve_workload(&spec.workload)?;
     let extract = spec.extract_config(ctl);
     let handle = cache.map(|c| {
@@ -65,109 +51,15 @@ pub fn run_extraction(
         }
     });
 
-    if let (Some(h), Some(base)) = (handle.as_ref(), spec.delta_from.as_deref()) {
-        // Seq-only, enforced at submit time.
-        if let Some((report, events)) = run_delta(base, &mut nw, &extract, pool, h) {
-            return Ok((
-                report,
-                CacheOutcome {
-                    events,
-                    delta: true,
-                },
-            ));
-        }
-        // Base not cached (or structurally unusable as a base): fall
-        // through to a full cold run, which *is* admissible.
-    }
-
     let trace = extract.trace.clone();
-    let (report, events) = match spec.algorithm {
+    Ok(match spec.algorithm {
         Algorithm::Seq => {
             pf_core::extract_kernels_cached(&mut nw, &[], &extract, pool, handle.as_ref())
         }
         alg => pf_core::run_cached(&mut nw, &trace, handle.as_ref(), |nw| {
             alg.run(nw, spec.procs, extract)
         }),
-    };
-    Ok((
-        report,
-        CacheOutcome {
-            events,
-            delta: false,
-        },
-    ))
-}
-
-/// The delta-submit path: serve an exact hit if the *new* network is
-/// already cached; otherwise resolve the base job's cached result,
-/// splice its factored clean cones into the new network, and re-extract
-/// only the dirty cones. Returns `None` — full cold run, please — when
-/// the base isn't cached or the splice is structurally impossible.
-///
-/// Spliced results are *never* admitted to the exact cache: they are
-/// functionally equivalent to, but not byte-identical with, a cold run
-/// of the new network, and the exact cache promises byte identity.
-fn run_delta(
-    base_fp: &str,
-    nw: &mut Network,
-    extract: &ExtractConfig,
-    pool: &mut Option<SearchPool>,
-    handle: &CacheHandle<'_>,
-) -> Option<(ExtractReport, CacheEvents)> {
-    let started = Instant::now();
-    let mut events = CacheEvents {
-        lookups: 1,
-        ..Default::default()
-    };
-    if let Some(report) = pf_core::try_replay(nw, &extract.trace, handle) {
-        events.hits = 1;
-        return Some((report, events));
-    }
-    events.misses = 1;
-
-    // Resolve the base fingerprint to its cached extraction. The base
-    // network is regenerated only to compute its content digest — cheap
-    // next to an extraction run.
-    let base_workload = base_fp.strip_prefix("seq/").unwrap_or(base_fp);
-    let base_nw = resolve_workload(base_workload).ok()?;
-    let base_key = JobSpec::new(Algorithm::Seq, base_workload)
-        .cache_param_digest()
-        .combine(network_digest(&base_nw));
-    events.lookups += 1;
-    let base = match handle.cache.lookup(&base_key) {
-        Some(b) => {
-            events.hits += 1;
-            b
-        }
-        None => return None,
-    };
-
-    let plan = delta::classify(&base, nw).ok()?;
-    let lc_before = nw.literal_count();
-    *nw = delta::splice(&base.network, nw, &plan).ok()?;
-    let targets: Vec<SignalId> = plan.dirty.iter().filter_map(|n| nw.find(n)).collect();
-    let splice_time = started.elapsed();
-
-    // An empty target list means "everything" to the extractor, so a
-    // fully-clean delta must skip the run outright.
-    let mut report = if targets.is_empty() {
-        ExtractReport {
-            lc_after: nw.literal_count(),
-            ..Default::default()
-        }
-    } else {
-        pf_core::extract_kernels_pooled(nw, &targets, extract, pool)
-    };
-    // The report describes the whole delta job: cost starts at the
-    // pristine new network (the splice already banked the base's
-    // factoring), and the classify+splice work is its own phase so the
-    // phases still sum to the elapsed total.
-    report.lc_before = lc_before;
-    report
-        .phases
-        .insert(0, PhaseTiming::new("splice", splice_time));
-    report.elapsed += splice_time;
-    Some((report, events))
+    })
 }
 
 /// Runs one job start-to-finish and classifies the outcome. `queue_wait`
@@ -190,7 +82,7 @@ pub fn execute_tracked(
     queue_wait: std::time::Duration,
     pool: &mut Option<SearchPool>,
     cache: Option<&CacheCtx<'_>>,
-) -> (JobOutcome, bool, CacheOutcome) {
+) -> (JobOutcome, bool, CacheEvents) {
     let started = Instant::now();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         run_extraction(spec, ctl, pool, cache)
@@ -206,15 +98,15 @@ pub fn execute_tracked(
                     message: panic_message(payload),
                 },
                 true,
-                CacheOutcome::default(),
+                CacheEvents::default(),
             )
         }
         Ok(Err(msg)) => (
             JobOutcome::Failed { message: msg },
             false,
-            CacheOutcome::default(),
+            CacheEvents::default(),
         ),
-        Ok(Ok((report, cache_out))) => {
+        Ok(Ok((report, events))) => {
             let jr = JobReport {
                 report,
                 queue_wait,
@@ -229,7 +121,7 @@ pub fn execute_tracked(
             } else {
                 JobOutcome::Completed(jr)
             };
-            (outcome, false, cache_out)
+            (outcome, false, events)
         }
     }
 }
@@ -355,97 +247,16 @@ mod tests {
             };
             let (cold, out) =
                 run_extraction(&spec, &RunCtl::new(), &mut pool, Some(&ctx)).expect("cold run");
-            assert_eq!(out.events.misses, 1, "{alg:?}");
-            assert_eq!(out.events.inserted, 1, "{alg:?}");
+            assert_eq!(out.misses, 1, "{alg:?}");
+            assert_eq!(out.inserted, 1, "{alg:?}");
             let (hit, out2) =
                 run_extraction(&spec, &RunCtl::new(), &mut pool, Some(&ctx)).expect("hit");
-            assert_eq!(out2.events.hits, 1, "{alg:?}");
+            assert_eq!(out2.hits, 1, "{alg:?}");
             assert_eq!(hit.lc_after, cold.lc_after, "{alg:?}");
             assert_eq!(hit.phases.len(), 1, "{alg:?}");
             assert_eq!(hit.phases[0].name, "cache");
         }
         assert!(cache.stats().balanced());
-    }
-
-    #[test]
-    fn delta_resubmission_of_a_cached_workload_replays_the_exact_hit() {
-        use pf_cache::CacheConfig;
-        let cache = ExtractionCache::new(CacheConfig::default());
-        let ctx = CacheCtx {
-            cache: &cache,
-            admit: true,
-        };
-        let mut pool = None;
-        let base = JobSpec::new(Algorithm::Seq, "gen:misex3@0.1");
-        let (cold, _) =
-            run_extraction(&base, &RunCtl::new(), &mut pool, Some(&ctx)).expect("base run");
-
-        // Identical workload as a delta: the new network's exact key is
-        // already resident, so the delta path answers from the cache.
-        let mut spec = JobSpec::new(Algorithm::Seq, "gen:misex3@0.1");
-        spec.delta_from = Some("seq/gen:misex3@0.1".to_string());
-        let before = cache.len();
-        let (report, out) =
-            run_extraction(&spec, &RunCtl::new(), &mut pool, Some(&ctx)).expect("delta");
-        assert!(out.delta);
-        assert_eq!(out.events.hits, 1);
-        assert_eq!(report.lc_after, cold.lc_after);
-        assert_eq!(report.phases[0].name, "cache");
-        assert_eq!(cache.len(), before, "delta path admits nothing new");
-    }
-
-    #[test]
-    fn delta_splice_re_extracts_dirty_cones_and_matches_the_cold_run() {
-        use pf_cache::CacheConfig;
-        let cache = ExtractionCache::new(CacheConfig::default());
-        let ctx = CacheCtx {
-            cache: &cache,
-            admit: true,
-        };
-        let mut pool = None;
-        // Seed a base whose cones do NOT match the new workload's: the
-        // classifier marks every cone dirty, the splice reconstructs the
-        // new network, and the dirty re-extraction must land exactly
-        // where a plain cold run lands.
-        let base = JobSpec::new(Algorithm::Seq, "gen:misex3@0.1");
-        run_extraction(&base, &RunCtl::new(), &mut pool, Some(&ctx)).expect("base run");
-
-        let cold_spec = JobSpec::new(Algorithm::Seq, "gen:dalu@0.2");
-        let (cold, _) = run_extraction(&cold_spec, &RunCtl::new(), &mut pool, None).expect("cold");
-
-        let mut spec = JobSpec::new(Algorithm::Seq, "gen:dalu@0.2");
-        spec.delta_from = Some("seq/gen:misex3@0.1".to_string());
-        let before = cache.len();
-        let (report, out) =
-            run_extraction(&spec, &RunCtl::new(), &mut pool, Some(&ctx)).expect("delta");
-        assert!(out.delta, "base was cached, so the splice path ran");
-        assert_eq!(report.phases[0].name, "splice");
-        assert_eq!(report.lc_before, cold.lc_before);
-        assert_eq!(report.lc_after, cold.lc_after);
-        assert_eq!(report.extractions, cold.extractions);
-        assert_eq!(cache.len(), before, "spliced results are never admitted");
-    }
-
-    #[test]
-    fn delta_with_uncached_base_falls_back_to_a_full_run() {
-        use pf_cache::CacheConfig;
-        let cache = ExtractionCache::new(CacheConfig::default());
-        let ctx = CacheCtx {
-            cache: &cache,
-            admit: true,
-        };
-        let mut pool = None;
-        let mut spec = JobSpec::new(Algorithm::Seq, "gen:misex3@0.05");
-        spec.delta_from = Some("seq/gen:dalu@0.2".to_string());
-        let (report, out) =
-            run_extraction(&spec, &RunCtl::new(), &mut pool, Some(&ctx)).expect("fallback");
-        assert!(!out.delta, "fallback is not a delta job");
-        assert_eq!(
-            out.events.inserted, 1,
-            "the fallback cold run is admissible"
-        );
-        assert!(report.lc_after <= report.lc_before);
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]

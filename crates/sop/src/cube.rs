@@ -376,8 +376,7 @@ impl Ord for Cube {
 
 impl Hash for Cube {
     /// Hashes the sorted literal slice, exactly as a `Vec<Lit>` of the
-    /// same literals hashes — `pf-kcmatrix`'s registry keys a cube by
-    /// its slice and relies on the two agreeing.
+    /// same literals hashes.
     #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.lits().hash(state);

@@ -26,7 +26,7 @@
 use pf_kcmatrix::{
     reference, CeilingUpdate, CubeRegistry, KcMatrix, LabelGen, SearchConfig, SearchPool,
 };
-use pf_serve::Json;
+use pf_serve::{eout, Json};
 use pf_workloads::{generate, profile_by_name, scale_profile};
 use std::io::Write as _;
 use std::time::Instant;
@@ -213,7 +213,7 @@ pub fn run(opts: &BenchJsonOptions) -> Json {
     let e2e_scales: &[f64] = if opts.quick { &[0.08] } else { &[0.35, 1.0] };
 
     // Micro: one full search, reference vec engine vs the search.
-    eprintln!("bench-json: rect_search micro @ dalu scale {micro_scale}");
+    eout!("bench-json: rect_search micro @ dalu scale {micro_scale}");
     let (m, w) = dalu_matrix(micro_scale);
     let cfg = SearchConfig::classic();
     let vec_ns = min_ns(micro_reps, || {
@@ -222,17 +222,17 @@ pub fn run(opts: &BenchJsonOptions) -> Json {
     });
     let bitset_ns = timed_search(&m, &w, 0, micro_reps);
     let speedup = vec_ns as f64 / bitset_ns.max(1) as f64;
-    eprintln!("bench-json:   vec {vec_ns} ns, search {bitset_ns} ns ({speedup:.2}x)");
+    eout!("bench-json:   vec {vec_ns} ns, search {bitset_ns} ns ({speedup:.2}x)");
 
     // Threads: the search inline and at 1/2/4/8 workers on the big
     // matrix.
-    eprintln!("bench-json: parallel search @ dalu scale {big_scale}");
+    eout!("bench-json: parallel search @ dalu scale {big_scale}");
     let (mb, wb) = dalu_matrix(big_scale);
     let seq_ns = timed_search(&mb, &wb, 0, thread_reps);
     let mut thread_members: Vec<(String, Json)> = vec![("seq_ns".to_string(), Json::u64(seq_ns))];
     for t in [1usize, 2, 4, 8] {
         let ns = timed_search(&mb, &wb, t, thread_reps);
-        eprintln!("bench-json:   {t} thread(s): {ns} ns");
+        eout!("bench-json:   {t} thread(s): {ns} ns");
         thread_members.push((format!("t{t}_ns"), Json::u64(ns)));
     }
 
@@ -240,7 +240,7 @@ pub fn run(opts: &BenchJsonOptions) -> Json {
     // extraction cache — the repeat-submit path a resident service
     // serves. The replay must be byte-identical to the cold result.
     let cache_scale = micro_scale;
-    eprintln!("bench-json: cache warm-vs-cold @ dalu scale {cache_scale}");
+    eout!("bench-json: cache warm-vs-cold @ dalu scale {cache_scale}");
     let cache_members = {
         use pf_cache::{CacheConfig, ExtractionCache};
         use pf_core::{extract_kernels_cached, CacheHandle, ExtractConfig};
@@ -285,7 +285,7 @@ pub fn run(opts: &BenchJsonOptions) -> Json {
         let identical = write_network(&warm_net) == write_network(&cold_net);
         let speedup = cold_ns as f64 / warm_ns.max(1) as f64;
         let hit_rate = hits as f64 / lookups.max(1) as f64;
-        eprintln!(
+        eout!(
             "bench-json:   cold {:.3} ms, warm {:.3} ms ({speedup:.1}x), \
              hit rate {hit_rate:.2}, identical: {identical}",
             cold_ns as f64 / 1e6,
@@ -314,7 +314,7 @@ pub fn run(opts: &BenchJsonOptions) -> Json {
         let mut drivers: Vec<(String, Json)> = Vec::new();
         for driver in ["seq", "replicated", "independent", "lshaped"] {
             let ms = timed_extract(&nw, driver, 4, 0, reps);
-            eprintln!("bench-json: e2e {driver} @ {scale}: {ms:.1} ms");
+            eout!("bench-json: e2e {driver} @ {scale}: {ms:.1} ms");
             drivers.push((driver.to_string(), Json::num(ms)));
         }
         e2e_members.push((format!("scale_{scale}"), Json::Obj(drivers)));
@@ -358,7 +358,7 @@ pub fn run(opts: &BenchJsonOptions) -> Json {
                 lc = report.lc_after as u64;
                 std::hint::black_box(report.lc_after);
             });
-            eprintln!(
+            eout!(
                 "bench-json: batch {label} @ {scale}: {passes} passes, lc {lc}, {:.1} ms",
                 ns as f64 / 1e6
             );
@@ -383,7 +383,7 @@ pub fn run(opts: &BenchJsonOptions) -> Json {
                 ]),
             ));
         }
-        eprintln!("bench-json: batch @ {scale}: k16 cut passes by {reduction_pct:.1}%");
+        eout!("bench-json: batch @ {scale}: k16 cut passes by {reduction_pct:.1}%");
         rows.push((
             "pass_reduction_k16_pct".to_string(),
             Json::num(reduction_pct),
@@ -459,7 +459,7 @@ pub fn run_partition(opts: &BenchJsonOptions) -> Json {
             &profile_by_name("dalu").expect("dalu profile exists"),
             scale,
         ));
-        eprintln!("bench-json: partition quality/scaling @ dalu scale {scale}");
+        eout!("bench-json: partition quality/scaling @ dalu scale {scale}");
 
         // Sequential oracle: the quality ceiling every partitioned run
         // is measured against.
@@ -469,7 +469,7 @@ pub fn run_partition(opts: &BenchJsonOptions) -> Json {
             extract_kernels(&mut work, &[], &ExtractConfig::default());
             lc_seq = work.literal_count() as u64;
         });
-        eprintln!(
+        eout!(
             "bench-json:   seq oracle: lc {lc_seq}, {:.1} ms",
             seq_ns as f64 / 1e6
         );
@@ -527,7 +527,7 @@ pub fn run_partition(opts: &BenchJsonOptions) -> Json {
                 scale_gap_closed = scale_gap_closed.min(gap_closed_pct);
                 scale_recovery_share = scale_recovery_share.max(recovery_share_pct);
             }
-            eprintln!(
+            eout!(
                 "bench-json:   w{workers}: independent lc {lc_ind} ({:.1} ms), \
                  recovered lc {lc_rec} ({:.1} ms), gap closed {gap_closed_pct:.1}%, \
                  recovery share {recovery_share_pct:.1}%",
@@ -726,7 +726,7 @@ pub fn cmd_bench_json(args: &[String]) -> Result<(), String> {
             return Err(format!("cannot write to stdout: {e}"));
         }
     }
-    eprintln!("bench-json: wrote {}", opts.out);
+    eout!("bench-json: wrote {}", opts.out);
     if let Some(min) = opts.assert_pass_reduction {
         let got = doc
             .get("pass_reduction_k16_pct_min")
@@ -737,7 +737,7 @@ pub fn cmd_bench_json(args: &[String]) -> Result<(), String> {
                 "batching at K=16 cut passes by only {got:.1}%, below the {min}% floor"
             ));
         }
-        eprintln!("bench-json: K=16 batching cut passes by >= {got:.1}% (floor {min}%)");
+        eout!("bench-json: K=16 batching cut passes by >= {got:.1}% (floor {min}%)");
     }
     if opts.assert_cache_identical {
         let identical = doc
@@ -751,7 +751,7 @@ pub fn cmd_bench_json(args: &[String]) -> Result<(), String> {
         if !identical {
             return Err("warm cache-served network differs from the cold run".to_string());
         }
-        eprintln!("bench-json: warm cache replay is byte-identical to the cold run");
+        eout!("bench-json: warm cache replay is byte-identical to the cold run");
     }
     if let Some(min) = opts.assert_gap_closed {
         let got = doc
@@ -764,7 +764,7 @@ pub fn cmd_bench_json(args: &[String]) -> Result<(), String> {
                  literal gap, below the {min}% floor"
             ));
         }
-        eprintln!("bench-json: recovery closed >= {got:.1}% of the gap (floor {min}%)");
+        eout!("bench-json: recovery closed >= {got:.1}% of the gap (floor {min}%)");
     }
     if let Some(limit) = opts.assert_recovery_share {
         let measured_big_scale = doc
@@ -777,7 +777,7 @@ pub fn cmd_bench_json(args: &[String]) -> Result<(), String> {
             })
             .unwrap_or(false);
         if !measured_big_scale {
-            eprintln!(
+            eout!(
                 "bench-json: WARNING --assert-recovery-share skipped: \
                  no scale >= 2 in the sweep"
             );
@@ -792,7 +792,7 @@ pub fn cmd_bench_json(args: &[String]) -> Result<(), String> {
                      scale >= 2, above the {limit}% ceiling"
                 ));
             }
-            eprintln!(
+            eout!(
                 "bench-json: recovery stage took <= {got:.1}% of the recovered \
                  wall (ceiling {limit}%)"
             );

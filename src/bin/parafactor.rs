@@ -9,7 +9,7 @@
 //!                   [--fault-plan SPEC] [--fault-seed N] [--worker]
 //! parafactor submit [--addr A] [-a ALG] [-p N] [--par-threads N]
 //!                   [--batch-rects K] [--tile-width W] [--deadline-ms N]
-//!                   [--retries N] [--delta-from BASE] <WORKLOAD>
+//!                   [--retries N] <WORKLOAD>
 //! parafactor dist   [--workers N | --peers A,B,…] [--parts N]
 //!                   [--no-recovery] [--recovery-shards N]
 //!                   [--lease-timeout-ms N]
@@ -68,11 +68,7 @@
 //! --cache-entries sizes the service's content-addressed result cache
 //! (0 disables it; default 64) and --cache-ttl-secs expires entries
 //! (0 = never, the default); an exact resubmission replays the memoized
-//! result byte-for-byte. submit --delta-from BASE marks the job as a
-//! delta against the fingerprint of a previously completed seq job
-//! (e.g. seq/gen:misex3@0.25): the service re-extracts only the cones
-//! whose functions changed and splices the rest from the cached base
-//! (details in docs/SERVICE.md "Caching & delta-submit"). bench-json
+//! result byte-for-byte (details in docs/SERVICE.md "Caching"). bench-json
 //! measures the rectangle search (against the reference engine, and at
 //! 1/2/4/8 workers) and the four drivers end to end and writes
 //! BENCH_rect.json (--quick shrinks scales/reps for CI;
@@ -123,8 +119,8 @@ use parafactor::network::sim::{equivalent_random, EquivConfig};
 use parafactor::network::{stats, Network};
 use parafactor::serve::job::{admit_knobs, knob_from_flag, knobs_to_json, parse_workload, Wire};
 use parafactor::serve::{
-    default_max_procs, dist_response, json, request_lines_with_retry, validate_procs, Algorithm,
-    Json, RemoteTransport, RetryPolicy, Server, ServerConfig, ServiceConfig,
+    default_max_procs, dist_response, eout, json, request_lines_with_retry, validate_procs,
+    Algorithm, Json, RemoteTransport, RetryPolicy, Server, ServerConfig, ServiceConfig,
 };
 use parafactor::workloads::{generate, scale_profile};
 use std::process::ExitCode;
@@ -135,7 +131,8 @@ use std::time::Duration;
 /// `println!` for every line the CLI writes to stdout. Once the reader
 /// has gone (`parafactor --help | head -1`), the rest of the output is
 /// unwanted, so a broken pipe ends the process quietly with success;
-/// any other write error is reported and exits 1.
+/// any other write error is reported and exits 1. Lines for stderr go
+/// through [`eout!`], which ignores write errors.
 macro_rules! out {
     ($($arg:tt)*) => {{
         use std::io::Write as _;
@@ -149,7 +146,7 @@ fn stdout_failed(e: std::io::Error) -> ! {
     if e.kind() == std::io::ErrorKind::BrokenPipe {
         std::process::exit(0)
     }
-    eprintln!("error: cannot write to stdout: {e}");
+    eout!("error: cannot write to stdout: {e}");
     std::process::exit(1)
 }
 
@@ -296,7 +293,7 @@ impl Faults {
             return Ok(None);
         };
         let plan = FaultPlan::parse(spec, self.seed).map_err(|e| format!("--fault-plan: {e}"))?;
-        eprintln!("{who}: FAULT INJECTION ACTIVE ({spec})");
+        eout!("{who}: FAULT INJECTION ACTIVE ({spec})");
         Ok(Some(Arc::new(plan)))
     }
 }
@@ -407,7 +404,6 @@ fn submit_request(args: &[String], max_procs: usize) -> Result<Submit, String> {
     let mut search = SearchConfig::default();
     let mut deadline_ms: Option<u64> = None;
     let mut retries = 4u32;
-    let mut delta_from: Option<String> = None;
     let workload = walk_args(args, &[], |flag, v| {
         match flag {
             "--addr" => addr = text(v, flag)?,
@@ -417,7 +413,6 @@ fn submit_request(args: &[String], max_procs: usize) -> Result<Submit, String> {
                 deadline_ms = Some(num(v, |_| true, "--deadline-ms must be an integer")?)
             }
             "--retries" => retries = num(v, |_| true, "--retries must be a non-negative integer")?,
-            "--delta-from" => delta_from = Some(text(v, flag)?),
             _ => return knob_from_flag(&mut search, flag, v),
         }
         Ok(true)
@@ -435,9 +430,6 @@ fn submit_request(args: &[String], max_procs: usize) -> Result<Submit, String> {
     request.extend(knobs_to_json(&search, Wire::Submit));
     if let Some(ms) = deadline_ms {
         request.push(("deadline_ms".to_string(), Json::u64(ms)));
-    }
-    if let Some(base) = delta_from {
-        request.push(("delta_from".to_string(), Json::str(base)));
     }
     Ok(Submit {
         addr,
@@ -484,7 +476,7 @@ fn cmd_submit(args: &[String]) -> Result<ExitCode, String> {
             if attempt < policy.max_retries {
                 let backoff = policy.backoff(attempt);
                 attempt += 1;
-                eprintln!(
+                eout!(
                     "{reason}; retry {attempt}/{} in {backoff:.1?}",
                     policy.max_retries
                 );
@@ -629,11 +621,11 @@ fn cmd_profile(args: &[String]) -> Result<ExitCode, String> {
     match &opts.output {
         Some(path) => {
             std::fs::write(path, json + "\n").map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("wrote {path}");
+            eout!("wrote {path}");
         }
         None => out!("{json}"),
     }
-    eprintln!(
+    eout!(
         "profile: {} on {}: {} events in {} lanes, {} extractions, \
          phase spans cover {coverage:.1}% of {:.3?}",
         opts.algorithm,
@@ -643,7 +635,7 @@ fn cmd_profile(args: &[String]) -> Result<ExitCode, String> {
         report.extractions,
         report.elapsed,
     );
-    eprintln!(
+    eout!(
         "profile: {} search passes, {:.2} rects/pass{}",
         report.passes,
         report.rects_per_pass(),
@@ -657,7 +649,7 @@ fn cmd_profile(args: &[String]) -> Result<ExitCode, String> {
         }
     );
     if trace.dropped > 0 {
-        eprintln!(
+        eout!(
             "profile: warning: {} events lost to lane ring wrap-around",
             trace.dropped
         );
@@ -761,7 +753,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     })?;
     // Without an input the run command prints its usage, exit 2.
     let Some(input) = input else {
-        eprintln!("error: no input");
+        eout!("error: no input");
         usage()
     };
     opts.input = input;
@@ -843,7 +835,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
                 "stats: inputs {}  outputs {}  nodes {}  lits(sop) {}  lits(fac) {}  depth {}  cubes {}",
                 s.inputs, s.outputs, s.live_nodes, s.lits_sop, s.lits_fac, s.depth, s.cubes
             ),
-            Err(e) => eprintln!("stats failed: {e}"),
+            Err(e) => eout!("stats failed: {e}"),
         }
     }
 
@@ -851,11 +843,11 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         match equivalent_random(&original, &work, &EquivConfig::default()) {
             Ok(true) => out!("verify: PASS (random-vector equivalence)"),
             Ok(false) => {
-                eprintln!("verify: FAIL — optimized circuit differs!");
+                eout!("verify: FAIL — optimized circuit differs!");
                 return Ok(ExitCode::FAILURE);
             }
             Err(e) => {
-                eprintln!("verify error: {e}");
+                eout!("verify error: {e}");
                 return Ok(ExitCode::FAILURE);
             }
         }
@@ -887,7 +879,7 @@ fn main() -> ExitCode {
         _ => cmd_run(&argv),
     };
     result.unwrap_or_else(|e| {
-        eprintln!("error: {e}");
+        eout!("error: {e}");
         ExitCode::FAILURE
     })
 }
@@ -917,12 +909,12 @@ mod tests {
         assert_eq!(
             submit_line(
                 "-a lshaped -p 2 --batch-rects 1 --tile-width 0 --par-threads 2 \
-                 --deadline-ms 500 --delta-from seq/gen:misex3@0.05 gen:misex3@0.05"
+                 --deadline-ms 500 gen:misex3@0.05"
             ),
             concat!(
                 r#"{"op":"submit","algorithm":"lshaped","workload":"gen:misex3@0.05","#,
                 r#""procs":2,"par_threads":2,"batch_rects":1,"tile_width":0,"#,
-                r#""deadline_ms":500,"delta_from":"seq/gen:misex3@0.05"}"#
+                r#""deadline_ms":500}"#
             )
         );
     }

@@ -171,14 +171,14 @@ fn price_cover_draws(config: ServiceConfig, jobs: &[JobSpec]) -> u64 {
     probe.hits("seq:cover")
 }
 
-/// Satellite: chaos on the delta-submit path. A panic inside the dirty-
-/// cone re-extraction must answer exactly once (Failed), admit neither
-/// the spliced network nor any partial entry, and leave the base entry
-/// serving exact hits.
+/// A caught panic after a fill. The panicking job answers
+/// exactly once (Failed) and admits nothing, its struck fingerprint
+/// stays out of the cache on a clean rerun, and the entry filled before
+/// the panic keeps serving exact hits.
 #[test]
-fn panic_mid_delta_splice_never_admits_partial_results() {
+fn panic_after_a_fill_admits_nothing_and_the_entry_still_hits() {
     quiet_injected_panics();
-    const BASE: &str = "gen:misex3@0.1";
+    const FILL: &str = "gen:misex3@0.1";
     const NEXT: &str = "gen:dalu@0.2";
     let config = || ServiceConfig {
         workers: 1,
@@ -186,11 +186,11 @@ fn panic_mid_delta_splice_never_admits_partial_results() {
         poison_threshold: 100,
         ..ServiceConfig::default()
     };
-    let fill_draws = price_cover_draws(config(), &[spec(Algorithm::Seq, BASE)]);
+    let fill_draws = price_cover_draws(config(), &[spec(Algorithm::Seq, FILL)]);
     assert!(fill_draws >= 1, "the fill never reached the cover loop");
 
     // The absorber soaks exactly the fill's draws; the panic then lands
-    // on the delta job's first dirty-cone cover checkpoint.
+    // on the next job's first cover checkpoint.
     let plan = Arc::new(
         FaultPlan::new(1)
             .with_rule(FaultRule::latency_at("seq:cover", Duration::ZERO).max_hits(fill_draws))
@@ -204,35 +204,29 @@ fn panic_mid_delta_splice_never_admits_partial_results() {
     let cache = client.cache().expect("cache enabled by default");
     let mut tally = Tally::default();
 
-    // Fill the base; its entry is the delta job's splice source.
     let o = client
-        .submit(spec(Algorithm::Seq, BASE))
+        .submit(spec(Algorithm::Seq, FILL))
         .expect("accepted")
         .wait();
     assert!(matches!(o, JobOutcome::Completed(_)), "{o:?}");
     tally.absorb_outcome(&o);
     assert_eq!(cache.len(), 1);
 
-    // The delta job: the base resolves, clean cones splice, and the
-    // dirty re-extraction panics before its first extraction.
-    let mut delta = spec(Algorithm::Seq, NEXT);
-    delta.delta_from = Some(format!("seq/{BASE}"));
-    let o = client.submit(delta).expect("accepted").wait();
+    let o = client
+        .submit(spec(Algorithm::Seq, NEXT))
+        .expect("accepted")
+        .wait();
     assert!(
         matches!(&o, JobOutcome::Failed { message } if message.contains("fault injected")),
         "{o:?}"
     );
     tally.absorb_outcome(&o);
-    assert_eq!(
-        cache.len(),
-        1,
-        "a panicking delta job admitted a spliced or partial entry"
-    );
+    assert_eq!(cache.len(), 1, "a panicking job admitted a partial entry");
 
-    // The base entry survived untouched: an exact-hit resubmission
+    // The filled entry survived untouched: an exact-hit resubmission
     // replays from the cache — no driver run, no fault draw.
     let o = client
-        .submit(spec(Algorithm::Seq, BASE))
+        .submit(spec(Algorithm::Seq, FILL))
         .expect("accepted")
         .wait();
     match &o {
@@ -241,9 +235,8 @@ fn panic_mid_delta_splice_never_admits_partial_results() {
     }
     tally.absorb_outcome(&o);
 
-    // And the new workload's key is genuinely absent: a plain rerun
-    // misses. It runs clean (the panic budget is spent) but its struck
-    // fingerprint keeps it out of the cache.
+    // The panicked workload's rerun misses and runs clean (the panic
+    // budget is spent), but its struck fingerprint keeps it out.
     let o = client
         .submit(spec(Algorithm::Seq, NEXT))
         .expect("accepted")
@@ -256,7 +249,6 @@ fn panic_mid_delta_splice_never_admits_partial_results() {
     assert_books_match(&client, &tally);
     let m = client.metrics();
     assert_eq!(m.panics.get(), 1);
-    assert_eq!(m.delta_jobs.get(), 0, "a failed splice is not a delta job");
     assert_eq!(
         m.cache_lookups.get(),
         3,

@@ -215,7 +215,7 @@ fn help_text_is_pinned() {
     let digest = parafactor::kcmatrix::Digest::of_bytes(&out.stdout);
     assert_eq!(
         (out.stdout.len(), digest.to_hex().as_str()),
-        (6319, "9a6de9cbf1c7cdb9b2b8932b925e6530")
+        (6042, "bac7d2bc5b5823e1b93270959a93c024")
     );
 }
 
@@ -351,4 +351,15 @@ fn a_closed_stdout_is_a_quiet_exit() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
     }
+    // The same for stderr: `profile` writes its run summary there, and
+    // a closed stderr must leave the command's own exit code.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let status = bin()
+        .args(["profile", "gen:misex3@0.05"])
+        .stdout(std::process::Stdio::null())
+        .stderr(writer)
+        .status()
+        .expect("binary runs");
+    assert_eq!(status.code(), Some(0), "profile with a closed stderr");
 }

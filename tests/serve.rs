@@ -387,3 +387,89 @@ fn shutdown_drains_in_flight_jobs_and_the_final_snapshot_balances() {
     });
     handle.join().unwrap();
 }
+
+/// The service side of the rare `serve_mix` verification failure. The
+/// cache admits a miss's result before the worker writes that job's
+/// response, so while connection A has not yet read its miss answer,
+/// connection B can submit the same job and receive a hit. The hit
+/// carries A's `lc_after` and A's network. A verifier that walks answers
+/// in client-receive order and accepts a hit only after a matching miss
+/// would fail this pair, though the service answered both correctly.
+#[test]
+fn a_hit_can_reach_its_client_before_the_miss_it_replays() {
+    use parafactor::core::{extract_kernels, ExtractConfig};
+    use parafactor::kcmatrix::network_digest;
+    use parafactor::network::io::write_network;
+    use parafactor::serve::job::resolve_workload;
+    use parafactor::serve::{Algorithm, JobSpec};
+    use std::io::{BufRead, BufReader, Write};
+    use std::time::Instant;
+
+    const WORKLOAD: &str = "gen:misex3@0.1";
+    let submit = format!(r#"{{"op":"submit","algorithm":"seq","workload":"{WORKLOAD}"}}"#);
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let addr = server.local_addr().expect("local addr");
+    let client = server.client();
+    let handle = std::thread::spawn(move || server.run());
+
+    // Connection A submits and leaves its answer unread until the
+    // cache holds A's result.
+    let mut conn_a = std::net::TcpStream::connect(addr).expect("connect A");
+    writeln!(conn_a, "{submit}").expect("send A");
+    let cache = client.cache().expect("cache on by default");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while cache.is_empty() {
+        assert!(Instant::now() < deadline, "A's miss was never admitted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // Connection B submits the same job and reads its answer first.
+    let b = request_lines(addr, std::slice::from_ref(&submit)).expect("B round-trip");
+    let b = parse(&b[0]).expect("B's answer is json");
+    let mut line = String::new();
+    BufReader::new(&conn_a)
+        .read_line(&mut line)
+        .expect("read A");
+    drop(conn_a);
+    let a = parse(line.trim_end()).expect("A's answer is json");
+
+    let metrics = |r: &Json| r.get("metrics").cloned().unwrap_or_else(|| panic!("{r}"));
+    let (ma, mb) = (metrics(&a), metrics(&b));
+    let phases = |m: &Json| match m.get("phases") {
+        Some(Json::Obj(p)) => p.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+        other => panic!("phases: {other:?}"),
+    };
+    assert!(!phases(&ma).contains(&"cache".to_string()), "A ran: {a}");
+    assert_eq!(phases(&mb), ["cache"], "B is a hit: {b}");
+    for key in ["lc_before", "lc_after", "extractions"] {
+        assert_eq!(ma.get(key), mb.get(key), "{key}: A {a}, B {b}");
+    }
+
+    // B replayed the one resident entry, and that entry is A's network:
+    // byte-identical to a cold in-process run of the same job.
+    let spec = JobSpec::new(Algorithm::Seq, WORKLOAD);
+    let mut cold = resolve_workload(WORKLOAD).expect("workload");
+    let key = spec.cache_param_digest().combine(network_digest(&cold));
+    let entry = cache.lookup(&key).expect("A's entry is resident");
+    let report = extract_kernels(&mut cold, &[], &ExtractConfig::default());
+    assert_eq!(write_network(&entry.network), write_network(&cold));
+    assert_eq!(
+        ma.get("lc_after").and_then(Json::as_u64),
+        Some(report.lc_after as u64)
+    );
+    assert_eq!(entry.lc_after, report.lc_after);
+
+    let snapshot = shutdown(addr);
+    let m = snapshot.get("metrics").expect("final metrics");
+    assert_eq!(m.get("cache_misses").and_then(Json::as_u64), Some(1));
+    assert_eq!(m.get("cache_hits").and_then(Json::as_u64), Some(1));
+    assert_balanced(m);
+    handle.join().unwrap();
+}
