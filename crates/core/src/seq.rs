@@ -318,9 +318,10 @@ impl Engine {
     /// This is the batched cover's wave selection: it stops at the first
     /// conflict rather than skipping over it, because the callers
     /// re-validate and re-rank the survivors before the next wave.
-    /// Skip-over selection (`select_nonconflicting`) applied stale
-    /// post-conflict candidates and inflated the extraction count over
-    /// the one-per-pass engine (e.g. gen:dalu@1 with `topk 16`: 22
+    /// Skip-over selection (the greedy rule this replaced, now a test
+    /// oracle in `pf_kcmatrix::conflict`) applied stale post-conflict
+    /// candidates and inflated the extraction count over the
+    /// one-per-pass engine (e.g. gen:dalu@1 with `topk 16`: 22
     /// extractions / LC 2131 vs the singular 18 / 2130; the prefix rule
     /// restores 18 / 2130 at 4.5 rectangles per search pass).
     pub fn select_batch(&self, candidates: &[Rectangle], max: usize) -> Vec<Rectangle> {

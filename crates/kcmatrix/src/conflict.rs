@@ -23,10 +23,10 @@
 //! apply the whole selected batch back-to-back and each apply still
 //! saves exactly its rectangle's value.
 //!
-//! Selection is greedy maximal-independent-set in the canonical
-//! (value, cols, rows) order — the same total order the search merge
-//! uses — so the selected batch is deterministic and independent of
-//! thread count and of the candidates' arrival order.
+//! Selection walks the canonical (value, cols, rows) order — the same
+//! total order the search merge uses — and stops at the first conflict,
+//! so the selected batch is deterministic and independent of thread
+//! count and of the candidates' arrival order.
 
 use crate::matrix::KcMatrix;
 use crate::rectangle::{canonical_better, Rectangle};
@@ -63,64 +63,21 @@ fn sorted_overlap(a: &[usize], b: &[usize]) -> bool {
     false
 }
 
-/// Greedy maximal non-conflicting subset of `candidates`, selected in
-/// canonical (value, cols, rows) order and returned in that order, at
-/// most `max` rectangles. The input need not be sorted or deduplicated:
-/// it is sorted canonically first (so the result is independent of
-/// arrival order), and equal duplicates conflict with themselves (shared
-/// columns) so at most one survives.
-pub fn select_nonconflicting(m: &KcMatrix, candidates: &[Rectangle], max: usize) -> Vec<Rectangle> {
-    if candidates.is_empty() || max == 0 {
-        return Vec::new();
-    }
-    let mut order: Vec<&Rectangle> = candidates.iter().collect();
-    order.sort_by(|a, b| {
-        if a == b {
-            std::cmp::Ordering::Equal
-        } else if canonical_better(a, b) {
-            std::cmp::Ordering::Less
-        } else {
-            std::cmp::Ordering::Greater
-        }
-    });
-
-    let mut selected: Vec<Rectangle> = Vec::new();
-    // Union of the selected batch's affected nodes / columns, for O(1)
-    // conflict checks against each further candidate.
-    let mut nodes: FxHashSet<u32> = FxHashSet::default();
-    let mut cols: FxHashSet<usize> = FxHashSet::default();
-    for cand in order {
-        if selected.len() >= max {
-            break;
-        }
-        if cand.cols.iter().any(|c| cols.contains(c)) {
-            continue;
-        }
-        if cand.rows.iter().any(|&r| nodes.contains(&m.rows()[r].node)) {
-            continue;
-        }
-        cols.extend(cand.cols.iter().copied());
-        nodes.extend(cand.rows.iter().map(|&r| m.rows()[r].node));
-        selected.push(cand.clone());
-    }
-    selected
-}
-
 /// The canonical non-conflicting *prefix* of `candidates`: walk the
 /// canonical (value, cols, rows) order and stop at the first candidate
 /// that conflicts with an earlier pick, at most `max` rectangles.
 ///
-/// Prefer this over [`select_nonconflicting`] when the rejected
-/// candidates will be *re-validated and re-ranked* before further use
-/// (the batched cover's wave drain). The first conflict is evidence the
-/// ranking below it is stale: the winner's apply rewrites the loser's
-/// rows, which can shrink the loser and every candidate ranked after it,
-/// so skipping over the conflict and applying lower-ranked candidates
-/// blind inflates the extraction count with small flat extractions the
-/// one-per-pass engine never makes. Stopping at the conflict keeps every
-/// applied rectangle ranked against a fresh pool. Like
-/// [`select_nonconflicting`], the input is sorted canonically first and
-/// the result is deterministic; the canonical best is always selected.
+/// The callers re-validate and re-rank the rejected candidates before
+/// further use (the wave drains of `seq` and Algorithm L). The first
+/// conflict is evidence the ranking below it is stale: the winner's
+/// apply rewrites the loser's rows, which can shrink the loser and every
+/// candidate ranked after it, so skipping over the conflict and applying
+/// lower-ranked candidates blind inflates the extraction count with
+/// small flat extractions the one-per-pass engine never makes. Stopping
+/// at the conflict keeps every applied rectangle ranked against a fresh
+/// pool. The input is sorted canonically first (equal duplicates
+/// conflict through their shared columns), so the result is
+/// deterministic; the canonical best is always selected.
 pub fn select_prefix_nonconflicting(
     m: &KcMatrix,
     candidates: &[Rectangle],
@@ -168,6 +125,7 @@ mod tests {
     use crate::registry::{CubeId, CubeRegistry};
     use pf_sop::kernel::KernelConfig;
     use pf_sop::{Cube, Lit, Sop};
+    use proptest::prelude::*;
 
     fn cube(ids: &[u32]) -> Cube {
         Cube::from_lits(ids.iter().map(|&i| Lit::pos(i)))
@@ -175,6 +133,50 @@ mod tests {
 
     fn sop(cubes: &[&[u32]]) -> Sop {
         Sop::from_cubes(cubes.iter().map(|c| cube(c)))
+    }
+
+    /// The skip-over rule the wave drains replaced, kept as an oracle:
+    /// the greedy maximal non-conflicting subset of `candidates`, selected in
+    /// canonical (value, cols, rows) order and returned in that order, at
+    /// most `max` rectangles. The input need not be sorted or deduplicated:
+    /// it is sorted canonically first (so the result is independent of
+    /// arrival order), and equal duplicates conflict with themselves (shared
+    /// columns) so at most one survives.
+    fn select_nonconflicting(m: &KcMatrix, candidates: &[Rectangle], max: usize) -> Vec<Rectangle> {
+        if candidates.is_empty() || max == 0 {
+            return Vec::new();
+        }
+        let mut order: Vec<&Rectangle> = candidates.iter().collect();
+        order.sort_by(|a, b| {
+            if a == b {
+                std::cmp::Ordering::Equal
+            } else if canonical_better(a, b) {
+                std::cmp::Ordering::Less
+            } else {
+                std::cmp::Ordering::Greater
+            }
+        });
+
+        let mut selected: Vec<Rectangle> = Vec::new();
+        // Union of the selected batch's affected nodes / columns, for O(1)
+        // conflict checks against each further candidate.
+        let mut nodes: FxHashSet<u32> = FxHashSet::default();
+        let mut cols: FxHashSet<usize> = FxHashSet::default();
+        for cand in order {
+            if selected.len() >= max {
+                break;
+            }
+            if cand.cols.iter().any(|c| cols.contains(c)) {
+                continue;
+            }
+            if cand.rows.iter().any(|&r| nodes.contains(&m.rows()[r].node)) {
+                continue;
+            }
+            cols.extend(cand.cols.iter().copied());
+            nodes.extend(cand.rows.iter().map(|&r| m.rows()[r].node));
+            selected.push(cand.clone());
+        }
+        selected
     }
 
     /// The paper's network N: F (id 10), G (id 9), H (id 8).
@@ -343,6 +345,62 @@ mod tests {
         assert_eq!(capped, vec![cands[0].clone()]);
         assert!(select_prefix_nonconflicting(&m, &cands, 0).is_empty());
         assert!(select_prefix_nonconflicting(&m, &[], usize::MAX).is_empty());
+    }
+
+    fn arb_sop() -> impl Strategy<Value = Sop> {
+        prop::collection::vec(prop::collection::btree_set(0u32..8, 1..=4), 1..=8).prop_map(
+            |cubes| {
+                Sop::from_cubes(
+                    cubes
+                        .into_iter()
+                        .map(|vs| Cube::from_lits(vs.into_iter().map(Lit::pos))),
+                )
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// A batch selected from top-K candidates is genuinely
+        /// conflict-free (pairwise) and maximal: every rejected candidate
+        /// conflicts with at least one selected rectangle.
+        #[test]
+        fn selected_batch_is_conflict_free_and_maximal(
+            funcs in prop::collection::vec(arb_sop(), 1..4),
+            topk in 2usize..12,
+        ) {
+            let reg = CubeRegistry::new();
+            let mut m = KcMatrix::new();
+            let mut rl = LabelGen::new(0, LabelGen::DEFAULT_OFFSET);
+            let mut cl = LabelGen::new(0, LabelGen::DEFAULT_OFFSET);
+            for (i, f) in funcs.iter().enumerate() {
+                m.add_node_kernels(i as u32, f, &KernelConfig::default(), &reg, &mut rl, &mut cl);
+            }
+            let w = reg.weights_snapshot();
+            let value_of = |id: CubeId| w[id as usize];
+            let cfg = SearchConfig { topk, ..SearchConfig::default() };
+            let cands = SearchPool::new()
+                .find(&m, &value_of, &cfg, None, CeilingUpdate::Off)
+                .0;
+            let selected = select_nonconflicting(&m, &cands, usize::MAX);
+            for (i, a) in selected.iter().enumerate() {
+                for b in &selected[i + 1..] {
+                    prop_assert!(!conflicts(&m, a, b), "selected pair conflicts");
+                    prop_assert!(!conflicts(&m, b, a), "conflict must be symmetric here");
+                }
+            }
+            for c in cands.iter().filter(|c| !selected.contains(c)) {
+                prop_assert!(
+                    selected.iter().any(|s| conflicts(&m, s, c)),
+                    "rejected candidate conflicts with nothing — selection not maximal"
+                );
+            }
+            // The canonical best candidate is always selected first.
+            if let Some(first) = cands.first() {
+                prop_assert_eq!(selected.first(), Some(first));
+            }
+        }
     }
 
     #[test]

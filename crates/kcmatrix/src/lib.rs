@@ -38,7 +38,7 @@ pub mod rowset;
 pub mod tiles;
 mod worker;
 
-pub use conflict::{conflicts, select_nonconflicting, select_prefix_nonconflicting};
+pub use conflict::{conflicts, select_prefix_nonconflicting};
 pub use cube_matrix::{CommonCube, CubeLitMatrix};
 pub use digest::{cube_digest, network_digest, sop_digest, Digest, DigestBuilder};
 pub use matrix::{ColIdx, KcCol, KcMatrix, KcRow, LabelGen, RowIdx};

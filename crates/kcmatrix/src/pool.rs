@@ -43,9 +43,11 @@
 //!    (its value ≤ that edge's `ub`) — so the ceiling bounds them all,
 //!    regardless of how the shared bound moved while the task ran.
 //! 2. **Staleness.** A ceiling is only consulted while its column's
-//!    subtree is byte-identical to when it was recorded. The caller
+//!    subtree has the rows it had when it was recorded. The caller
 //!    must mark dirty every column that gained or lost a row, or whose
-//!    rows' values changed; [`CeilingUpdate::Off`] and truncated passes
+//!    rows' values rose; values that only fell leave every ceiling an
+//!    upper bound, so they need no marking (Algorithm L's claims and
+//!    divides rely on this). [`CeilingUpdate::Off`] and truncated passes
 //!    invalidate everything (a truncated pass completes no task set
 //!    worth trusting, and its explored prefix is interleaving-
 //!    dependent). A fingerprint of `(min_cols, stripe)` guards against
@@ -89,8 +91,10 @@ use std::thread::JoinHandle;
 /// and so how the pool treats its stored panel and ceilings.
 pub enum CeilingUpdate<'a> {
     /// Unknown: rebuild the panel, drop any stored ceilings and record
-    /// none. For callers whose cube values can *rise* between passes
-    /// (e.g. the L-shaped engine's COVERED→FREE release).
+    /// none. For one-off searches with no previous pass to build on; a
+    /// caller whose cube values can *rise* between passes should use
+    /// [`CeilingUpdate::Reset`] after every rise instead, which still
+    /// records ceilings for the passes that follow.
     Off,
     /// A new matrix: forget the stored panel and ceilings, then record
     /// fresh ones.
