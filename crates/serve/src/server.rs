@@ -42,8 +42,9 @@ use crate::job::{knobs_from_json, Algorithm, JobOutcome, JobSpec, Rejection, Wir
 use crate::json::{parse, Json};
 use crate::service::{Client, Service, ServiceConfig};
 use parking_lot::Mutex;
+use pf_sop::fx::FxHashMap;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -99,20 +100,47 @@ impl StopSignal {
     }
 }
 
+/// The open connections: their count, for the accept gate, and a
+/// handle to each, so that a stopping server can end the reads of
+/// connections that sit idle instead of waiting out their idle timeout.
+#[derive(Default)]
+struct OpenConns {
+    active: AtomicUsize,
+    handles: Mutex<FxHashMap<u64, TcpStream>>,
+}
+
+impl OpenConns {
+    /// Shuts down the read half of every open connection: a read
+    /// blocked waiting for the next request returns end-of-stream, and
+    /// responses still being written go out.
+    fn close_reads(&self) {
+        for stream in self.handles.lock().values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+}
+
 /// One slot under the accept gate; dropping it (thread exit, spawn
-/// failure, anything) releases the slot.
-struct ConnPermit<'a>(&'a AtomicUsize);
+/// failure, anything) releases the slot and the connection's handle.
+struct ConnPermit<'a> {
+    conns: &'a OpenConns,
+    id: u64,
+}
 
 impl<'a> ConnPermit<'a> {
-    fn acquire(active: &'a AtomicUsize) -> Self {
-        active.fetch_add(1, Ordering::SeqCst);
-        ConnPermit(active)
+    fn acquire(conns: &'a OpenConns, id: u64, handle: Option<TcpStream>) -> Self {
+        conns.active.fetch_add(1, Ordering::SeqCst);
+        if let Some(h) = handle {
+            conns.handles.lock().insert(id, h);
+        }
+        ConnPermit { conns, id }
     }
 }
 
 impl Drop for ConnPermit<'_> {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
+        self.conns.handles.lock().remove(&self.id);
+        self.conns.active.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -174,7 +202,8 @@ impl Server {
                 *stop.nudge.lock() = Some(addr);
             }
         }
-        let active = AtomicUsize::new(0);
+        let conns = OpenConns::default();
+        let mut next_id = 0u64;
         let service = &self.service;
         let cfg = &self.cfg;
         let mut accept_errors = 0u32;
@@ -186,7 +215,7 @@ impl Server {
                         if stop.is_stopped() {
                             break; // likely the shutdown nudge
                         }
-                        let open = active.load(Ordering::SeqCst);
+                        let open = conns.active.load(Ordering::SeqCst);
                         if open >= cfg.max_connections {
                             client.metrics().conn_rejected.inc();
                             reject_stream(
@@ -198,7 +227,8 @@ impl Server {
                             );
                             continue;
                         }
-                        let permit = ConnPermit::acquire(&active);
+                        next_id += 1;
+                        let permit = ConnPermit::acquire(&conns, next_id, stream.try_clone().ok());
                         // Duplicate handle so a failed spawn can still
                         // answer the peer (the original moves into the
                         // connection closure).
@@ -242,9 +272,11 @@ impl Server {
                     }
                 }
             }
-            // Scope join waits for connection threads; they exit once
-            // their streams close (the shutdown handler has already
-            // drained the service by the time stop is set).
+            // Scope join waits for connection threads. The shutdown
+            // handler has already drained the service by the time stop
+            // is set, so a connection still open is waiting for its next
+            // request: ending its reads lets it exit now.
+            conns.close_reads();
         });
     }
 }
@@ -1053,6 +1085,33 @@ mod tests {
         assert_eq!(reader.read_line(&mut line).expect("eof"), 0);
         shutdown_server(addr);
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn shutdown_returns_while_another_connection_sits_idle() {
+        // The default idle timeout is 60 s; `run` must not wait it out
+        // for a client that keeps a quiet connection open.
+        let (addr, handle) = start_server(ServiceConfig::default());
+        let idle = TcpStream::connect(addr).expect("connect");
+        let mut idle_reader = BufReader::new(idle.try_clone().unwrap());
+        let mut idle_writer = idle;
+        idle_writer.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+        let mut line = String::new();
+        idle_reader.read_line(&mut line).expect("ping answer");
+        assert!(line.contains("ok"), "{line}");
+        let start = std::time::Instant::now();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            handle.join().unwrap();
+            let _ = tx.send(());
+        });
+        shutdown_server(addr);
+        rx.recv_timeout(Duration::from_secs(2))
+            .expect("run returned within 2 s of shutdown");
+        assert!(start.elapsed() < Duration::from_secs(2));
+        // The idle client sees its connection end.
+        line.clear();
+        assert_eq!(idle_reader.read_line(&mut line).unwrap_or(0), 0);
     }
 
     #[test]
