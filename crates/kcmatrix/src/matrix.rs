@@ -73,7 +73,7 @@ pub struct KcRow {
     /// `KcMatrix::push_row` checks it in debug builds; [`KcRow::entry`]
     /// binary-searches on the strength of it. Mutators that rebuild rows
     /// (e.g. Algorithm L's `rebuild_node_rows`) go through
-    /// `remove_node_rows` + `add_node_kernels`, so the invariant holds
+    /// `remove_rows_of_nodes` + `add_node_kernels`, so the invariant holds
     /// matrix-wide for the row's whole life.
     pub entries: Vec<(ColIdx, CubeId)>,
     /// Tombstone flag; dead rows are skipped by every search.
@@ -303,16 +303,10 @@ impl KcMatrix {
         }
     }
 
-    /// Tombstones every row belonging to `node` (after the node's
-    /// function changed) and scrubs the column row-lists. Touches only
-    /// the node's own rows.
-    pub fn remove_node_rows(&mut self, node: u32) {
-        self.remove_rows_of_nodes(&[node], &mut Vec::new());
-    }
-
-    /// [`KcMatrix::remove_node_rows`] for several nodes at once: every
-    /// column the rows occupy has its row list scrubbed once, not once
-    /// per entry. Appends those columns to `touched`, ascending.
+    /// Tombstones every row belonging to `nodes` (after their functions
+    /// changed) and scrubs the column row-lists. Touches only those
+    /// nodes' own rows, and scrubs every column they occupy once, not
+    /// once per entry. Appends those columns to `touched`, ascending.
     pub fn remove_rows_of_nodes(&mut self, nodes: &[u32], touched: &mut Vec<ColIdx>) {
         let mut cols = Vec::new();
         for node in nodes {
@@ -586,7 +580,7 @@ mod tests {
             &mut cl,
         );
         let before = m.num_alive_rows();
-        m.remove_node_rows(9);
+        m.remove_rows_of_nodes(&[9], &mut Vec::new());
         assert_eq!(m.num_alive_rows(), before - 4);
         for col in m.cols() {
             for &r in &col.rows {
