@@ -28,12 +28,13 @@
 //! | `lshaped:step` | Algorithm L's worker step loop |
 //! | `lshaped:recv` | Algorithm L, between popping a shipped rectangle and applying it |
 //! | `serve:pickup:FP` | pf-serve worker, job pickup (outside panic isolation) |
+//! | `serve:resolve` | pf-serve worker, before it generates a job's workload (an input-memo miss, or every job with the cache off; inside panic isolation) |
 //! | `dist:pickup:LEASE` | dist worker, sub-job pickup (outside panic isolation) |
 //! | `dist:send:wW` | dist transport, sub-job dispatch to worker `W` |
 //! | `dist:recv:wW` | dist transport, sub-job response from worker `W` |
 //!
 //! A panic injected at `seq:cover`, `independent:merge`,
-//! `serve:pickup`, or `dist:pickup` is safe: it either stays on one
+//! `serve:pickup`, `serve:resolve` or `dist:pickup` is safe: it either stays on one
 //! thread or propagates cleanly through a scope join. Panics at
 //! `replicated:reduce`, `lshaped:step` or `lshaped:recv` can strand
 //! sibling threads at a barrier — inject latency or cancellation there

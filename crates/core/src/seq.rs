@@ -639,6 +639,10 @@ pub(crate) fn extract_kernels_warm(
     // covering essentially all of `elapsed`.
     let mut lane = cfg.trace.lane(&cfg.name_prefix);
     let start = Instant::now();
+    // The `matrix` span opens with the clock: the run's bookkeeping
+    // before the build counts toward the matrix phase, as it does in
+    // `report.phases`, so traced spans cover all of `elapsed`.
+    let matrix_span = lane.start("matrix");
     let lc_before = nw.literal_count();
     let mut report = ExtractReport {
         lc_before,
@@ -649,6 +653,7 @@ pub(crate) fn extract_kernels_warm(
     // even the matrix build. Still report well-formed phases: everything
     // spent so far was pre-matrix bookkeeping.
     if report.note_stop(&cfg.ctl) {
+        lane.end(matrix_span);
         report.elapsed = start.elapsed();
         report.phases = vec![
             PhaseTiming::new("matrix", report.elapsed),
@@ -657,7 +662,6 @@ pub(crate) fn extract_kernels_warm(
         ];
         return report;
     }
-    let matrix_span = lane.start("matrix");
     let mut engine = Engine::new(nw, &targets, cfg.clone());
     lane.end(matrix_span);
     let matrix_elapsed = start.elapsed();
@@ -705,11 +709,11 @@ pub(crate) fn extract_kernels_warm(
         }
         drain_wave(&mut engine, nw, cands, &mut lane, &mut report);
     }
-    lane.end(cover_span);
     // `tile` phase counters: how the resident panel mirror was kept in
     // sync across the cover's passes (full rebuilds vs incrementally
     // re-encoded columns). Emitted once per run — the counters are
-    // cumulative over the pool's passes.
+    // cumulative over the pool's passes. Like the final literal count,
+    // inside the `cover` span, which runs to the end of the clock.
     let (rebuilds, synced_cols) = engine.tile_counters();
     lane.event("tile", || {
         vec![
@@ -718,6 +722,7 @@ pub(crate) fn extract_kernels_warm(
         ]
     });
     report.lc_after = nw.literal_count();
+    lane.end(cover_span);
     report.elapsed = start.elapsed();
     report.setup = matrix_elapsed;
     report.phases = vec![

@@ -15,6 +15,8 @@
 //! Provided here:
 //! * [`Network`] — construction, fanin/fanout queries, topological order,
 //!   literal count, structural validation;
+//! * [`PackedNetwork`] — a network in flat, exactly sized arrays, for
+//!   copies that are kept only to be rebuilt ([`Network::pack`]);
 //! * transforms ([`transform`]) — kernel/cube extraction plumbing
 //!   (`extract_node`, `divide_node_by`), `eliminate`, `sweep`;
 //! * simulation ([`sim`]) — random-vector evaluation and functional
@@ -27,10 +29,12 @@ pub mod blif;
 pub mod example;
 pub mod io;
 pub mod network;
+pub mod packed;
 pub mod resub;
 pub mod sim;
 pub mod stats;
 pub mod transform;
 
 pub use network::{Network, NetworkError, SignalId, SignalKind};
+pub use packed::PackedNetwork;
 pub use sim::{equivalent_random, simulate, EquivConfig};

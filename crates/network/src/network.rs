@@ -78,11 +78,11 @@ impl std::error::Error for NetworkError {}
 /// ```
 #[derive(Clone, Default)]
 pub struct Network {
-    names: Vec<String>,
-    kinds: Vec<SignalKind>,
-    funcs: Vec<Sop>, // empty Sop for PIs (unused)
-    outputs: Vec<SignalId>,
-    by_name: FxHashMap<String, SignalId>,
+    pub(crate) names: Vec<String>,
+    pub(crate) kinds: Vec<SignalKind>,
+    pub(crate) funcs: Vec<Sop>, // empty Sop for PIs (unused)
+    pub(crate) outputs: Vec<SignalId>,
+    pub(crate) by_name: FxHashMap<String, SignalId>,
 }
 
 impl Network {

@@ -1,6 +1,7 @@
 //! Property tests for the network substrate: transforms preserve
 //! function, sweep/eliminate shrink or hold literal count, IO round-trips.
 
+use pf_kcmatrix::network_digest;
 use pf_network::io::{read_network, write_network};
 use pf_network::sim::{equivalent_random, EquivConfig};
 use pf_network::transform::{eliminate_node, eliminate_value, extract_node, sweep};
@@ -48,8 +49,67 @@ fn arb_network(n_inputs: usize, n_nodes: usize) -> impl Strategy<Value = Network
     })
 }
 
+/// Random network for the pack round trip: negated literals, cubes
+/// past [`Cube::INLINE`] literals, constant-0 and constant-1 nodes,
+/// multi-byte names and arbitrary outputs.
+fn arb_packable_network() -> impl Strategy<Value = Network> {
+    let cube = prop::collection::btree_map(0u32..64, any::<bool>(), 0..=10usize);
+    let node = (
+        0u8..5,
+        prop::collection::vec(cube, 1..=4usize),
+        any::<bool>(),
+    );
+    (1usize..12, prop::collection::vec(node, 0..=12usize)).prop_map(|(n_inputs, specs)| {
+        let mut nw = Network::new();
+        for i in 0..n_inputs {
+            nw.add_input(format!("i{i}")).unwrap();
+        }
+        for (k, (shape, cubes, output)) in specs.into_iter().enumerate() {
+            let pool = nw.num_signals() as u32;
+            let func = match shape {
+                0 => Sop::zero(),
+                1 => Sop::one(),
+                _ => Sop::from_cubes(cubes.into_iter().map(|lits| {
+                    // One phase per variable: a cube never holds both.
+                    let vars: std::collections::BTreeMap<u32, bool> =
+                        lits.into_iter().map(|(v, neg)| (v % pool, neg)).collect();
+                    Cube::from_lits(vars.into_iter().map(|(v, neg)| {
+                        if neg {
+                            Lit::neg(v)
+                        } else {
+                            Lit::pos(v)
+                        }
+                    }))
+                })),
+            };
+            let id = nw.add_node(format!("n{k}·{shape}"), func).unwrap();
+            if output {
+                nw.mark_output(id).unwrap();
+            }
+        }
+        nw
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Packing and unpacking returns the same network: equal content
+    /// digest, equal Debug dump, equal names, kinds and outputs.
+    #[test]
+    fn unpack_of_pack_is_the_network(nw in arb_packable_network()) {
+        let packed = nw.pack();
+        let back = packed.unpack();
+        prop_assert_eq!(network_digest(&back), network_digest(&nw));
+        prop_assert_eq!(format!("{back:?}"), format!("{nw:?}"));
+        prop_assert_eq!(back.outputs(), nw.outputs());
+        for s in nw.signal_ids() {
+            prop_assert_eq!(back.name(s), nw.name(s));
+            prop_assert_eq!(back.kind(s), nw.kind(s));
+            prop_assert_eq!(back.find(nw.name(s)), Some(s));
+        }
+        prop_assert_eq!(back.pack(), packed);
+    }
 
     /// Extracting any divisor computed by algebraic division preserves
     /// the network function.

@@ -263,6 +263,10 @@ pub struct Metrics {
     pub cache_evictions: Counter,
     /// Cold runs that found warm-start hints and seeded the engine.
     pub cache_warm: Counter,
+    /// Workloads served from the cache's input memo (no generation).
+    pub cache_memo_hits: Counter,
+    /// Workloads the input memo did not hold, generated and memoised.
+    pub cache_memo_misses: Counter,
     /// Distributed-coordinator leases created (initial dispatches,
     /// failovers, splits, inline fallbacks). Satisfies
     /// `leases_issued == leases_resolved + leases_expired` at quiescence.
@@ -354,6 +358,8 @@ impl Metrics {
             ("cache_misses", Json::u64(self.cache_misses.get())),
             ("cache_evictions", Json::u64(self.cache_evictions.get())),
             ("cache_warm", Json::u64(self.cache_warm.get())),
+            ("cache_memo_hits", Json::u64(self.cache_memo_hits.get())),
+            ("cache_memo_misses", Json::u64(self.cache_memo_misses.get())),
             ("leases_issued", Json::u64(self.leases_issued.get())),
             ("leases_resolved", Json::u64(self.leases_resolved.get())),
             ("leases_expired", Json::u64(self.leases_expired.get())),
@@ -482,9 +488,12 @@ mod tests {
         m.cache_lookups.inc();
         m.cache_misses.inc();
         assert!(m.balanced());
-        // Evictions and warm seeds sit outside the identity.
+        // Evictions, warm seeds and the input memo sit outside the
+        // identity.
         m.cache_evictions.inc();
         m.cache_warm.inc();
+        m.cache_memo_hits.inc();
+        m.cache_memo_misses.inc();
         assert!(m.balanced());
         // The lease clause: every issued lease resolves or expires.
         m.leases_issued.inc();
@@ -539,6 +548,8 @@ mod tests {
             "cache_misses",
             "cache_evictions",
             "cache_warm",
+            "cache_memo_hits",
+            "cache_memo_misses",
         ] {
             assert!(j.get(key).and_then(Json::as_u64).is_some(), "{key}");
         }

@@ -459,7 +459,7 @@ fn a_hit_can_reach_its_client_before_the_miss_it_replays() {
     let key = spec.cache_param_digest().combine(network_digest(&cold));
     let entry = cache.lookup(&key).expect("A's entry is resident");
     let report = extract_kernels(&mut cold, &[], &ExtractConfig::default());
-    assert_eq!(write_network(&entry.network), write_network(&cold));
+    assert_eq!(write_network(&entry.network.unpack()), write_network(&cold));
     assert_eq!(
         ma.get("lc_after").and_then(Json::as_u64),
         Some(report.lc_after as u64)
@@ -470,6 +470,9 @@ fn a_hit_can_reach_its_client_before_the_miss_it_replays() {
     let m = snapshot.get("metrics").expect("final metrics");
     assert_eq!(m.get("cache_misses").and_then(Json::as_u64), Some(1));
     assert_eq!(m.get("cache_hits").and_then(Json::as_u64), Some(1));
+    // A generated the circuit; B found it in the input memo.
+    assert_eq!(m.get("cache_memo_misses").and_then(Json::as_u64), Some(1));
+    assert_eq!(m.get("cache_memo_hits").and_then(Json::as_u64), Some(1));
     assert_balanced(m);
     handle.join().unwrap();
 }
