@@ -29,7 +29,8 @@ fn warm_start_on_an_adopted_search_matches_the_cold_run() {
 
         // Cold: admits the result and the first-pass warm hints.
         let mut cold = base.clone();
-        let (_, ev) = extract_kernels_cached(&mut cold, &[], &cfg, &mut slot, Some(&handle("a")));
+        let (_, ev) =
+            extract_kernels_cached(&mut cold, |_| {}, &[], &cfg, &mut slot, Some(&handle("a")));
         assert_eq!(
             (ev.misses, ev.inserted),
             (1, 1),
@@ -38,12 +39,13 @@ fn warm_start_on_an_adopted_search_matches_the_cold_run() {
 
         // Another job on the same slot leaves its own matrix state behind.
         let (mut other, _) = example_1_1();
-        extract_kernels_cached(&mut other, &[], &cfg, &mut slot, None);
+        extract_kernels_cached(&mut other, |_| {}, &[], &cfg, &mut slot, None);
 
         // Same content under a second exact key: a miss that finds the
         // warm hints and runs warm-started on the carried-over search.
         let mut warm = base.clone();
-        let (_, ev) = extract_kernels_cached(&mut warm, &[], &cfg, &mut slot, Some(&handle("b")));
+        let (_, ev) =
+            extract_kernels_cached(&mut warm, |_| {}, &[], &cfg, &mut slot, Some(&handle("b")));
         assert_eq!((ev.misses, ev.warm), (1, 1), "par_threads {par_threads}");
         assert_eq!(
             network_digest(&warm),

@@ -254,7 +254,8 @@ pub fn run(opts: &BenchJsonOptions) -> Json {
         let extract = ExtractConfig::default();
         let cold_ns = median_ns(micro_reps, || {
             let mut work = nw.clone();
-            let (report, _) = extract_kernels_cached(&mut work, &[], &extract, &mut None, None);
+            let (report, _) =
+                extract_kernels_cached(&mut work, |_| {}, &[], &extract, &mut None, None);
             std::hint::black_box(report.lc_after);
         });
 
@@ -269,14 +270,21 @@ pub fn run(opts: &BenchJsonOptions) -> Json {
         // Fill once (the cold run that seeds the cache), keep its output
         // as the byte-identity reference.
         let mut cold_net = nw.clone();
-        extract_kernels_cached(&mut cold_net, &[], &extract, &mut None, Some(&handle));
+        extract_kernels_cached(
+            &mut cold_net,
+            |_| {},
+            &[],
+            &extract,
+            &mut None,
+            Some(&handle),
+        );
         // Warm: every repetition is an exact hit.
         let (mut hits, mut lookups) = (0u64, 0u64);
         let mut warm_net = nw.clone();
         let warm_ns = median_ns(micro_reps, || {
             let mut work = nw.clone();
             let (report, ev) =
-                extract_kernels_cached(&mut work, &[], &extract, &mut None, Some(&handle));
+                extract_kernels_cached(&mut work, |_| {}, &[], &extract, &mut None, Some(&handle));
             hits += ev.hits;
             lookups += ev.lookups;
             warm_net = work;

@@ -128,13 +128,13 @@ proptest! {
 
             let mut cold = nw.clone();
             let (cold_report, ev) =
-                run_cached(&mut cold, &tracer, Some(&h), |n| drive(alg, n));
+                run_cached(&mut cold, |_| {}, &tracer, Some(&h), |n| drive(alg, n));
             prop_assert_eq!(ev.misses, 1, "{}: first run misses", alg);
             prop_assert_eq!(ev.inserted, 1, "{}: completed run admitted", alg);
 
             let mut warm = nw.clone();
             let (hit_report, ev2) =
-                run_cached(&mut warm, &tracer, Some(&h), |n| drive(alg, n));
+                run_cached(&mut warm, |_| {}, &tracer, Some(&h), |n| drive(alg, n));
             prop_assert_eq!(ev2.hits, 1, "{}: resubmission hits", alg);
             prop_assert_eq!(
                 write_network(&warm),
