@@ -96,13 +96,6 @@ fn matrix(c: &mut Criterion) {
             )
         })
     });
-    c.bench_function("rectangle/best_striped", |b| {
-        let cfg = SearchConfig {
-            stripe: Some((0, 4)),
-            ..SearchConfig::default()
-        };
-        b.iter(|| pool.find(&m, &value_of, &cfg, None, CeilingUpdate::Off))
-    });
 }
 
 fn partition(c: &mut Criterion) {

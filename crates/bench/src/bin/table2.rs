@@ -1,5 +1,6 @@
-//! Table 2 — parallel kernel extraction using circuit replication
-//! (Algorithm R, §3).
+//! Table 2 — parallel kernel extraction with the rectangle search
+//! divided by leftmost column (Algorithm R, §3). The paper replicates
+//! the circuit on every processor; here R's workers share one matrix.
 //!
 //! Paper columns: circuit, initial LC, then (LC, S) for 2, 4 and 6
 //! processors, where S is the speedup over the single-processor run of
@@ -8,15 +9,24 @@
 //! that role and prints `-`.
 
 use pf_bench::{build_circuit, env_deadline, env_procs, env_scale, fmt_lc, fmt_speedup};
-use pf_core::{replicated_extract, ReplicatedConfig};
+use pf_core::{replicated_extract, ExtractReport, ReplicatedConfig, RunCtl};
+use pf_network::Network;
 use pf_workloads::paper_profiles;
 
 fn main() {
     let scale = env_scale();
     let procs = env_procs();
     let deadline = env_deadline();
+    let run = |nw: &mut Network, procs: usize| -> ExtractReport {
+        let mut cfg = ReplicatedConfig {
+            procs,
+            ..ReplicatedConfig::default()
+        };
+        cfg.extract.ctl = RunCtl::with_deadline(deadline);
+        replicated_extract(nw, &cfg)
+    };
     println!(
-        "Table 2 — Algorithm R (replicated circuit), scale {scale}, deadline {}s",
+        "Table 2 — Algorithm R (search divided by leftmost column), scale {scale}, deadline {}s",
         deadline.as_secs()
     );
     let mut header = format!("{:>8} {:>9}", "circuit", "init LC");
@@ -39,14 +49,7 @@ fn main() {
 
         // Single-processor run of the same algorithm = the S baseline.
         let mut base_nw = nw.clone();
-        let base = replicated_extract(
-            &mut base_nw,
-            &ReplicatedConfig {
-                procs: 1,
-                deadline: Some(deadline),
-                ..ReplicatedConfig::default()
-            },
-        );
+        let base = run(&mut base_nw, 1);
 
         let mut row = format!("{:>8} {:>9}", name, init_lc);
         for &p in &procs {
@@ -55,14 +58,7 @@ fn main() {
                 continue;
             }
             let mut run_nw = nw.clone();
-            let report = replicated_extract(
-                &mut run_nw,
-                &ReplicatedConfig {
-                    procs: p,
-                    deadline: Some(deadline),
-                    ..ReplicatedConfig::default()
-                },
-            );
+            let report = run(&mut run_nw, p);
             row += &format!(
                 " | {:>7} {:>6}",
                 fmt_lc(&report),

@@ -17,7 +17,7 @@
 //! caller that already holds the input in `nw` passes `|_| {}`.
 
 use crate::report::{ExtractReport, PhaseTiming};
-use crate::seq::{extract_kernels_pooled, extract_kernels_warm, ExtractConfig};
+use crate::seq::{extract_kernels_pooled, extract_kernels_warm, ExtractConfig, SEQ_SETUP};
 use crate::trace::Tracer;
 use pf_cache::{CachedResult, ExtractionCache, WarmStart};
 use pf_kcmatrix::{Digest, SearchPool};
@@ -149,7 +149,15 @@ pub fn extract_kernels_cached(
     let warm = h.cache.warm_hints(&h.warm_key);
     events.warm = warm.is_some() as u64;
     let mut capture = None;
-    let report = extract_kernels_warm(nw, targets, cfg, pool, warm.as_deref(), Some(&mut capture));
+    let report = extract_kernels_warm(
+        nw,
+        targets,
+        cfg,
+        pool,
+        warm.as_deref(),
+        Some(&mut capture),
+        SEQ_SETUP,
+    );
     admit(h, nw, &report, capture, &mut events);
     (report, events)
 }

@@ -22,8 +22,7 @@
 //!
 //! | site | checkpoint |
 //! |---|---|
-//! | `seq:cover` | sequential cover-loop head (also Algorithm I's workers) |
-//! | `replicated:reduce` | Algorithm R's reduction step (root only) |
+//! | `seq:cover` | sequential cover-loop head (also Algorithm R, and Algorithm I's workers) |
 //! | `independent:merge` | Algorithm I, before merging worker results |
 //! | `lshaped:step` | Algorithm L's worker step loop |
 //! | `lshaped:recv` | Algorithm L, between popping a shipped rectangle and applying it |
@@ -36,8 +35,8 @@
 //! A panic injected at `seq:cover`, `independent:merge`,
 //! `serve:pickup`, `serve:resolve` or `dist:pickup` is safe: it either stays on one
 //! thread or propagates cleanly through a scope join. Panics at
-//! `replicated:reduce`, `lshaped:step` or `lshaped:recv` can strand
-//! sibling threads at a barrier — inject latency or cancellation there
+//! `lshaped:step` or `lshaped:recv` can strand sibling threads at a
+//! barrier — inject latency or cancellation there
 //! instead.
 //!
 //! The message-plane kinds (`drop` / `dup` / `stall:MS`) are interpreted

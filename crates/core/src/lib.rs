@@ -8,11 +8,11 @@
 //!   SIS's `gkx` kernel extraction: build the KC matrix, extract the
 //!   maximum-valued rectangle, divide the affected nodes, repeat. This is
 //!   the baseline every speedup in the paper is measured against.
-//! * [`replicated`] — **Algorithm R** (§3): every worker holds a replica
-//!   of the circuit and matrix; the rectangle search is divided by
-//!   leftmost column; after one barrier every replica reduces the same
-//!   per-stripe candidates to the global wave and applies it to its own
-//!   copy; repeat. Same extractions as sequential, poor scalability.
+//! * [`replicated`] — **Algorithm R** (§3): the rectangle search divided
+//!   by leftmost column among `procs` workers. The paper replicates the
+//!   circuit and matrix per processor; here the workers are the search
+//!   pool's and share one matrix, so R is the sequential cover with a
+//!   parallel search. Same extractions as sequential.
 //! * [`independent`] — **Algorithm I** (§4): min-cut partition the
 //!   circuit, extract on each part independently, merge. Fast and
 //!   memory-scalable, loses the rectangles that span partitions.

@@ -1,39 +1,34 @@
-//! Algorithm R — parallel kernel extraction with a replicated circuit
-//! (paper §3, after ProperMIS \[4\]).
+//! Algorithm R — the rectangle search divided by leftmost column
+//! (paper §3, Figure 1, after ProperMIS \[4\]).
 //!
-//! Every worker holds its own replica of the network and the full KC
-//! matrix. The kernels are generated once: worker `p` of `n` enumerates
-//! every `n`-th node's kernels, and every replica builds its matrix from
-//! all `n` shares. Concurrency then comes from subdividing the rectangle
-//! search: worker `p` explores the rectangles whose **leftmost column**
-//! falls in its stripe (Figure 1). After one barrier per pass every
-//! replica reads all per-stripe candidates, reduces them to the same
-//! canonical wave — so every replica follows the exact sequential search
-//! path — and applies that wave to its own copy, all replicas at once.
-//! The per-pass barrier and the redundant replica maintenance are the
-//! paper's explanation for this algorithm's poor speedup; both are
-//! reproduced faithfully here.
+//! The paper gives every processor a replica of the circuit and the KC
+//! matrix, divides the search by leftmost column, reduces the local
+//! bests after a barrier and applies the winner on every replica. The
+//! [`SearchPool`](pf_kcmatrix::SearchPool) already divides the search
+//! that way on one matrix: its workers take leftmost-column tasks from
+//! one queue and prune against one shared bound, and the canonical
+//! (value, cols, rows) merge of their lists is the reduction. So R is
+//! the sequential cover ([`crate::seq`]) with `procs` search workers;
+//! the replicas, the per-pass barrier and the repeated apply are not
+//! reproduced.
+//!
+//! R makes the extractions `seq` makes, in the same passes, at every
+//! `procs`, except in a pass the search budget truncates: with two or
+//! more workers, whether a pass exceeds the budget depends on when the
+//! shared bound arrives, so such a run may differ from `seq` (it stays
+//! functionally equivalent). At `procs = 1` it never differs.
 
-use crate::ctl::StopReason;
 use crate::report::{ExtractReport, PhaseTiming};
-use crate::seq::{drain_wave, end_search_span, Engine, ExtractConfig, KernelShare};
-use crate::trace::{Lane, Span};
-use pf_kcmatrix::{canonical_top_k, Rectangle};
-use pf_network::{Network, SignalId};
-use std::sync::{Barrier, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use crate::seq::{extract_kernels_warm, ExtractConfig};
+use pf_network::Network;
 
 /// Options for [`replicated_extract`].
 #[derive(Clone, Debug)]
 pub struct ReplicatedConfig {
-    /// Number of workers (replicas).
+    /// Number of search workers; overrides `extract.search.par_threads`.
     pub procs: usize,
-    /// Extraction options shared by every replica.
+    /// Extraction options; `extract.ctl` stops the run.
     pub extract: ExtractConfig,
-    /// Wall-clock deadline; on expiry the run stops after the current
-    /// iteration and the report is flagged `timed_out` (the paper's
-    /// Table 2 marks such runs "-").
-    pub deadline: Option<Duration>,
 }
 
 impl Default for ReplicatedConfig {
@@ -44,166 +39,23 @@ impl Default for ReplicatedConfig {
                 name_prefix: "rkx_".to_string(),
                 ..ExtractConfig::default()
             },
-            deadline: None,
         }
     }
-}
-
-/// What one replica publishes after its striped search of a pass.
-#[derive(Clone, Debug, Default)]
-struct Post {
-    /// The stripe's canonical top-K (the single best when `topk = 1`).
-    rects: Vec<Rectangle>,
-    /// The stripe's search ran out of budget.
-    exhausted: bool,
-    /// Why this replica wants the cover to end here, if it does.
-    stop: Option<StopReason>,
-}
-
-/// The pass's global wave: the canonical top-`k` of every stripe's list.
-/// Every global top-`k` member is in its own stripe's list, so this is
-/// independent of the stripe count. Mirrors "the processor which owns the
-/// root of the search tree identifies the best rectangle and broadcasts
-/// it", except that every replica is that processor.
-fn global_wave(posts: &[Post], k: usize) -> Vec<Rectangle> {
-    let all: Vec<Rectangle> = posts.iter().flat_map(|p| p.rects.iter().cloned()).collect();
-    canonical_top_k(&all, k)
-}
-
-/// What the replicas of one run share.
-struct Run<'a> {
-    cfg: &'a ReplicatedConfig,
-    nw: &'a Network,
-    targets: Vec<SignalId>,
-    procs: usize,
-    start: Instant,
-    barrier: Barrier,
-    /// `shares[pid]`: worker `pid`'s kernel generation share.
-    shares: Vec<OnceLock<KernelShare>>,
-    /// Per-pass posts, double-buffered by pass parity: a replica can
-    /// write pass n + 1's post while a slower one still reads pass n's,
-    /// but not pass n + 2's before everyone is past pass n + 1's barrier.
-    posts: [Mutex<Vec<Post>>; 2],
 }
 
 /// Runs Algorithm R on the network, in place. Returns the report.
+///
+/// Phases: `replicate` (matrix build and search-pool warm-up, also the
+/// report's `setup`) and `cover`.
 pub fn replicated_extract(nw: &mut Network, cfg: &ReplicatedConfig) -> ExtractReport {
-    let start = Instant::now();
-    let lc_before = nw.literal_count();
-    let procs = cfg.procs.max(1);
-    let run = Run {
-        cfg,
-        nw,
-        targets: nw.node_ids().collect(),
-        procs,
-        start,
-        barrier: Barrier::new(procs),
-        shares: (0..procs).map(|_| OnceLock::new()).collect(),
-        posts: std::array::from_fn(|_| Mutex::new(vec![Post::default(); procs])),
-    };
-    let (result, mut report, setup) = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..procs)
-            .map(|pid| {
-                // Lane opened (and the replicate span started) driver-side,
-                // so the span covers thread-spawn latency — which the report
-                // attributes to the replicate phase too.
-                let lane = cfg.extract.trace.lane(&format!("r{pid}"));
-                let replicate_span = lane.start("replicate");
-                let run = &run;
-                s.spawn(move || replica(run, pid, lane, replicate_span))
-            })
-            .collect();
-        let mut outcomes = handles.into_iter().map(|h| h.join().unwrap());
-        outcomes.next().expect("worker 0 publishes its replica")
-    });
-
-    *nw = result;
-    let elapsed = start.elapsed();
-    report.lc_before = lc_before;
-    report.lc_after = nw.literal_count();
-    report.elapsed = elapsed;
-    report.setup = setup;
-    report.phases = vec![
-        PhaseTiming::new("replicate", setup),
-        PhaseTiming::new("cover", elapsed.saturating_sub(setup)),
-    ];
+    let mut extract = cfg.extract.clone();
+    extract.search.par_threads = cfg.procs.max(1);
+    let mut report =
+        extract_kernels_warm(nw, &[], &extract, &mut None, None, None, ["replicate"; 2]);
+    let cover = report.phases.pop().expect("seq reports its cover phase");
+    report.setup = report.phases_total();
+    report.phases = vec![PhaseTiming::new("replicate", report.setup), cover];
     report
-}
-
-/// Worker `pid`: builds its replica, then runs the striped cover on it.
-/// Returns the replica's network, its report (identical on every worker
-/// apart from the timings the driver fills in) and its setup time.
-fn replica(
-    run: &Run,
-    pid: usize,
-    mut lane: Lane,
-    replicate_span: Span,
-) -> (Network, ExtractReport, Duration) {
-    let cfg = &run.cfg.extract;
-    // The replica: full circuit and full matrix per worker. Generation is
-    // the §3 parallel scheme, run once: this worker enumerates its share,
-    // and every replica merges all shares into the identical matrix.
-    let mut nw = run.nw.clone();
-    let share = KernelShare::generate(run.nw, &run.targets, &cfg.kernel, pid, run.procs);
-    assert!(run.shares[pid].set(share).is_ok(), "one share per worker");
-    run.barrier.wait();
-    let shares: Vec<&KernelShare> = run.shares.iter().map(|s| s.get().unwrap()).collect();
-    let mut engine = Engine::from_shares(&nw, &run.targets, cfg.clone(), &shares);
-    // Pre-spawn the replica's search threads (if `search.par_threads ≥
-    // 2`) inside the replicate span so no cover pass pays spawn cost. The
-    // per-replica stripe is constant, so the pool's cross-pass ceilings
-    // stay valid between iterations.
-    engine.warm_pool();
-    lane.end(replicate_span);
-    let setup = run.start.elapsed();
-
-    let cover_span = lane.start("cover");
-    let mut report = ExtractReport::default();
-    let stripe = Some((pid as u32, run.procs as u32));
-    loop {
-        let pass = lane.start("search");
-        let (rects, stats) = engine.search_batch(stripe);
-        end_search_span(&mut lane, pass, rects.first(), &stats);
-        // Stop checks ride the per-pass barrier. Fault site too, on
-        // worker 0 only: inject latency or cancel here (a panic would
-        // strand the siblings at the barrier).
-        if pid == 0 {
-            cfg.ctl.fault_point("replicated:reduce");
-        }
-        let stop = match run.cfg.deadline {
-            Some(d) if run.start.elapsed() > d => Some(StopReason::DeadlineExpired),
-            _ => cfg.ctl.stop_reason(),
-        };
-        let slot = &run.posts[report.passes % 2];
-        slot.lock().unwrap()[pid] = Post {
-            rects,
-            exhausted: stats.budget_exhausted,
-            stop,
-        };
-        run.barrier.wait();
-        report.passes += 1;
-        // Every replica reads the same posts, so every replica takes the
-        // same decisions from here on.
-        let (wave, stop) = {
-            let posts = slot.lock().unwrap();
-            report.budget_exhausted |= posts.iter().any(|p| p.exhausted);
-            let stop = posts.iter().find_map(|p| p.stop);
-            (global_wave(&posts, cfg.search.topk), stop)
-        };
-        match stop {
-            Some(StopReason::DeadlineExpired) => report.timed_out = true,
-            Some(StopReason::Cancelled) => report.cancelled = true,
-            None => {}
-        }
-        if stop.is_some() {
-            break;
-        }
-        if drain_wave(&mut engine, &mut nw, wave, &mut lane, &mut report) == 0 {
-            break;
-        }
-    }
-    lane.end(cover_span);
-    (nw, report, setup)
 }
 
 #[cfg(test)]
@@ -212,6 +64,8 @@ mod tests {
     use crate::seq::extract_kernels;
     use pf_network::example::example_1_1;
     use pf_network::sim::{equivalent_random, EquivConfig};
+    use pf_network::SignalId;
+    use std::time::Duration;
 
     #[test]
     fn matches_sequential_quality_on_example() {
@@ -255,14 +109,11 @@ mod tests {
 
     #[test]
     fn batched_replicated_is_proc_count_invariant() {
-        // The per-stripe top-K lists merge to the canonical global
-        // top-K (every global member survives its own stripe's list),
-        // so the drained batch sequence — and the final network — are
-        // identical for any stripe count, and identical to the batched
+        // The pool's top-K is the same list at every worker count, so
+        // the drained batch sequence — and the final network — are
+        // identical for any `procs`, and identical to the batched
         // sequential engine. The second circuit is large enough for the
-        // replicas to compact their matrices mid-cover: each decides
-        // that from its own (replicated) matrix alone, so the row
-        // indices of a wave keep naming the same rows on every replica.
+        // matrix to be compacted mid-cover.
         let dalu = pf_workloads::profile_by_name("dalu").expect("dalu profile exists");
         for (profile, topk, compacts) in [
             (pf_workloads::CircuitProfile::small("rbatch", 11), 8, false),
@@ -276,7 +127,7 @@ mod tests {
             assert!(seq_report.extractions > 1);
             if compacts {
                 let targets: Vec<SignalId> = base.node_ids().collect();
-                let mut engine = Engine::new(&base, &targets, seq_cfg);
+                let mut engine = crate::seq::Engine::new(&base, &targets, seq_cfg);
                 let (_, compactions) = crate::seq::stepwise_cover(&mut engine, &mut base.clone());
                 assert!(compactions > 0, "{} must compact mid-cover", profile.name);
             }
@@ -296,23 +147,6 @@ mod tests {
                 assert!(nw.validate().is_ok());
             }
         }
-    }
-
-    #[test]
-    fn deadline_flags_timeout() {
-        let (mut nw, _) = example_1_1();
-        let report = replicated_extract(
-            &mut nw,
-            &ReplicatedConfig {
-                procs: 2,
-                deadline: Some(Duration::ZERO),
-                ..ReplicatedConfig::default()
-            },
-        );
-        assert!(report.timed_out);
-        // Nothing extracted: the deadline fired before the first commit.
-        assert_eq!(report.extractions, 0);
-        assert_eq!(report.lc_after, report.lc_before);
     }
 
     #[test]
@@ -356,10 +190,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
 
-        /// R is the sequential cover run on replicas: for every paper
-        /// profile and input labelling, every worker count extracts the
-        /// byte-identical network `extract_kernels` does, in the same
-        /// passes.
+        /// R is the sequential cover with `procs` search workers: for
+        /// every paper profile and input labelling, every worker count
+        /// extracts the byte-identical network `extract_kernels` does,
+        /// in the same passes.
         #[test]
         fn replicated_is_byte_identical_to_sequential(labelling in 1u64..u64::MAX) {
             use crate::seq::tests::{relabel, PROFILES};
@@ -376,7 +210,6 @@ mod tests {
                         &ReplicatedConfig {
                             procs,
                             extract: ExtractConfig::default(),
-                            deadline: None,
                         },
                     );
                     proptest::prop_assert_eq!(
@@ -392,51 +225,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    fn post(rects: Vec<Rectangle>) -> Post {
-        Post {
-            rects,
-            ..Post::default()
-        }
-    }
-
-    #[test]
-    fn global_wave_is_deterministic_on_ties() {
-        let a = Rectangle {
-            rows: vec![1, 2],
-            cols: vec![0, 3],
-            value: 5,
-        };
-        let b = Rectangle {
-            rows: vec![0, 1],
-            cols: vec![1, 2],
-            value: 5,
-        };
-        let got1 = global_wave(&[post(vec![a.clone()]), post(vec![b.clone()])], 1);
-        let got2 = global_wave(&[post(vec![b.clone()]), post(vec![a.clone()])], 1);
-        assert_eq!(got1, got2);
-        assert_eq!(got1[0].cols, vec![0, 3]); // smaller cols wins the tie
-        assert_eq!(
-            global_wave(&[post(vec![b.clone()]), post(vec![a.clone()])], 2),
-            vec![a, b]
-        );
-    }
-
-    #[test]
-    fn global_wave_prefers_value() {
-        let small = Rectangle {
-            rows: vec![0],
-            cols: vec![0, 1],
-            value: 2,
-        };
-        let big = Rectangle {
-            rows: vec![9],
-            cols: vec![8, 9],
-            value: 7,
-        };
-        let posts = [post(vec![small]), post(vec![big.clone()]), post(vec![])];
-        assert_eq!(global_wave(&posts, 1), vec![big]);
-        assert!(global_wave(&[post(vec![]), post(vec![])], 1).is_empty());
     }
 }

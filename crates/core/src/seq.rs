@@ -4,8 +4,8 @@
 //! matrix for the candidate nodes, find the maximum-valued rectangle,
 //! extract it (create a node for the kernel, rewrite the covered rows),
 //! refresh the affected rows, and repeat until no rectangle has positive
-//! value. The [`Engine`] exposes the individual steps so Algorithm R can
-//! drive the same loop with a striped search and replicated state.
+//! value. The [`Engine`] exposes the individual steps. Algorithm R
+//! ([`crate::replicated`]) is this loop with several search workers.
 
 use crate::ctl::RunCtl;
 use crate::report::{ExtractReport, PhaseTiming};
@@ -17,8 +17,9 @@ use pf_kcmatrix::{
 };
 use pf_network::{Network, SignalId};
 use pf_sop::fx::FxHashMap;
-use pf_sop::kernel::{CoKernelPair, KernelConfig, KernelScratch};
+use pf_sop::kernel::KernelConfig;
 use pf_sop::Cube;
+use std::convert::Infallible;
 use std::time::Instant;
 
 /// Options for the sequential extractor.
@@ -104,42 +105,6 @@ fn counter_past_existing(nw: &Network, prefix: &str) -> usize {
     next
 }
 
-/// One generator's share of the §3 *parallel generation* scheme: the
-/// kernels of every `procs`-th target, starting at target `pid`, with
-/// rows labelled from generator `pid`'s [`LabelGen`] block.
-pub struct KernelShare {
-    /// Per owned target, in target order: its `(label, co-kernel pair)`
-    /// rows in enumeration order.
-    per_target: Vec<Vec<(u64, CoKernelPair)>>,
-}
-
-impl KernelShare {
-    /// Enumerates the kernels of generator `pid` of `procs`.
-    pub fn generate(
-        nw: &Network,
-        targets: &[SignalId],
-        kernel: &KernelConfig,
-        pid: usize,
-        procs: usize,
-    ) -> Self {
-        let mut labels = LabelGen::new(pid as u16, LabelGen::DEFAULT_OFFSET);
-        let mut scratch = KernelScratch::default();
-        let per_target = targets
-            .iter()
-            .skip(pid)
-            .step_by(procs.max(1))
-            .map(|&t| {
-                scratch
-                    .kernels(nw.func(t), kernel)
-                    .into_iter()
-                    .map(|pair| (labels.next(), pair))
-                    .collect()
-            })
-            .collect();
-        KernelShare { per_target }
-    }
-}
-
 impl Engine {
     /// Builds the matrix over `targets` (internal nodes of `nw`).
     pub fn new(nw: &Network, targets: &[SignalId], cfg: ExtractConfig) -> Self {
@@ -157,53 +122,6 @@ impl Engine {
                 &mut col_labels,
             );
         }
-        Engine::assemble(nw, targets, cfg, matrix, registry, row_labels, col_labels)
-    }
-
-    /// Builds the matrix from the [`KernelShare`]s of the §3 parallel
-    /// generation, `shares[pid]` being generator `pid`'s. The rows are
-    /// merged in target order, so every replica that merges the same
-    /// shares holds the same matrix, and that matrix is [`Engine::new`]'s
-    /// row for row and column for column: only the row labels differ,
-    /// and no search or apply reads a label. Algorithm R therefore makes
-    /// exactly the extractions the sequential cover makes.
-    pub fn from_shares(
-        nw: &Network,
-        targets: &[SignalId],
-        cfg: ExtractConfig,
-        shares: &[&KernelShare],
-    ) -> Self {
-        let procs = shares.len();
-        let registry = CubeRegistry::new();
-        let mut matrix = KcMatrix::new();
-        // Fresh kernels after extraction get labels from a dedicated
-        // high block so they never collide with the generators'.
-        let row_labels = LabelGen::new(procs as u16 + 1, LabelGen::DEFAULT_OFFSET);
-        let mut col_labels = LabelGen::new(procs as u16 + 1, LabelGen::DEFAULT_OFFSET);
-        for (k, &node) in targets.iter().enumerate() {
-            for (label, pair) in &shares[k % procs].per_target[k / procs] {
-                matrix.add_row(
-                    *label,
-                    node,
-                    pair.cokernel.clone(),
-                    &pair.kernel,
-                    &registry,
-                    &mut col_labels,
-                );
-            }
-        }
-        Engine::assemble(nw, targets, cfg, matrix, registry, row_labels, col_labels)
-    }
-
-    fn assemble(
-        nw: &Network,
-        targets: &[SignalId],
-        cfg: ExtractConfig,
-        matrix: KcMatrix,
-        registry: CubeRegistry,
-        row_labels: LabelGen,
-        col_labels: LabelGen,
-    ) -> Self {
         let weights = registry.weights_snapshot();
         let counter = counter_past_existing(nw, &cfg.name_prefix);
         Engine {
@@ -255,12 +173,12 @@ impl Engine {
     }
 
     /// Searches for the best rectangle — the head of
-    /// [`Engine::search_batch`]'s list; `stripe` optionally restricts
-    /// the leftmost column as in Algorithm R. Returns the full
-    /// [`SearchStats`] (visited / pruned / bound-update counters) so
-    /// callers can trace per-pass search behaviour.
-    pub fn search(&mut self, stripe: Option<(u32, u32)>) -> (Option<Rectangle>, SearchStats) {
-        let (rects, stats) = self.search_batch(stripe);
+    /// [`Engine::search_batch`]'s list. Returns the full [`SearchStats`]
+    /// (visited / pruned / bound-update counters) so callers can trace
+    /// per-pass search behaviour. See [`Engine::search_batch`] for the
+    /// argument.
+    pub fn search(&mut self, none: Option<Infallible>) -> (Option<Rectangle>, SearchStats) {
+        let (rects, stats) = self.search_batch(none);
         (rects.into_iter().next(), stats)
     }
 
@@ -270,12 +188,13 @@ impl Engine {
     /// No rectangle of an earlier pass is outstanding at a search head
     /// (every driver applies or drops its wave before searching again),
     /// so this is also where tombstoned rows are compacted away.
-    pub fn search_batch(&mut self, stripe: Option<(u32, u32)>) -> (Vec<Rectangle>, SearchStats) {
+    ///
+    /// The argument can only be `None`. It is left from the search
+    /// filter this method used to take, so that the benchmark crate's
+    /// adapter, which passes `None`, builds unchanged; the next change
+    /// to the benchmark drops it.
+    pub fn search_batch(&mut self, _none: Option<Infallible>) -> (Vec<Rectangle>, SearchStats) {
         self.compact_sparse_rows();
-        let cfg = SearchConfig {
-            stripe,
-            ..self.cfg.search.clone()
-        };
         // Only the columns `apply` dirtied are re-encoded and lose their
         // ceilings, so unchanged leftmost-column subtrees prune from
         // their surviving ceilings immediately. A wave applies many
@@ -287,7 +206,7 @@ impl Engine {
         let out = self.pool.find(
             &self.matrix,
             &|id| weights[id as usize],
-            &cfg,
+            &self.cfg.search,
             self.prev_best.as_ref(),
             CeilingUpdate::Dirty(&self.dirty_cols),
         );
@@ -612,8 +531,11 @@ pub fn extract_kernels_pooled(
     cfg: &ExtractConfig,
     pool: &mut Option<SearchPool>,
 ) -> ExtractReport {
-    extract_kernels_warm(nw, targets, cfg, pool, None, None)
+    extract_kernels_warm(nw, targets, cfg, pool, None, None, SEQ_SETUP)
 }
+
+/// `seq`'s setup phase names (see [`extract_kernels_warm`]).
+pub(crate) const SEQ_SETUP: [&str; 2] = ["matrix", "pool"];
 
 /// [`extract_kernels_pooled`] with warm-start plumbing: `warm` seeds the
 /// engine (first-pass ceilings + previous winner) before the cover loop,
@@ -621,6 +543,9 @@ pub fn extract_kernels_pooled(
 /// pass — the only moment the ceilings describe the initial matrix. Both
 /// are correctness-neutral: a warm-seeded run extracts the byte-identical
 /// network a cold run would (see [`Engine::seed_warm_start`]).
+///
+/// `setup` names the matrix and pool phases, in spans and in the report:
+/// [`SEQ_SETUP`] for `seq`; Algorithm R names both `replicate`.
 pub(crate) fn extract_kernels_warm(
     nw: &mut Network,
     targets: &[SignalId],
@@ -628,6 +553,7 @@ pub(crate) fn extract_kernels_warm(
     pool: &mut Option<SearchPool>,
     warm: Option<&WarmStart>,
     mut capture: Option<&mut Option<WarmStart>>,
+    setup: [&'static str; 2],
 ) -> ExtractReport {
     let targets: Vec<SignalId> = if targets.is_empty() {
         nw.node_ids().collect()
@@ -642,7 +568,7 @@ pub(crate) fn extract_kernels_warm(
     // The `matrix` span opens with the clock: the run's bookkeeping
     // before the build counts toward the matrix phase, as it does in
     // `report.phases`, so traced spans cover all of `elapsed`.
-    let matrix_span = lane.start("matrix");
+    let matrix_span = lane.start(setup[0]);
     let lc_before = nw.literal_count();
     let mut report = ExtractReport {
         lc_before,
@@ -656,8 +582,8 @@ pub(crate) fn extract_kernels_warm(
         lane.end(matrix_span);
         report.elapsed = start.elapsed();
         report.phases = vec![
-            PhaseTiming::new("matrix", report.elapsed),
-            PhaseTiming::new("pool", std::time::Duration::ZERO),
+            PhaseTiming::new(setup[0], report.elapsed),
+            PhaseTiming::new(setup[1], std::time::Duration::ZERO),
             PhaseTiming::new("cover", std::time::Duration::ZERO),
         ];
         return report;
@@ -669,7 +595,7 @@ pub(crate) fn extract_kernels_warm(
     // adopting a still-warm pool from the previous job (or pre-spawning
     // this run's workers) is exactly the setup cost the persistent
     // executor amortizes away.
-    let pool_span = lane.start("pool");
+    let pool_span = lane.start(setup[1]);
     if let Some(prev) = pool.take() {
         engine.adopt_pool(prev);
     }
@@ -726,8 +652,8 @@ pub(crate) fn extract_kernels_warm(
     report.elapsed = start.elapsed();
     report.setup = matrix_elapsed;
     report.phases = vec![
-        PhaseTiming::new("matrix", matrix_elapsed),
-        PhaseTiming::new("pool", pool_elapsed),
+        PhaseTiming::new(setup[0], matrix_elapsed),
+        PhaseTiming::new(setup[1], pool_elapsed),
         PhaseTiming::new(
             "cover",
             report.elapsed.saturating_sub(matrix_elapsed + pool_elapsed),
@@ -1111,72 +1037,6 @@ pub(crate) mod tests {
         cfg.search.topk = 8;
         let report = extract_kernels(&mut nw, &[], &cfg);
         assert!(report.extractions <= 2);
-    }
-
-    /// The §3 parallel generation, its `procs` generators run in turn.
-    fn generated_engine(nw: &Network, targets: &[SignalId], procs: usize) -> Engine {
-        let cfg = ExtractConfig::default();
-        let shares: Vec<KernelShare> = (0..procs)
-            .map(|pid| KernelShare::generate(nw, targets, &cfg.kernel, pid, procs))
-            .collect();
-        Engine::from_shares(nw, targets, cfg, &shares.iter().collect::<Vec<_>>())
-    }
-
-    #[test]
-    fn parallel_generation_matches_sequential_matrix() {
-        // §3's labeled parallel generation must produce the serial
-        // build's rows and columns, in the serial order, for any
-        // generator count.
-        let base = pf_workloads::generate(&pf_workloads::CircuitProfile::small("gen", 5));
-        let (paper, _) = example_1_1();
-        for nw in [paper, base] {
-            let targets: Vec<SignalId> = nw.node_ids().collect();
-            let serial = Engine::new(&nw, &targets, ExtractConfig::default());
-            let rows = |e: &Engine| -> Vec<(u32, Cube, Vec<ColIdx>)> {
-                e.matrix()
-                    .rows()
-                    .iter()
-                    .map(|r| {
-                        let cols = r.entries.iter().map(|&(c, _)| c).collect();
-                        (r.node, r.cokernel.clone(), cols)
-                    })
-                    .collect()
-            };
-            let cols = |e: &Engine| -> Vec<Cube> {
-                e.matrix().cols().iter().map(|c| c.cube.clone()).collect()
-            };
-            for procs in [1usize, 2, 3, 7] {
-                let par = generated_engine(&nw, &targets, procs);
-                assert_eq!(rows(&par), rows(&serial), "procs={procs}");
-                assert_eq!(cols(&par), cols(&serial), "procs={procs}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_generation_extraction_reaches_same_quality() {
-        let (mut nw, _) = example_1_1();
-        let targets: Vec<SignalId> = nw.node_ids().collect();
-        let mut engine = generated_engine(&nw, &targets, 3);
-        while let (Some(rect), _) = engine.search(None) {
-            engine.apply(&mut nw, &rect);
-        }
-        assert_eq!(nw.literal_count(), 21);
-    }
-
-    #[test]
-    fn parallel_generation_is_deterministic_across_proc_counts_labels() {
-        // Rows generated by processor p carry labels in p's block.
-        let (nw, _) = example_1_1();
-        let targets: Vec<SignalId> = nw.node_ids().collect();
-        let par = generated_engine(&nw, &targets, 2);
-        let blocks: std::collections::BTreeSet<u64> = par
-            .matrix()
-            .rows()
-            .iter()
-            .map(|r| r.label / pf_kcmatrix::LabelGen::DEFAULT_OFFSET)
-            .collect();
-        assert!(blocks.len() >= 2, "both generator blocks used: {blocks:?}");
     }
 
     /// The six paper profiles at unit-test scale.

@@ -50,9 +50,8 @@
 //!    divides rely on this). [`CeilingUpdate::Off`] and truncated passes
 //!    invalidate everything (a truncated pass completes no task set
 //!    worth trusting, and its explored prefix is interleaving-
-//!    dependent). A fingerprint of `(min_cols, stripe)` guards against
-//!    config drift between passes — `approx` and task admission depend
-//!    on both.
+//!    dependent). A `min_cols` fingerprint guards against config drift
+//!    between passes — `approx` depends on it.
 //! 3. **Determinism.** The skip test is `ceiling < bound` (strict) or
 //!    `ceiling ≤ 0`: identical in spirit to the in-pass strict prune,
 //!    so a subtree that could still *tie* the final winner is always
@@ -120,10 +119,12 @@ struct PoolState {
     /// Bumped once per multi-worker pass; sleeping workers wake on it.
     epoch: u64,
     job: Option<Job>,
-    /// Background workers participating in the current pass. A worker
-    /// with `idx > participants` skips the epoch without touching
-    /// `active` (a pass may use fewer workers than exist).
+    /// Seats for background workers in the current pass. A worker that
+    /// wakes to no free seat skips the epoch without touching `active`
+    /// (a pass may use fewer workers than exist).
     participants: usize,
+    /// Seats taken; the worker in seat `k` runs as index `k`.
+    joined: usize,
     /// Participants still running the current pass.
     active: usize,
     panicked: bool,
@@ -138,14 +139,28 @@ struct PoolShared {
     done_cv: Condvar,
 }
 
+impl PoolShared {
+    /// Removes the current pass's free seats, so the caller does not
+    /// wait for a parked worker to be scheduled: a search pass closes
+    /// once the calling thread's share returns, the queue drained.
+    fn close_pass(&self) {
+        let mut st = self.state.lock();
+        st.active -= st.participants - st.joined;
+        st.participants = st.joined;
+        if st.active == 0 {
+            self.done_cv.notify_all();
+        }
+    }
+}
+
 /// Per-column cross-pass ceilings (see the module docs).
 #[derive(Default)]
 struct Ceilings {
     vals: Vec<i64>,
     valid: Vec<bool>,
-    /// `(min_cols, stripe)` the ceilings were recorded under; a
-    /// mismatch invalidates everything.
-    fingerprint: Option<(usize, Option<(u32, u32)>)>,
+    /// `min_cols` the ceilings were recorded under; a mismatch
+    /// invalidates everything.
+    fingerprint: Option<usize>,
 }
 
 /// A portable copy of a pool's per-column ceilings, for warm-starting a
@@ -155,15 +170,15 @@ struct Ceilings {
 /// Soundness is the caller's contract: a snapshot may only be seeded
 /// into a pass over a matrix byte-identical to the one it was recorded
 /// over (content-addressing in `pf-cache` is what establishes that).
-/// Config drift is still self-guarding — the embedded `(min_cols,
-/// stripe)` fingerprint makes a mismatched pass reset instead of
-/// consulting stale bounds — and determinism invariant 3 (strict skip
+/// Config drift is still self-guarding — the embedded `min_cols`
+/// fingerprint makes a mismatched pass reset instead of consulting
+/// stale bounds — and determinism invariant 3 (strict skip
 /// test) keeps seeded passes byte-identical to cold ones.
 #[derive(Clone, Debug, Default)]
 pub struct CeilingSnapshot {
     vals: Vec<i64>,
     valid: Vec<bool>,
-    fingerprint: Option<(usize, Option<(u32, u32)>)>,
+    fingerprint: Option<usize>,
 }
 
 impl CeilingSnapshot {
@@ -231,6 +246,7 @@ impl SearchPool {
                     epoch: 0,
                     job: None,
                     participants: 0,
+                    joined: 0,
                     active: 0,
                     panicked: false,
                     shutdown: false,
@@ -385,7 +401,7 @@ impl SearchPool {
                 false
             }
             Some(dirty) => {
-                let fp = Some((cfg.min_cols, cfg.stripe));
+                let fp = Some(cfg.min_cols);
                 if self.ceil.fingerprint != fp || self.ceil.vals.len() > ncols {
                     // Nothing recorded, config drift, or a shrunk matrix
                     // (should not happen — rows are tombstoned, columns
@@ -405,7 +421,7 @@ impl SearchPool {
             }
         };
 
-        let tasks = admissible_tasks(m, cfg);
+        let tasks = admissible_tasks(m);
         if tasks.is_empty() {
             // No admissible leftmost column: nothing to search.
             return (init_best.into_iter().collect(), SearchStats::default());
@@ -447,6 +463,7 @@ impl SearchPool {
                 let sync = AtomicSync::new(init_bound);
                 let slots: Vec<Mutex<Option<WorkerResult>>> =
                     (0..nthreads).map(|_| Mutex::new(None)).collect();
+                let shared = Arc::clone(&self.shared);
                 self.run_pass(nthreads, &|idx: usize, ws: &mut WorkerScratch| {
                     let r = run_worker(
                         m,
@@ -460,11 +477,12 @@ impl SearchPool {
                         &panel,
                     );
                     *slots[idx].lock() = Some(r);
+                    if idx == 0 {
+                        shared.close_pass();
+                    }
                 });
-                let results = slots
-                    .into_iter()
-                    .map(|s| s.into_inner().expect("every pass worker reports"))
-                    .collect();
+                // Seats `close_pass` removed report nothing.
+                let results = slots.into_iter().filter_map(Mutex::into_inner).collect();
                 (results, sync.is_truncated())
             }
         };
@@ -496,7 +514,7 @@ impl SearchPool {
                     ceil.vals[c] = v;
                     ceil.valid[c] = true;
                 }
-                ceil.fingerprint = Some((cfg.min_cols, cfg.stripe));
+                ceil.fingerprint = Some(cfg.min_cols);
             }
         }
         self.ceil = ceil;
@@ -515,7 +533,7 @@ impl SearchPool {
             self.spawned += 1;
             let h = std::thread::Builder::new()
                 .name(format!("pf-search-{idx}"))
-                .spawn(move || worker_loop(shared, idx, start_epoch))
+                .spawn(move || worker_loop(shared, start_epoch))
                 .expect("spawn search pool worker");
             self.handles.push(h);
         }
@@ -523,8 +541,9 @@ impl SearchPool {
 
     /// Runs `f(worker_index, scratch)` on `nworkers ≥ 2` workers: index
     /// 0 inline on the calling thread, the rest on parked pool threads.
-    /// Blocks until all participants return. Panics (after the pass
-    /// fully drains) if any worker panicked.
+    /// Blocks until all participants return ([`PoolShared::close_pass`]
+    /// stops counting seats not yet taken). Panics (after the pass fully
+    /// drains) if any worker panicked.
     fn run_pass<F>(&mut self, nworkers: usize, f: &F)
     where
         F: Fn(usize, &mut WorkerScratch) + Sync,
@@ -546,6 +565,7 @@ impl SearchPool {
             let mut st = self.shared.state.lock();
             st.job = Some(job);
             st.participants = nbg;
+            st.joined = 0;
             st.active = nbg;
             st.panicked = false;
             st.epoch += 1;
@@ -578,13 +598,13 @@ impl Drop for SearchPool {
     }
 }
 
-fn worker_loop(shared: Arc<PoolShared>, idx: usize, start_epoch: u64) {
+fn worker_loop(shared: Arc<PoolShared>, start_epoch: u64) {
     // The worker's whole point: scratch allocated once, reused across
     // every pass (and every job) until the pool is dropped.
     let mut scratch = WorkerScratch::default();
     let mut seen_epoch = start_epoch;
     loop {
-        let (job, participate) = {
+        let (job, idx) = {
             let mut st = shared.state.lock();
             while !st.shutdown && st.epoch == seen_epoch {
                 shared.work_cv.wait(&mut st);
@@ -593,17 +613,14 @@ fn worker_loop(shared: Arc<PoolShared>, idx: usize, start_epoch: u64) {
                 return;
             }
             seen_epoch = st.epoch;
-            // A worker past the pass's width skips without touching
-            // `active` — it was never counted in.
-            if idx <= st.participants {
-                (st.job.clone(), true)
-            } else {
-                (None, false)
+            // No free seat: skip without touching `active` — this worker
+            // was never counted in.
+            if st.joined == st.participants {
+                continue;
             }
+            st.joined += 1;
+            (st.job.clone(), st.joined)
         };
-        if !participate {
-            continue;
-        }
         let job = job.expect("participant woken without a job");
         let outcome =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(idx, &mut scratch)));
@@ -896,6 +913,54 @@ mod tests {
                 *hits.lock() += 1;
             });
             assert_eq!(*hits.lock(), 2);
+        }
+    }
+
+    #[test]
+    fn closed_pass_releases_workers_that_have_not_joined() {
+        // The caller closes each pass once its own share returns: a
+        // worker that joined still finishes, one that had not is
+        // released without touching the active count, and a pass that
+        // is not closed still runs on every worker.
+        let mut pool = SearchPool::new();
+        pool.warm(3);
+        let shared = Arc::clone(&pool.shared);
+        for _ in 0..50 {
+            let hits = Mutex::new(0usize);
+            pool.run_pass(3, &|idx, _ws| {
+                *hits.lock() += 1;
+                if idx == 0 {
+                    shared.close_pass();
+                }
+            });
+            let hits = *hits.lock();
+            assert!((1..=3).contains(&hits), "{hits} workers ran");
+        }
+        let hits = Mutex::new(0usize);
+        pool.run_pass(3, &|_idx, _ws| {
+            *hits.lock() += 1;
+        });
+        assert_eq!(*hits.lock(), 3);
+    }
+
+    #[test]
+    fn ticket_grants_sum_to_the_budget() {
+        // One claimer is granted exactly `budget` tickets, in blocks, so
+        // a one-worker pass is denied the same expansion as ever.
+        for budget in [0u64, 1, 63, 64, 65, 1000] {
+            let (solo, shared) = (SoloSync::new(0), AtomicSync::new(0));
+            for sync in [&solo as &dyn PassSync, &shared] {
+                let mut total = 0;
+                loop {
+                    let granted = sync.grant(budget);
+                    assert!(granted <= crate::worker::TICKET_BLOCK);
+                    if granted == 0 {
+                        break;
+                    }
+                    total += granted;
+                }
+                assert_eq!(total, budget);
+            }
         }
     }
 

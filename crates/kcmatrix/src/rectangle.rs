@@ -162,10 +162,6 @@ pub struct SearchConfig {
     /// greedy fallback: the canonical top-K of the seed and of every
     /// row's full column set, swept after the truncated pass.
     pub budget: u64,
-    /// Restrict the *leftmost* column of enumerated rectangles to the
-    /// stripe `proc` of `nprocs` (round-robin by column index) — the §3
-    /// divide-and-conquer decomposition. `None` searches everything.
-    pub stripe: Option<(u32, u32)>,
     /// Minimum number of columns (2 for kernel extraction: a single
     /// column is a cube, not a kernel).
     pub min_cols: usize,
@@ -195,7 +191,6 @@ impl Default for SearchConfig {
     fn default() -> Self {
         SearchConfig {
             budget: 2_000_000,
-            stripe: None,
             min_cols: 2,
             par_threads: 0,
             topk: 16,
@@ -261,24 +256,16 @@ pub(crate) fn cols_cost(m: &KcMatrix, cols: &[ColIdx]) -> i64 {
 }
 
 /// The canonically best `k` of `candidates` (deduplicated, best-first
-/// under the (value, cols, rows) order). The replicated driver uses this
-/// to merge per-stripe top-K lists into the global top-K — every global
-/// top-K member is in its own stripe's top-K, so the merged result is
-/// independent of how many stripes contributed.
+/// under the (value, cols, rows) order). Merging the top-K lists of any
+/// partition of the column sets — by leftmost column, as in the paper's
+/// Figure 1 — gives the global top-K: every global member is in its own
+/// part's list, so the merge does not depend on the partition.
 pub fn canonical_top_k(candidates: &[Rectangle], k: usize) -> Vec<Rectangle> {
     let mut acc = TopK::new(k);
     for r in candidates {
         acc.insert(r.clone());
     }
     acc.into_vec()
-}
-
-/// Whether the stripe filter admits `c` as a leftmost column.
-pub(crate) fn stripe_admits(cfg: &SearchConfig, c: ColIdx) -> bool {
-    match cfg.stripe {
-        Some((proc, nprocs)) => (c as u32) % nprocs == proc,
-        None => true,
-    }
 }
 
 /// Per alive row: Σ of entry values minus the row cost — the row's
@@ -414,8 +401,7 @@ pub(crate) struct GreedyBufs {
 
 /// One step of the greedy fallback: takes row `r`'s full column set as
 /// the candidate kernel and evaluates the optimal rectangle for it.
-/// Returns `None` for dead, too-narrow, stripe-rejected, or worthless
-/// rows.
+/// Returns `None` for dead, too-narrow or worthless rows.
 ///
 /// The support intersection runs the fused
 /// [`TiledSupport::and_ub_from`] pass, whose by-product — the admissible
@@ -442,11 +428,6 @@ pub(crate) fn greedy_row(
     }
     bufs.cols.clear();
     bufs.cols.extend(row.entries.iter().map(|&(c, _)| c));
-    // Stripe filter applies to the leftmost column for consistency with
-    // the exact search.
-    if !stripe_admits(cfg, bufs.cols[0]) {
-        return None;
-    }
     bufs.ta.load_col(panel, bufs.cols[0]);
     // The root bound walk only pays off when there is no intersection to
     // fuse it into (single-column rows, `min_cols == 1`).
@@ -566,28 +547,6 @@ mod tests {
         let exact = best(&m, &value_of, &SearchConfig::default()).0.unwrap();
         let greedy = crate::reference::greedy_top_k(&m, &value_of, &SearchConfig::default());
         assert_eq!(exact.value, greedy[0].value);
-    }
-
-    #[test]
-    fn stripes_partition_the_search() {
-        // The union of the best rectangles over all stripes must contain
-        // a rectangle as good as the global best (Figure 1's reduction).
-        let (m, _reg, w) = paper_matrix();
-        let global = best(&m, &|id| w[id as usize], &SearchConfig::default())
-            .0
-            .unwrap();
-        let nprocs = 3u32;
-        let mut best_striped: i64 = 0;
-        for p in 0..nprocs {
-            let cfg = SearchConfig {
-                stripe: Some((p, nprocs)),
-                ..SearchConfig::default()
-            };
-            if let (Some(r), _) = best(&m, &|id| w[id as usize], &cfg) {
-                best_striped = best_striped.max(r.value);
-            }
-        }
-        assert_eq!(best_striped, global.value);
     }
 
     #[test]

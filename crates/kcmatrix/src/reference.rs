@@ -18,17 +18,16 @@
 
 use crate::matrix::{ColIdx, KcMatrix, RowIdx};
 use crate::rectangle::{
-    cols_cost, evaluate_with, row_cost, row_full_values, stripe_admits, Rectangle, SearchConfig,
-    SearchStats,
+    cols_cost, evaluate_with, row_cost, row_full_values, Rectangle, SearchConfig, SearchStats,
 };
 use crate::registry::CubeId;
 use pf_sop::fx::FxHashSet;
 
 /// Every positive rectangle [`crate::pool::SearchPool::find`] could
 /// return, best-first under the canonical (value, cols, rows) order and
-/// cut to `cfg.topk`: for each column set whose leftmost column the
-/// stripe admits, with at least `cfg.min_cols` columns and a non-empty
-/// support, the optimal rectangle over that whole support.
+/// cut to `cfg.topk`: for each column set with at least `cfg.min_cols`
+/// columns and a non-empty support, the optimal rectangle over that
+/// whole support.
 pub fn top_k(
     m: &KcMatrix,
     value_of: &(dyn Fn(CubeId) -> u32 + Sync),
@@ -37,7 +36,7 @@ pub fn top_k(
     let mut all = Vec::new();
     let mut cols = Vec::new();
     for c0 in 0..m.cols().len() {
-        if stripe_admits(cfg, c0) && !m.cols()[c0].rows.is_empty() {
+        if !m.cols()[c0].rows.is_empty() {
             cols.push(c0);
             enumerate(m, value_of, cfg, &mut cols, &m.cols()[c0].rows, &mut all);
             cols.pop();
@@ -50,9 +49,8 @@ pub fn top_k(
 
 /// The greedy sweep's answer, best-first under the canonical (value,
 /// cols, rows) order, deduplicated and cut to `cfg.topk`: for each alive
-/// row with at least `cfg.min_cols` entries whose leftmost column the
-/// stripe admits, the optimal rectangle of the row's full column set
-/// over that set's whole support.
+/// row with at least `cfg.min_cols` entries, the optimal rectangle of
+/// the row's full column set over that set's whole support.
 pub fn greedy_top_k(
     m: &KcMatrix,
     value_of: &(dyn Fn(CubeId) -> u32 + Sync),
@@ -135,9 +133,6 @@ pub fn best_rectangle(
         seen: FxHashSet::default(),
     };
     for c0 in 0..m.cols().len() {
-        if !stripe_admits(cfg, c0) {
-            continue;
-        }
         let rows0: Vec<RowIdx> = m.cols()[c0].rows.clone();
         if rows0.is_empty() {
             continue;
@@ -280,9 +275,6 @@ fn row_rectangles(
             continue;
         }
         let cols: Vec<ColIdx> = row.entries.iter().map(|&(c, _)| c).collect();
-        if !stripe_admits(cfg, cols[0]) {
-            continue;
-        }
         // Supporting rows: intersection of the column row-lists.
         let mut support = m.cols()[cols[0]].rows.clone();
         for &c in &cols[1..] {

@@ -48,8 +48,7 @@
 
 use crate::matrix::{ColIdx, KcMatrix, RowIdx};
 use crate::rectangle::{
-    approx_value, evaluate_with, greedy_row, stripe_admits, GreedyBufs, Rectangle, SearchConfig,
-    SearchStats, TopK,
+    approx_value, evaluate_with, greedy_row, GreedyBufs, Rectangle, SearchConfig, SearchStats, TopK,
 };
 use crate::registry::CubeId;
 use crate::rowset::RowSet;
@@ -86,6 +85,12 @@ impl<'a> Queue<'a> {
     }
 }
 
+/// Budget tickets a worker claims at once, so the shared counter's cache
+/// line does not bounce between workers on every expansion. One worker
+/// is granted exactly `budget`; several may each leave up to 63 unused,
+/// so whether a pass truncates depends on the interleaving there.
+pub(crate) const TICKET_BLOCK: u64 = 64;
+
 /// Per-pass synchronisation — the pruning bound, the budget ticket
 /// counter and the truncation flag — abstracted so a one-worker pass
 /// runs on plain cells instead of atomics. The algorithm is identical
@@ -95,8 +100,9 @@ pub(crate) trait PassSync {
     fn bound(&self) -> i64;
     /// Monotone max-update of the bound; whether it actually rose.
     fn raise_bound(&self, v: i64) -> bool;
-    /// Claims one expansion ticket; returns the pre-increment count.
-    fn ticket(&self) -> u64;
+    /// Claims a block of up to [`TICKET_BLOCK`] expansion tickets under
+    /// `budget`; returns how many were granted (0: the budget is spent).
+    fn grant(&self, budget: u64) -> u64;
     /// Whether some worker had an expansion denied by the budget.
     fn is_truncated(&self) -> bool;
     /// Records a denied expansion.
@@ -106,7 +112,8 @@ pub(crate) trait PassSync {
 /// Multi-worker [`PassSync`] over shared atomics.
 pub(crate) struct AtomicSync {
     bound: AtomicI64,
-    visited: AtomicU64,
+    /// Budget tickets handed out so far, in blocks.
+    issued: AtomicU64,
     truncated: AtomicBool,
 }
 
@@ -114,7 +121,7 @@ impl AtomicSync {
     pub(crate) fn new(init_bound: i64) -> Self {
         AtomicSync {
             bound: AtomicI64::new(init_bound),
-            visited: AtomicU64::new(0),
+            issued: AtomicU64::new(0),
             truncated: AtomicBool::new(false),
         }
     }
@@ -130,8 +137,9 @@ impl PassSync for AtomicSync {
         self.bound.fetch_max(v, Relaxed) < v
     }
     #[inline]
-    fn ticket(&self) -> u64 {
-        self.visited.fetch_add(1, Relaxed)
+    fn grant(&self, budget: u64) -> u64 {
+        let start = self.issued.fetch_add(TICKET_BLOCK, Relaxed);
+        budget.saturating_sub(start).min(TICKET_BLOCK)
     }
     #[inline]
     fn is_truncated(&self) -> bool {
@@ -148,7 +156,7 @@ impl PassSync for AtomicSync {
 /// run because the enumeration order and pruning rules are identical.
 pub(crate) struct SoloSync {
     bound: Cell<i64>,
-    visited: Cell<u64>,
+    issued: Cell<u64>,
     truncated: Cell<bool>,
 }
 
@@ -156,7 +164,7 @@ impl SoloSync {
     pub(crate) fn new(init_bound: i64) -> Self {
         SoloSync {
             bound: Cell::new(init_bound),
-            visited: Cell::new(0),
+            issued: Cell::new(0),
             truncated: Cell::new(false),
         }
     }
@@ -177,10 +185,10 @@ impl PassSync for SoloSync {
         }
     }
     #[inline]
-    fn ticket(&self) -> u64 {
-        let t = self.visited.get();
-        self.visited.set(t + 1);
-        t
+    fn grant(&self, budget: u64) -> u64 {
+        let start = self.issued.get();
+        self.issued.set(start + TICKET_BLOCK);
+        budget.saturating_sub(start).min(TICKET_BLOCK)
     }
     #[inline]
     fn is_truncated(&self) -> bool {
@@ -243,10 +251,10 @@ pub(crate) struct WorkerResult {
     ceil_out: Vec<(ColIdx, i64)>,
 }
 
-/// The admissible leftmost-column task list for one pass.
-pub(crate) fn admissible_tasks(m: &KcMatrix, cfg: &SearchConfig) -> Vec<ColIdx> {
+/// The leftmost-column task list for one pass: every column with rows.
+pub(crate) fn admissible_tasks(m: &KcMatrix) -> Vec<ColIdx> {
     (0..m.cols().len())
-        .filter(|&c| stripe_admits(cfg, c) && !m.cols()[c].rows.is_empty())
+        .filter(|&c| !m.cols()[c].rows.is_empty())
         .collect()
 }
 
@@ -343,6 +351,7 @@ pub(crate) fn run_worker<S: PassSync>(
         panel,
         sync,
         stopped: false,
+        tickets: 0,
         expansions: 0,
         pruned: 0,
         bound_updates: 0,
@@ -411,6 +420,8 @@ struct Explorer<'a, S: PassSync> {
     /// Local mirror of the truncation flag: once set, unwind without
     /// exploring.
     stopped: bool,
+    /// Budget tickets granted to this worker and not yet used.
+    tickets: u64,
     /// Expansions *completed* by this worker (reported in stats).
     expansions: u64,
     /// Subtrees cut by the shared-bound prune.
@@ -446,12 +457,15 @@ impl<S: PassSync> Explorer<'_, S> {
             self.stopped = true;
             return rows;
         }
-        let ticket = self.sync.ticket();
-        if ticket >= self.cfg.budget {
-            self.sync.set_truncated();
-            self.stopped = true;
-            return rows;
+        if self.tickets == 0 {
+            self.tickets = self.sync.grant(self.cfg.budget);
+            if self.tickets == 0 {
+                self.sync.set_truncated();
+                self.stopped = true;
+                return rows;
+            }
         }
+        self.tickets -= 1;
         self.expansions += 1;
 
         if self.cols.len() >= self.cfg.min_cols {

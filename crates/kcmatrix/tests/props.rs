@@ -1,8 +1,7 @@
 //! Property tests for the KC matrix and rectangle search: matrix
 //! entries really cover network cubes, the search equals the exhaustive
-//! reference (and a truncated one the greedy reference), stripes
-//! partition the space, and the state machine obeys Table 5 under
-//! arbitrary operation sequences.
+//! reference (and a truncated one the greedy reference), and the state
+//! machine obeys Table 5 under arbitrary operation sequences.
 
 use pf_kcmatrix::{
     reference, CeilingUpdate, CubeId, CubeRegistry, CubeState, CubeStates, KcMatrix, LabelGen,
@@ -82,14 +81,10 @@ proptest! {
 
     /// The search is the exhaustive canonical top-K: for every K,
     /// worker count and tile width it returns exactly the head of the
-    /// unpruned reference enumeration, with and without stripes, and for
-    /// min_cols ∈ {1, 2}.
+    /// unpruned reference enumeration, for min_cols ∈ {1, 2}.
     #[test]
     fn find_equals_reference_top_k(
         funcs in prop::collection::vec(arb_sop(8, 4, 8), 1..4),
-        striped in any::<bool>(),
-        proc in 0u32..4,
-        nprocs in 1u32..4,
         min_cols in 1usize..3,
     ) {
         let (m, w) = build_matrix(&funcs);
@@ -98,7 +93,6 @@ proptest! {
             let mut pool = SearchPool::new();
             for topk in [1usize, 4, 16] {
                 let cfg = SearchConfig {
-                    stripe: striped.then_some((proc % nprocs, nprocs)),
                     min_cols,
                     topk,
                     par_threads: workers,
@@ -129,9 +123,6 @@ proptest! {
     #[test]
     fn truncated_find_equals_reference_greedy_top_k(
         funcs in prop::collection::vec(arb_sop(8, 4, 8), 1..4),
-        striped in any::<bool>(),
-        proc in 0u32..4,
-        nprocs in 1u32..4,
         min_cols in 1usize..3,
     ) {
         let (m, w) = build_matrix(&funcs);
@@ -140,7 +131,6 @@ proptest! {
             for topk in [1usize, 4, 16] {
                 let base = SearchConfig {
                     budget,
-                    stripe: striped.then_some((proc % nprocs, nprocs)),
                     min_cols,
                     topk,
                     ..SearchConfig::default()
@@ -212,25 +202,6 @@ proptest! {
             }
         }
         prop_assert_eq!(total, rect.value);
-    }
-
-    /// The union of striped searches finds the global optimum value.
-    #[test]
-    fn stripes_cover_the_space(
-        funcs in prop::collection::vec(arb_sop(8, 3, 7), 1..4),
-        nprocs in 2u32..5,
-    ) {
-        let (m, w) = build_matrix(&funcs);
-        let global = best(&m, &|id| w[id as usize], &SearchConfig::default())
-            .map_or(0, |r| r.value);
-        let mut striped = 0i64;
-        for p in 0..nprocs {
-            let cfg = SearchConfig { stripe: Some((p, nprocs)), ..SearchConfig::default() };
-            if let Some(r) = best(&m, &|id| w[id as usize], &cfg) {
-                striped = striped.max(r.value);
-            }
-        }
-        prop_assert_eq!(striped, global);
     }
 
     /// Zeroing cube values can only lower the best rectangle's value.
@@ -521,19 +492,15 @@ proptest! {
     }
 
     /// The search at topk = 1 is the head of the search at any larger K:
-    /// same rectangle, byte for byte, for any stripe and thread count.
+    /// same rectangle, byte for byte, for any thread count.
     #[test]
     fn topk1_plural_search_is_the_singular_search(
         funcs in prop::collection::vec(arb_sop(8, 4, 8), 1..4),
-        striped in any::<bool>(),
-        proc in 0u32..3,
-        nprocs in 1u32..3,
         threads in 0usize..3,
     ) {
         let (m, w) = build_matrix(&funcs);
         let value_of = |id: CubeId| w[id as usize];
         let cfg = SearchConfig {
-            stripe: striped.then_some((proc % nprocs, nprocs)),
             par_threads: threads,
             topk: 1,
             ..SearchConfig::default()

@@ -18,7 +18,7 @@ use std::time::Duration;
 pub enum Algorithm {
     /// Sequential baseline (SIS `gkx` equivalent).
     Seq,
-    /// Algorithm R — replicated circuit, striped search.
+    /// Algorithm R — the search divided by leftmost column.
     Replicated,
     /// Algorithm I — independent partitions.
     Independent,
@@ -61,14 +61,7 @@ impl Algorithm {
     pub fn run(self, nw: &mut Network, procs: usize, extract: ExtractConfig) -> ExtractReport {
         match self {
             Algorithm::Seq => extract_kernels(nw, &[], &extract),
-            Algorithm::Replicated => replicated_extract(
-                nw,
-                &ReplicatedConfig {
-                    procs,
-                    extract,
-                    ..ReplicatedConfig::default()
-                },
-            ),
+            Algorithm::Replicated => replicated_extract(nw, &ReplicatedConfig { procs, extract }),
             Algorithm::Independent => independent_extract(
                 nw,
                 &IndependentConfig {

@@ -15,7 +15,8 @@
 
 use parafactor::core::{extract_kernels, ExtractConfig};
 use parafactor::kcmatrix::{
-    CeilingUpdate, CubeRegistry, CubeStates, KcMatrix, LabelGen, SearchConfig, SearchPool,
+    canonical_top_k, reference, CeilingUpdate, CubeRegistry, CubeStates, KcMatrix, LabelGen,
+    SearchConfig, SearchPool,
 };
 use parafactor::network::example::example_1_1;
 use parafactor::network::transform::extract_node;
@@ -80,30 +81,43 @@ fn main() {
     }
     let w = reg_full.weights_snapshot();
     let value_of = |id: u32| w[id as usize];
-    let mut search = SearchPool::new();
-    let mut best_rectangle = |cfg: &SearchConfig| {
-        let (rects, stats) = search.find(&full, &value_of, cfg, None, CeilingUpdate::Off);
-        (rects.into_iter().next(), stats)
-    };
-    let nprocs = 3u32;
-    for p in 0..nprocs {
-        let cfg = SearchConfig {
-            stripe: Some((p, nprocs)),
+    // Every positive rectangle of the matrix, best first; processor `p`
+    // of `nprocs` owns those whose leftmost column is `p` mod `nprocs`.
+    let all = reference::top_k(
+        &full,
+        &value_of,
+        &SearchConfig {
+            topk: usize::MAX,
             ..SearchConfig::default()
-        };
-        let (best, stats) = best_rectangle(&cfg);
+        },
+    );
+    let nprocs = 3;
+    let mut local_bests = Vec::new();
+    for p in 0..nprocs {
+        let mine: Vec<_> = all.iter().filter(|r| r.cols[0] % nprocs == p).collect();
         println!(
-            "  processor {p}: {:>4} column-sets explored, best value {}",
-            stats.visited,
-            best.as_ref().map_or(0, |r| r.value)
+            "  processor {p}: {:>3} positive column sets, best value {}",
+            mine.len(),
+            mine.first().map_or(0, |r| r.value)
         );
+        local_bests.extend(mine.first().map(|&r| r.clone()));
     }
-    let (global, _) = best_rectangle(&SearchConfig::default());
-    let global = global.unwrap();
+    let reduced = canonical_top_k(&local_bests, 1).remove(0);
+    let (sequential, _) = SearchPool::new().find(
+        &full,
+        &value_of,
+        &SearchConfig::classic(),
+        None,
+        CeilingUpdate::Off,
+    );
+    assert_eq!(
+        reduced, sequential[0],
+        "the reduction is the sequential best"
+    );
     println!(
-        "  reduction picks value {} (kernel {}), as the sequential search would\n",
-        global.value,
-        global.kernel(&full)
+        "  reduction picks value {} (kernel {}), as the sequential search does\n",
+        reduced.value,
+        reduced.kernel(&full)
     );
 
     // --- Example 4.1: independent partitions lose quality ---------------

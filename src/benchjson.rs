@@ -177,7 +177,6 @@ fn timed_extract(
                 &ReplicatedConfig {
                     procs,
                     extract: extract.clone(),
-                    ..ReplicatedConfig::default()
                 },
             ),
             "independent" => independent_extract(

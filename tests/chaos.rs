@@ -14,9 +14,9 @@
 //! Fault-site safety (documented in `pf_core::fault`): `panic` rules are
 //! only used at `serve:pickup` (kills the worker thread on purpose) and
 //! `seq:cover` (caught by the worker's `catch_unwind`); the barrier-
-//! synchronized drivers (`replicated:reduce`, `lshaped:step`) only get
-//! `latency`/`cancel` faults, because a panic inside a barrier group
-//! would strand the sibling threads, not exercise recovery.
+//! synchronized driver (`lshaped:step`) only gets `latency`/`cancel`
+//! faults, because a panic inside a barrier group would strand the
+//! sibling threads, not exercise recovery.
 
 use parafactor::core::{FaultPlan, FaultRule};
 use parafactor::serve::{

@@ -249,6 +249,45 @@ fn budget_capped_seq_truncates_some_passes_and_is_pinned() {
     assert_eq!(network_digest(&stepped), network_digest(&opt));
 }
 
+/// Algorithm R on the budget-capped case above. At one worker R is
+/// `seq`, truncated passes included, and ends at the pinned network.
+/// With several workers, whether a pass exceeds the budget depends on
+/// when the shared bound arrives, so R may end elsewhere; it must stay
+/// equivalent.
+#[test]
+fn budget_capped_replicated_is_pinned_at_one_worker() {
+    use parafactor::kcmatrix::{network_digest, SearchConfig};
+    let original = collapsed_carry_chain();
+    let extract = ExtractConfig {
+        search: SearchConfig {
+            budget: 100,
+            ..SearchConfig::default()
+        },
+        ..ExtractConfig::default()
+    };
+    for procs in [1usize, 2, 3] {
+        let mut opt = original.clone();
+        let report = replicated_extract(
+            &mut opt,
+            &ReplicatedConfig {
+                procs,
+                extract: extract.clone(),
+            },
+        );
+        assert!(
+            equivalent_random(&original, &opt, &EquivConfig::default()).unwrap(),
+            "procs {procs}"
+        );
+        if procs == 1 {
+            assert!(report.budget_exhausted);
+            assert_eq!(
+                (network_digest(&opt).to_hex(), report.extractions),
+                ("990e9b20a7d7b52ea0cd05a2103f7509".to_string(), 9)
+            );
+        }
+    }
+}
+
 #[test]
 fn script_pipeline_on_two_circuits() {
     use parafactor::core::script::{run_script, ScriptConfig};
